@@ -109,7 +109,8 @@ def cmd_metrics(args) -> int:
             raise ContractError(
                 f"shape mismatch: {spec_a.values.shape} vs {spec_b.values.shape}"
             )
-        results["ssim"] = metrics.ssim(spec_a, spec_b, cfg)
+        ssim_cells = metrics.ssim_map(spec_a, spec_b, cfg)
+        results["ssim"] = float(np.mean(ssim_cells))  # == metrics.ssim
         inputs["mel_b"] = args.mel_b
     if args.svg:
         response = np.abs(metrics.laplacian_response(spec_a))
@@ -120,8 +121,7 @@ def cmd_metrics(args) -> int:
         )
         if args.mel_b:
             Path(f"{args.svg}_ssim.svg").write_text(
-                svgplot.heatmap(metrics.ssim_map(spec_a, spec_b, cfg),
-                                "SSIM map", "bin", "frame"),
+                svgplot.heatmap(ssim_cells, "SSIM map", "bin", "frame"),
                 encoding="utf-8",
             )
     _emit(_report("metrics", inputs, {"window": args.window}, results), args.out)

@@ -74,6 +74,16 @@ class Spectrogram:
         return self.values.shape[1]
 
 
+def as_grid(x) -> np.ndarray:
+    """The values of a Spectrogram, or any 2-D array-like as float64."""
+    if isinstance(x, Spectrogram):
+        return x.values
+    arr = np.asarray(x, dtype=np.float64)
+    if arr.ndim != 2:
+        raise ContractError("expected a 2-D grid")
+    return arr
+
+
 @dataclass(frozen=True)
 class AlignmentEntry:
     label: str
@@ -162,6 +172,13 @@ class SeededRng:
 
     def __repr__(self):
         return f"SeededRng(seed={self.seed}, stream={self.stream})"
+
+
+def reflect_indices(n: int, lo: int, hi: int) -> np.ndarray:
+    """Indices lo..hi-1 reflected into [0, n) without repeating edges."""
+    period = max(2 * (n - 1), 1)  # n == 1 maps every index to 0
+    idx = np.abs(np.arange(lo, hi)) % period
+    return np.where(idx >= n, period - idx, idx)
 
 
 def write_mel(spec: Spectrogram, path) -> None:

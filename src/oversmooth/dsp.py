@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import ContractError
+from .core import ContractError, reflect_indices
 
 DEFAULT_SAMPLE_RATE = 22050
 DEFAULT_FRAME = 1024
@@ -127,16 +127,6 @@ def _hann(n: int) -> np.ndarray:
     return 0.5 * (1.0 - np.cos(2.0 * np.pi * np.arange(n) / n))
 
 
-def _reflect_indices(n: int, lo: int, hi: int) -> np.ndarray:
-    """Indices lo..hi-1 reflected into [0, n) without repeating edges."""
-    idx = np.arange(lo, hi)
-    if n == 1:
-        return np.zeros_like(idx)
-    period = 2 * (n - 1)
-    idx = np.abs(idx) % period
-    return np.where(idx >= n, period - idx, idx)
-
-
 def stft_magnitude(
     clip: AudioClip, frame_size: int = DEFAULT_FRAME, hop: int = DEFAULT_HOP
 ) -> np.ndarray:
@@ -157,7 +147,7 @@ def stft_magnitude(
         raise ContractError("clip must contain at least one sample")
     n_frames = -(-n // hop)
     half = frame_size // 2
-    padded = x[_reflect_indices(n, -half, n + half + frame_size)]
+    padded = x[reflect_indices(n, -half, n + half + frame_size)]
     window = _hann(frame_size)
     frames = np.stack(
         [padded[t * hop : t * hop + frame_size] for t in range(n_frames)]

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ContractError, Spectrogram
+from .core import ContractError, as_grid, reflect_indices
 
 # 3x3 Laplacian mask; rows sum to zero so constant grids respond with zero.
 LAPLACIAN_MASK = np.array(
@@ -49,21 +49,12 @@ class SsimConfig:
             raise ContractError(f"unknown window kind {self.window_kind!r}")
 
 
-def _as_grid(spec) -> np.ndarray:
-    if isinstance(spec, Spectrogram):
-        return spec.values
-    arr = np.asarray(spec, dtype=np.float64)
-    if arr.ndim != 2:
-        raise ContractError("expected a 2-D grid")
-    return arr
-
-
 def laplacian_response(spec) -> np.ndarray:
     """Valid (no padding) cross-correlation with the 3x3 Laplacian mask.
 
     Input must be at least 3x3; output shape is (T-2, F-2).
     """
-    grid = _as_grid(spec)
+    grid = as_grid(spec)
     t, f = grid.shape
     if t < 3 or f < 3:
         raise ContractError(f"grid must be at least 3x3, got {t}x{f}")
@@ -86,38 +77,36 @@ def var_laplacian(spec) -> float:
     return float(np.mean((response - response.mean()) ** 2))
 
 
-def _reflect_pad_2d(x: np.ndarray, pad: int) -> np.ndarray:
-    """Reflect-pad both axes; falls back gracefully for tiny inputs."""
-
-    def axis_indices(n: int) -> np.ndarray:
-        idx = np.arange(-pad, n + pad)
-        if n == 1:
-            return np.zeros_like(idx)
-        period = 2 * (n - 1)
-        idx = np.abs(idx) % period
-        return np.where(idx >= n, period - idx, idx)
-
-    rows = axis_indices(x.shape[0])
-    cols = axis_indices(x.shape[1])
-    return x[np.ix_(rows, cols)]
-
-
 def _window_kernel(cfg: SsimConfig) -> np.ndarray:
     w = cfg.window
     if cfg.window_kind == "box":
-        k1 = np.full(w, 1.0 / w)
-    else:
-        offsets = np.arange(w) - w // 2
-        k1 = np.exp(-0.5 * (offsets / cfg.gaussian_sigma) ** 2)
-        k1 /= k1.sum()
-    return np.outer(k1, k1)
+        return np.full(w, 1.0 / w)
+    offsets = np.arange(w) - w // 2
+    k1 = np.exp(-0.5 * (offsets / cfg.gaussian_sigma) ** 2)
+    return k1 / k1.sum()
 
 
-def _window_mean(x: np.ndarray, kernel: np.ndarray) -> np.ndarray:
-    pad = kernel.shape[0] // 2
-    padded = _reflect_pad_2d(x, pad)
-    view = np.lib.stride_tricks.sliding_window_view(padded, kernel.shape)
-    return np.einsum("ijkl,kl->ij", view, kernel)
+def _window_means(planes: np.ndarray, k1: np.ndarray) -> np.ndarray:
+    """Window means of a (P, T, F) stack of planes, reflect-padded at edges.
+
+    The window is separable, so each plane gets one 1-D pass along T and one
+    along F, each summing shifted slices. Planes go one at a time so that a
+    plane's intermediates stay in cache.
+    """
+    _, t, f = planes.shape
+    pad = len(k1) // 2
+    rows = reflect_indices(t, -pad, t + pad)
+    cols = reflect_indices(f, -pad, f + pad)
+    out = np.empty_like(planes)
+    padded = planes.take(rows, axis=1).take(cols, axis=2)
+    for plane, mean in zip(padded, out):
+        along_t = k1[0] * plane[:t]
+        for i in range(1, len(k1)):
+            along_t += k1[i] * plane[i:i + t]
+        np.multiply(along_t[:, :f], k1[0], out=mean)
+        for i in range(1, len(k1)):
+            mean += k1[i] * along_t[:, i:i + f]
+    return out
 
 
 def ssim_map(a, b, cfg: SsimConfig | None = None) -> np.ndarray:
@@ -129,7 +118,7 @@ def ssim_map(a, b, cfg: SsimConfig | None = None) -> np.ndarray:
     negative covariance can make cells negative and no clamping is applied.
     """
     cfg = cfg or SsimConfig()
-    ga, gb = _as_grid(a), _as_grid(b)
+    ga, gb = as_grid(a), as_grid(b)
     if ga.shape != gb.shape:
         raise ContractError(f"shape mismatch {ga.shape} vs {gb.shape}")
     if cfg.lo is None:
@@ -144,12 +133,11 @@ def ssim_map(a, b, cfg: SsimConfig | None = None) -> np.ndarray:
     ga = (ga - lo) / span
     gb = (gb - lo) / span
 
-    kernel = _window_kernel(cfg)
-    mu_a = _window_mean(ga, kernel)
-    mu_b = _window_mean(gb, kernel)
-    var_a = _window_mean(ga * ga, kernel) - mu_a * mu_a
-    var_b = _window_mean(gb * gb, kernel) - mu_b * mu_b
-    cov = _window_mean(ga * gb, kernel) - mu_a * mu_b
+    mu_a, mu_b, sq_a, sq_b, ab = _window_means(
+        np.stack([ga, gb, ga * ga, gb * gb, ga * gb]), _window_kernel(cfg))
+    var_a = sq_a - mu_a * mu_a
+    var_b = sq_b - mu_b * mu_b
+    cov = ab - mu_a * mu_b
     luminance = (2.0 * mu_a * mu_b + cfg.c1) / (mu_a**2 + mu_b**2 + cfg.c1)
     structure = (2.0 * cov + cfg.c2) / (var_a + var_b + cfg.c2)
     return luminance * structure

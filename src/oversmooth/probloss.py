@@ -15,24 +15,15 @@ from pathlib import Path
 import numpy as np
 
 from . import metrics
-from .core import BadMagic, ContractError, FormatError, SeededRng, Spectrogram
+from .core import BadMagic, ContractError, FormatError, SeededRng, Spectrogram, as_grid
 
 BETA_FLOOR = 1e-3
 LMF_MAGIC = b"LMF1"
 
 
-def _as_grid(x) -> np.ndarray:
-    if isinstance(x, Spectrogram):
-        return x.values
-    arr = np.asarray(x, dtype=np.float64)
-    if arr.ndim != 2:
-        raise ContractError("expected a 2-D grid")
-    return arr
-
-
 def elementwise_loss(kind: str, pred, target) -> float:
     """Mean absolute (``"mae"``) or mean squared (``"mse"``) error."""
-    p, t = _as_grid(pred), _as_grid(target)
+    p, t = as_grid(pred), as_grid(target)
     if p.shape != t.shape:
         raise ContractError(f"shape mismatch {p.shape} vs {t.shape}")
     delta = p - t

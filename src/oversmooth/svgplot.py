@@ -30,14 +30,30 @@ RAMP = (
 )
 
 
+def ramp_colors(values) -> list[str]:
+    """Ramp colours of ``values`` in C order, as ``#rrggbb`` strings.
+
+    Values are clamped to [0, 1]; NaN takes the top stop's colour. Channels
+    round half to even, as Python's ``round`` does.
+    """
+    x = np.clip(np.asarray(values, dtype=float).ravel(), 0.0, 1.0)
+    x = np.nan_to_num(x, nan=1.0)
+    stops, stop_rgb = (np.array(v, dtype=float) for v in zip(*RAMP))
+    # Segment i spans stops i-1..i and holds x0 < x <= x1 (x = 0 in the first).
+    i = np.clip(np.searchsorted(stops, x), 1, len(RAMP) - 1)
+    x0, x1 = stops[i - 1], stops[i]
+    c0, c1 = stop_rgb[i - 1], stop_rgb[i]
+    w = ((x - x0) / (x1 - x0))[:, None]
+    rgb = np.rint(c0 + w * (c1 - c0)).astype(np.int64)
+    # The ramp has a few hundred distinct colours: format each one once.
+    codes, cell_code = np.unique((rgb[:, 0] << 16) | (rgb[:, 1] << 8)
+                                 | rgb[:, 2], return_inverse=True)
+    names = [f"#{c:06x}" for c in codes.tolist()]
+    return [names[j] for j in cell_code.tolist()]
+
+
 def ramp_color(x: float) -> str:
-    x = min(max(float(x), 0.0), 1.0)
-    for (x0, c0), (x1, c1) in zip(RAMP, RAMP[1:]):
-        if x <= x1:
-            w = 0.0 if x1 == x0 else (x - x0) / (x1 - x0)
-            rgb = tuple(round(a + w * (b - a)) for a, b in zip(c0, c1))
-            return "#{:02x}{:02x}{:02x}".format(*rgb)
-    return "#fafad2"
+    return ramp_colors(x)[0]
 
 
 def _fmt(x: float) -> str:
@@ -153,15 +169,13 @@ def heatmap(matrix, title: str, xlabel: str, ylabel: str) -> str:
     cell_w = PLOT_W / cols
     cell_h = PLOT_H / rows
     parts = _header(title) + _axes(xlabel, ylabel, 0, cols, 0, rows)
+    colors = ramp_colors((m - lo) / span)
+    xs = [_fmt(MARGIN_L + c * cell_w) for c in range(cols)]
+    size = f'width="{_fmt(cell_w + 0.5)}" height="{_fmt(cell_h + 0.5)}"'
     for r in range(rows):
-        y = MARGIN_T + PLOT_H - (r + 1) * cell_h
-        for c in range(cols):
-            color = ramp_color((m[r, c] - lo) / span)
-            parts.append(
-                f'<rect x="{_fmt(MARGIN_L + c * cell_w)}" y="{_fmt(y)}" '
-                f'width="{_fmt(cell_w + 0.5)}" height="{_fmt(cell_h + 0.5)}" '
-                f'fill="{color}"/>'
-            )
+        y = _fmt(MARGIN_T + PLOT_H - (r + 1) * cell_h)
+        parts += [f'<rect x="{x}" y="{y}" {size} fill="{color}"/>'
+                  for x, color in zip(xs, colors[r * cols:(r + 1) * cols])]
     bar_x = WIDTH - MARGIN_R + 20
     for i in range(32):
         frac = i / 31

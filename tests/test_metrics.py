@@ -29,6 +29,36 @@ def conv_oracle(grid):
     return out
 
 
+def ssim_map_2d_window(a, b, cfg):
+    """SSIM map with the full 2-D window: the outer product of the 1-D
+    weights, applied with einsum to a sliding view of each reflect-padded
+    moment grid."""
+    w = cfg.window
+    if cfg.window_kind == "box":
+        k1 = np.full(w, 1.0 / w)
+    else:
+        offsets = np.arange(w) - w // 2
+        k1 = np.exp(-0.5 * (offsets / cfg.gaussian_sigma) ** 2)
+        k1 /= k1.sum()
+    kernel = np.outer(k1, k1)
+    lo, hi = min(a.min(), b.min()), max(a.max(), b.max())
+    span = hi - lo if hi > lo else 1.0
+    a, b = (a - lo) / span, (b - lo) / span
+
+    def window_mean(x):
+        padded = np.pad(x, w // 2, mode="reflect")
+        view = np.lib.stride_tricks.sliding_window_view(padded, kernel.shape)
+        return np.einsum("ijkl,kl->ij", view, kernel)
+
+    mu_a, mu_b = window_mean(a), window_mean(b)
+    var_a = window_mean(a * a) - mu_a * mu_a
+    var_b = window_mean(b * b) - mu_b * mu_b
+    cov = window_mean(a * b) - mu_a * mu_b
+    luminance = (2.0 * mu_a * mu_b + cfg.c1) / (mu_a**2 + mu_b**2 + cfg.c1)
+    structure = (2.0 * cov + cfg.c2) / (var_a + var_b + cfg.c2)
+    return luminance * structure
+
+
 class TestLaplacianResponse:
     def test_constant_grid_zero(self):
         assert np.all(laplacian_response(np.full((5, 5), 3.3)) == 0.0)
@@ -143,3 +173,31 @@ class TestSsim:
         rng = np.random.default_rng(13)
         a = rng.normal(size=(4, 4))
         assert ssim(a, a.copy()) == 1.0
+
+
+grid_shapes = pytest.mark.parametrize(
+    "shape", [(1, 1), (4, 4), (15, 15), (517, 80)])
+window_configs = pytest.mark.parametrize(
+    "cfg",
+    [SsimConfig(), SsimConfig(window_kind="gaussian"), SsimConfig(window=3),
+     SsimConfig(window=7, window_kind="gaussian")],
+    ids=["box11", "gauss11", "box3", "gauss7"])
+
+
+class TestSsimSeparableWindow:
+    @grid_shapes
+    @window_configs
+    def test_matches_the_2d_window(self, shape, cfg):
+        rng = np.random.default_rng(shape[0] * 1000 + shape[1])
+        a = rng.normal(size=shape)
+        for b in (a + 0.3 * rng.normal(size=shape), rng.normal(size=shape)):
+            cells = ssim_map(a, b, cfg)
+            assert cells.shape == shape
+            np.testing.assert_allclose(cells, ssim_map_2d_window(a, b, cfg),
+                                       rtol=0, atol=1e-12)
+
+    @grid_shapes
+    @window_configs
+    def test_identical_grids_give_exactly_one(self, shape, cfg):
+        a = np.random.default_rng(7).normal(size=shape)
+        assert np.all(ssim_map(a, a.copy(), cfg) == 1.0)
