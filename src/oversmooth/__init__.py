@@ -6,7 +6,7 @@ Submodules:
 * :mod:`oversmooth.dsp` - WAV -> STFT -> log-mel front end
 * :mod:`oversmooth.metrics` - Laplacian-response variance and SSIM
 * :mod:`oversmooth.density` - per-phoneme KDE marginals/joints, dip statistic
-* :mod:`oversmooth.probloss` - MAE/MSE/SSIM losses and Laplace mixtures
+* :mod:`oversmooth.probloss` - per-cell Laplace mixtures
 * :mod:`oversmooth.flow` - conditional normalizing flow with exact NLL
 * :mod:`oversmooth.gan` - LSGAN losses and random-window discriminators
 * :mod:`oversmooth.toylab` - synthetic one-to-many generation experiments

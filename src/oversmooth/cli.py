@@ -62,6 +62,25 @@ def _seed_of(args) -> int:
     return int(os.environ.get("OVERSMOOTH_SEED", "0"))
 
 
+def _read_json(path):
+    try:
+        return json.loads(Path(path).read_text(encoding="utf-8"))
+    except json.JSONDecodeError as exc:
+        raise ContractError(f"{path}: invalid JSON: {exc}") from None
+
+
+def _checked(value, where: str, keys=()):
+    """``value`` if it is a JSON list (no ``keys``) or an object holding
+    every key in ``keys``; otherwise a ContractError naming ``where``."""
+    kind, name = (dict, "an object") if keys else (list, "a list")
+    if not isinstance(value, kind):
+        raise ContractError(f"{where} must be {name}, got {json.dumps(value)[:60]}")
+    missing = [k for k in keys if k not in value]
+    if missing:
+        raise ContractError(f"{where} is missing the key {missing[0]!r}")
+    return value
+
+
 def _write_csv(path, header: str, rows) -> None:
     lines = [header] + [",".join(repr(v) if isinstance(v, float) else str(v)
                                  for v in row) for row in rows]
@@ -129,12 +148,11 @@ def cmd_metrics(args) -> int:
 
 
 def _load_corpus(manifest_path):
-    doc = json.loads(Path(manifest_path).read_text(encoding="utf-8"))
-    if not isinstance(doc, list):
-        raise ContractError("manifest must be a JSON list of {mel, align} pairs")
+    doc = _checked(_read_json(manifest_path), f"manifest {manifest_path}")
     base = Path(manifest_path).parent
     corpus = []
-    for entry in doc:
+    for i, entry in enumerate(doc):
+        _checked(entry, f"manifest entry {i}", ("mel", "align"))
         corpus.append(
             (read_mel(base / entry["mel"]), read_alignment(base / entry["align"]))
         )
@@ -206,16 +224,17 @@ def cmd_dist(args) -> int:
 def cmd_toylab(args) -> int:
     seed = _seed_of(args)
     if args.spec:
-        doc = json.loads(Path(args.spec).read_text(encoding="utf-8"))
-        conditions = tuple(
-            toylab.ConditionSpec(
+        doc = _checked(_read_json(args.spec), f"spec {args.spec}",
+                       ("conditions", "noise", "samples_per_condition"))
+        conditions = []
+        for i, c in enumerate(_checked(doc["conditions"], "spec conditions")):
+            _checked(c, f"spec condition {i}", ("prototypes", "weights"))
+            conditions.append(toylab.ConditionSpec(
                 tuple(np.asarray(p, dtype=np.float64) for p in c["prototypes"]),
                 tuple(c["weights"]),
-            )
-            for c in doc["conditions"]
-        )
+            ))
         spec = toylab.ToyCorpusSpec(
-            conditions, doc["noise"], doc["samples_per_condition"],
+            tuple(conditions), doc["noise"], doc["samples_per_condition"],
             doc.get("seed", seed),
         )
     else:
@@ -239,11 +258,12 @@ def cmd_toylab(args) -> int:
 
 
 def _load_flow_corpus(manifest_path):
-    doc = json.loads(Path(manifest_path).read_text(encoding="utf-8"))
+    doc = _checked(_read_json(manifest_path), f"manifest {manifest_path}",
+                   ("samples",))
     base = Path(manifest_path).parent
-    entries = doc["samples"]
     grids, cond_ids = [], []
-    for entry in entries:
+    for i, entry in enumerate(_checked(doc["samples"], "manifest samples")):
+        _checked(entry, f"manifest sample {i}", ("mel", "condition"))
         grids.append(read_mel(base / entry["mel"]).values)
         cond_ids.append(int(entry["condition"]))
     shapes = {g.shape for g in grids}
@@ -383,8 +403,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_dist)
 
     p = sub.add_parser("toylab", help="synthetic over-smoothing experiment")
-    p.add_argument("--preset", choices=["canonical"], default="canonical")
-    p.add_argument("--spec", help="JSON corpus spec (overrides the preset)")
+    p.add_argument("--spec", help="JSON corpus spec (default: the canonical "
+                                  "8x8 two-pattern corpus)")
     p.add_argument("--strategies", default="mse,lm,ar,conditioned,flow")
     p.add_argument("--seed", type=int)
     p.add_argument("--generate", type=int, default=200)

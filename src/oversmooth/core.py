@@ -5,7 +5,8 @@ whole package:
 
 * ``MEL1`` binary spectrograms: magic ``b"MEL1"``, u32-LE frame count T,
   u32-LE bin count F, then T*F little-endian IEEE-754 32-bit floats in
-  time-major (row-major) order.
+  time-major (row-major) order. The flow's ``FLW1`` checkpoints use the same
+  envelope (:func:`write_binary`, :func:`read_binary`) with a longer header.
 * Alignment TSV: UTF-8 lines ``label<TAB>start<TAB>end`` with end exclusive,
   sorted by start and non-overlapping.
 """
@@ -170,6 +171,18 @@ class SeededRng:
     def permutation(self, n: int) -> np.ndarray:
         return self.generator.permutation(n)
 
+    def categorical(self, weights, size) -> np.ndarray:
+        """Indices drawn by ``weights`` along their last axis, K entries.
+
+        Draws ``size`` uniforms; each pick counts the cumulative weights its
+        uniform reaches, clamped to K - 1 so that a cumulative sum rounding
+        below 1 still picks a valid index. Weights of shape (..., K) need a
+        ``size`` ending in their leading shape.
+        """
+        cdf = np.cumsum(weights, axis=-1)
+        u = self.uniform(size=size)
+        return np.minimum((u[..., None] >= cdf).sum(axis=-1), cdf.shape[-1] - 1)
+
     def __repr__(self):
         return f"SeededRng(seed={self.seed}, stream={self.stream})"
 
@@ -181,35 +194,98 @@ def reflect_indices(n: int, lo: int, hi: int) -> np.ndarray:
     return np.where(idx >= n, period - idx, idx)
 
 
+class Adam:
+    """Adam (Kingma & Ba, 2015) on one flat parameter vector."""
+
+    beta1, beta2, eps = 0.9, 0.999, 1e-8
+
+    def __init__(self, size: int, step_size: float):
+        self.step_size = step_size
+        self.m = np.zeros(size)
+        self.v = np.zeros(size)
+        self.t = 0
+
+    def step(self, theta: np.ndarray, grad: np.ndarray) -> np.ndarray:
+        """The parameters after one update with gradient ``grad``."""
+        self.t += 1
+        self.m = self.beta1 * self.m + (1 - self.beta1) * grad
+        self.v = self.beta2 * self.v + (1 - self.beta2) * grad * grad
+        m_hat = self.m / (1 - self.beta1**self.t)
+        v_hat = self.v / (1 - self.beta2**self.t)
+        return theta - self.step_size * m_hat / (np.sqrt(v_hat) + self.eps)
+
+
+def pack(arrays) -> np.ndarray:
+    """The values of ``arrays`` (arrays or scalars) as one flat float64
+    vector; no arrays give an empty one."""
+    return np.concatenate([np.empty(0), *map(np.ravel, arrays)])
+
+
+def unpack(flat: np.ndarray, arrays) -> None:
+    """Copy consecutive slices of ``flat`` into ``arrays`` in place, the
+    inverse of :func:`pack`."""
+    pos = 0
+    for arr in arrays:
+        arr[...] = flat[pos : pos + arr.size].reshape(arr.shape)
+        pos += arr.size
+
+
+def write_binary(path, magic: bytes, header, values) -> None:
+    """Write ``magic``, ``header`` as u32-LE words, then ``values`` as
+    little-endian float32."""
+    with open(path, "wb") as fh:
+        fh.write(magic)
+        fh.write(struct.pack(f"<{len(header)}I", *header))
+        fh.write(np.ascontiguousarray(values, dtype="<f4").tobytes())
+
+
+def read_binary(path, magic: bytes, words: int, floats):
+    """Read a file written by :func:`write_binary` with a ``words``-word
+    header; returns (header, float32 payload).
+
+    ``floats(header)`` gives the payload length the header implies, or
+    raises :class:`ContractError` for a header it rejects; it runs before
+    anything is allocated, and any other payload size is a
+    :class:`FormatError`.
+    """
+    data = Path(path).read_bytes()
+    start = 4 + 4 * words
+    if len(data) < start:
+        raise FormatError(f"{path}: truncated header ({len(data)} bytes)")
+    if data[:4] != magic:
+        raise BadMagic(f"{path}: expected magic {magic!r}, got {data[:4]!r}")
+    header = struct.unpack(f"<{words}I", data[4:start])
+    try:
+        expected = 4 * floats(header)
+    except ContractError as exc:
+        raise FormatError(f"{path}: {exc}") from None
+    if len(data) - start != expected:
+        raise FormatError(
+            f"{path}: payload is {len(data) - start} bytes, header implies {expected}"
+        )
+    return header, np.frombuffer(data, dtype="<f4", offset=start)
+
+
 def write_mel(spec: Spectrogram, path) -> None:
     """Write a spectrogram in the MEL1 binary format.
 
     Values are stored as 32-bit floats; inputs already representable in
     float32 round-trip bit-exactly.
     """
-    payload = np.ascontiguousarray(spec.values, dtype="<f4")
-    with open(path, "wb") as fh:
-        fh.write(MEL_MAGIC)
-        fh.write(struct.pack("<II", spec.frames, spec.bins))
-        fh.write(payload.tobytes())
+    write_binary(path, MEL_MAGIC, (spec.frames, spec.bins), spec.values)
+
+
+def _mel_floats(header) -> int:
+    t, f = header
+    if t < 1 or f < 1:
+        raise FormatError(f"invalid dimensions {t}x{f}")
+    return t * f
 
 
 def read_mel(path) -> Spectrogram:
     """Read a MEL1 file written by :func:`write_mel`."""
-    data = Path(path).read_bytes()
-    if len(data) < 12:
-        raise FormatError(f"{path}: truncated header ({len(data)} bytes)")
-    if data[:4] != MEL_MAGIC:
-        raise BadMagic(f"{path}: expected magic {MEL_MAGIC!r}, got {data[:4]!r}")
-    t, f = struct.unpack("<II", data[4:12])
-    if t < 1 or f < 1:
-        raise FormatError(f"{path}: invalid dimensions {t}x{f}")
-    expected = 12 + 4 * t * f
-    if len(data) != expected:
-        raise FormatError(
-            f"{path}: payload is {len(data) - 12} bytes, header implies {4 * t * f}"
-        )
-    values = np.frombuffer(data, dtype="<f4", offset=12).reshape(t, f)
+    (t, f), payload = read_binary(path, MEL_MAGIC, 2, _mel_floats)
+    values = payload.reshape(t, f)
     if not np.all(np.isfinite(values)):
         raise FormatError(f"{path}: payload contains non-finite values")
     return Spectrogram(values.astype(np.float64))

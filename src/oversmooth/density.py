@@ -362,35 +362,3 @@ def dip_statistic(samples) -> DipResult:
         raw = _dip_sorted(x)
     return DipResult(float(min(max(raw, 0.5 / n), 0.25)), n)
 
-
-@dataclass(frozen=True)
-class MeanDipResult:
-    mean: float
-    cells: dict  # (phoneme, bin) -> DipResult
-    skipped: list  # (phoneme, bin) cells with < 2 samples
-
-
-def mean_dip(corpus, bins, phonemes) -> MeanDipResult:
-    """Average dip over (phoneme, bin) cells of a corpus.
-
-    Cells with fewer than 2 pooled samples are skipped and reported. Cells
-    are processed in lexicographic order so the reduction is deterministic.
-    """
-    corpus = list(corpus)
-    cells = {}
-    skipped = []
-    for ph in sorted(set(phonemes)):
-        for f in sorted(set(bins)):
-            try:
-                values = pooled_phoneme_values(corpus, ph, f)
-            except PhonemeAbsent:
-                skipped.append((ph, f))
-                continue
-            if len(values) < 2:
-                skipped.append((ph, f))
-                continue
-            cells[(ph, f)] = dip_statistic(values)
-    if not cells:
-        raise ContractError("every (phoneme, bin) cell was empty or too small")
-    mean = float(np.mean([r.dip for r in cells.values()]))
-    return MeanDipResult(mean, cells, skipped)

@@ -107,21 +107,6 @@ def read_wav(path) -> AudioClip:
     return AudioClip(raw / 32768.0, rate)
 
 
-def write_wav(clip: AudioClip, path) -> None:
-    """Write a clip as 16-bit PCM mono (values clipped to [-1, 1))."""
-    scaled = np.clip(np.round(clip.samples * 32768.0), -32768, 32767).astype("<i2")
-    body = scaled.tobytes()
-    with open(path, "wb") as fh:
-        fh.write(b"RIFF")
-        fh.write(struct.pack("<I", 36 + len(body)))
-        fh.write(b"WAVEfmt ")
-        fh.write(struct.pack("<IHHIIHH", 16, 1, 1, clip.sample_rate,
-                             clip.sample_rate * 2, 2, 16))
-        fh.write(b"data")
-        fh.write(struct.pack("<I", len(body)))
-        fh.write(body)
-
-
 def _hann(n: int) -> np.ndarray:
     # Periodic Hann, the framing convention matching the hop-based analysis.
     return 0.5 * (1.0 - np.cos(2.0 * np.pi * np.arange(n) / n))

@@ -25,13 +25,13 @@ are exact negatives of each other.
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .core import BadMagic, ContractError, FormatError, SeededRng
+from .core import (Adam, ContractError, SeededRng, pack, read_binary, unpack,
+                   write_binary)
 
 FLW_MAGIC = b"FLW1"
 LOG_2PI = np.log(2.0 * np.pi)
@@ -481,34 +481,12 @@ def nll_and_grads(model: FlowModel, batch: ConditionedBatch):
     return value, grads
 
 
-_PARAM_FIELDS = ("scale", "bias", "mix", "w1", "b1", "w2", "b2")
-
-
-def _param_arrays(model: FlowModel):
-    for step in model.steps:
-        yield step.scale, step.bias, step.mix, step.net.w1, step.net.b1, \
-            step.net.w2, step.net.b2
-
-
-def _set_params(model: FlowModel, flat: np.ndarray):
-    pos = 0
-    for step in model.steps:
-        for name in _PARAM_FIELDS:
-            holder = step if name in ("scale", "bias", "mix") else step.net
-            arr = getattr(holder, name)
-            size = arr.size
-            setattr(holder, name, flat[pos : pos + size].reshape(arr.shape).copy())
-            pos += size
-
-
-def get_params(model: FlowModel) -> np.ndarray:
-    return np.concatenate([a.ravel() for arrs in _param_arrays(model) for a in arrs])
-
-
-def _flat_grads(grads: list[StepGrads]) -> np.ndarray:
-    return np.concatenate(
-        [getattr(g, name).ravel() for g in grads for name in _PARAM_FIELDS]
-    )
+def param_arrays(model: FlowModel) -> list[np.ndarray]:
+    """Every parameter array, in the order of :class:`StepGrads` fields and
+    of the checkpoint payload; :func:`core.pack` and :func:`core.unpack`
+    turn them into one flat vector and back."""
+    return [arr for s in model.steps
+            for arr in (s.scale, s.bias, s.mix, s.net.w1, s.net.b1, s.net.w2, s.net.b2)]
 
 
 @dataclass
@@ -532,10 +510,8 @@ def train_flow(model: FlowModel, batch: ConditionedBatch, steps: int = 500,
     if n < 1:
         raise ContractError("training set must be non-empty")
     rng = SeededRng(seed, stream=0x464C)
-    theta = get_params(model)
-    m = np.zeros_like(theta)
-    v = np.zeros_like(theta)
-    beta1, beta2, eps = 0.9, 0.999, 1e-8
+    theta = pack(param_arrays(model))
+    adam = Adam(theta.size, step_size)
     curve = [(0, nll(model, batch))]
     order = rng.permutation(n)
     cursor = 0
@@ -547,13 +523,9 @@ def train_flow(model: FlowModel, batch: ConditionedBatch, steps: int = 500,
         cursor += batch_size
         mini = ConditionedBatch(batch.targets[idx], batch.conds[idx])
         _, grads = nll_and_grads(model, mini)
-        g = _flat_grads(grads)
-        m = beta1 * m + (1 - beta1) * g
-        v = beta2 * v + (1 - beta2) * g * g
-        m_hat = m / (1 - beta1**it)
-        v_hat = v / (1 - beta2**it)
-        theta = theta - step_size * m_hat / (np.sqrt(v_hat) + eps)
-        _set_params(model, theta)
+        theta = adam.step(theta, pack(arr for g in grads
+                                      for arr in vars(g).values()))
+        unpack(theta, param_arrays(model))
         if it % eval_every == 0 or it == steps:
             full = nll(model, batch)
             if not np.isfinite(full):
@@ -571,36 +543,24 @@ def save_model(model: FlowModel, path) -> None:
     """Checkpoint: magic FLW1; u32 K, c, cond_dim, hidden, initialized,
     grid_context, frames; then each step's scale, bias, mix, w1, b1, w2, b2
     as little-endian float32."""
-    with open(path, "wb") as fh:
-        fh.write(FLW_MAGIC)
-        fh.write(struct.pack("<IIIIIII", len(model.steps), model.channels,
-                             model.cond_dim, model.hidden,
-                             int(model.initialized),
-                             int(model.context == "grid"), model.frames))
-        for arrs in _param_arrays(model):
-            for arr in arrs:
-                fh.write(np.ascontiguousarray(arr, dtype="<f4").tobytes())
+    header = (len(model.steps), model.channels, model.cond_dim, model.hidden,
+              int(model.initialized), int(model.context == "grid"), model.frames)
+    write_binary(path, FLW_MAGIC, header, pack(param_arrays(model)))
+
+
+def _checkpoint_floats(header) -> int:
+    k, c, cond_dim, hidden, _, grid_ctx, frames = header
+    in_dim, out_dim = _net_dims(c, cond_dim, "grid" if grid_ctx else "frame", frames)
+    return k * (2 * c + c * c + hidden * (in_dim + 1 + out_dim) + out_dim)
 
 
 def load_model(path) -> FlowModel:
-    data = Path(path).read_bytes()
-    if len(data) < 32:
-        raise FormatError(f"{path}: truncated header")
-    if data[:4] != FLW_MAGIC:
-        raise BadMagic(f"{path}: expected magic {FLW_MAGIC!r}, got {data[:4]!r}")
-    k, c, cond_dim, hidden, inited, grid_ctx, frames = struct.unpack(
-        "<IIIIIII", data[4:32]
-    )
+    header, payload = read_binary(path, FLW_MAGIC, 7, _checkpoint_floats)
+    k, c, cond_dim, hidden, inited, grid_ctx, frames = header
     model = FlowModel.identity(
         c, cond_dim, n_steps=k, hidden=hidden,
         context="grid" if grid_ctx else "frame", frames=frames,
     )
-    flat = np.frombuffer(data, dtype="<f4", offset=32).astype(np.float64)
-    expected = get_params(model).size
-    if flat.size != expected:
-        raise FormatError(
-            f"{path}: parameter payload has {flat.size} floats, expected {expected}"
-        )
-    _set_params(model, flat)
+    unpack(payload, param_arrays(model))
     model.initialized = bool(inited)
     return model

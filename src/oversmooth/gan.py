@@ -8,15 +8,12 @@ the toy lab.
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
-from .core import BadMagic, ContractError, FormatError, SeededRng, Spectrogram
+from .core import ContractError, SeededRng, Spectrogram
 
-DSC_MAGIC = b"DSC1"
 LEAKY_SLOPE = 0.2
 MIN_CLIP_SIDE = 8  # receptive footprint of the three stride-2 stages
 _STAGE_CHANNELS = (4, 8, 16)
@@ -35,20 +32,22 @@ class WindowSpec:
             raise ContractError("window lengths must be positive")
 
 
-def random_windows(spec, windows: WindowSpec, rng: SeededRng) -> list[np.ndarray]:
+def random_windows(spec, windows: WindowSpec, rng: SeededRng):
     """Clip the grid into 3 random windows along time, full bins retained.
 
     Clip i has min(lengths[i], T) frames at an offset uniform over the valid
-    starts, so a fixed (seed, stream) reproduces the same offsets.
+    starts, so a fixed (seed, stream) reproduces the same offsets. Returns
+    (clips, offsets): the clips and the first frame of each.
     """
     values = spec.values if isinstance(spec, Spectrogram) else np.asarray(spec)
     t = values.shape[0]
-    clips = []
+    clips, offsets = [], []
     for length in windows.lengths:
         size = min(length, t)
         offset = int(rng.integers(0, t - size + 1))
         clips.append(values[offset : offset + size].copy())
-    return clips
+        offsets.append(offset)
+    return clips, offsets
 
 
 def _score_sets(sets, expected=3) -> list[np.ndarray]:
@@ -87,7 +86,7 @@ class TinyDiscriminator:
     conv_w: list[np.ndarray]  # (c_out, c_in, 3, 3) per stage
     conv_b: list[np.ndarray]
     out_w: np.ndarray  # (c_last,)
-    out_b: float
+    out_b: float  # a 0-d array in random critics, so training can set it
 
     @classmethod
     def random(cls, rng: SeededRng, weight_scale: float = 0.1) -> "TinyDiscriminator":
@@ -98,7 +97,16 @@ class TinyDiscriminator:
             conv_b.append(np.zeros(c_out))
             c_in = c_out
         return cls(conv_w, conv_b,
-                   weight_scale * rng.normal(size=_STAGE_CHANNELS[-1]), 0.0)
+                   weight_scale * rng.normal(size=_STAGE_CHANNELS[-1]),
+                   np.zeros(()))
+
+
+def critic_arrays(params) -> list:
+    """A critic's parameters, or the gradient dict that
+    :func:`discriminator_score_and_grads` returns for them, as one list of
+    arrays in a fixed order (see :func:`core.pack`)."""
+    p = params if isinstance(params, dict) else vars(params)
+    return [*p["conv_w"], *p["conv_b"], p["out_w"], p["out_b"]]
 
 
 def _conv_pad(x: np.ndarray) -> np.ndarray:
@@ -171,50 +179,3 @@ def discriminator_score_and_grads(disc: TinyDiscriminator, clip: np.ndarray,
     grads["clip"] = d_h[0]
     return score, grads
 
-
-def save_discriminator(disc: TinyDiscriminator, path) -> None:
-    """Checkpoint with the same envelope idea as flow models (magic DSC1)."""
-    with open(path, "wb") as fh:
-        fh.write(DSC_MAGIC)
-        fh.write(struct.pack("<I", len(disc.conv_w)))
-        for w, b in zip(disc.conv_w, disc.conv_b):
-            fh.write(struct.pack("<II", w.shape[0], w.shape[1]))
-            fh.write(np.ascontiguousarray(w, dtype="<f4").tobytes())
-            fh.write(np.ascontiguousarray(b, dtype="<f4").tobytes())
-        fh.write(struct.pack("<I", len(disc.out_w)))
-        fh.write(np.ascontiguousarray(disc.out_w, dtype="<f4").tobytes())
-        fh.write(struct.pack("<f", disc.out_b))
-
-
-def load_discriminator(path) -> TinyDiscriminator:
-    data = Path(path).read_bytes()
-    if len(data) < 8:
-        raise FormatError(f"{path}: truncated header")
-    if data[:4] != DSC_MAGIC:
-        raise BadMagic(f"{path}: expected magic {DSC_MAGIC!r}, got {data[:4]!r}")
-    pos = 4
-    (n_stages,) = struct.unpack("<I", data[pos : pos + 4])
-    pos += 4
-    conv_w, conv_b = [], []
-    try:
-        for _ in range(n_stages):
-            c_out, c_in = struct.unpack("<II", data[pos : pos + 8])
-            pos += 8
-            size = c_out * c_in * 9
-            w = np.frombuffer(data, dtype="<f4", count=size, offset=pos)
-            pos += 4 * size
-            b = np.frombuffer(data, dtype="<f4", count=c_out, offset=pos)
-            pos += 4 * c_out
-            conv_w.append(w.astype(np.float64).reshape(c_out, c_in, 3, 3))
-            conv_b.append(b.astype(np.float64))
-        (n_out,) = struct.unpack("<I", data[pos : pos + 4])
-        pos += 4
-        out_w = np.frombuffer(data, dtype="<f4", count=n_out, offset=pos)
-        pos += 4 * n_out
-        (out_b,) = struct.unpack("<f", data[pos : pos + 4])
-        pos += 4
-    except (struct.error, ValueError) as exc:
-        raise FormatError(f"{path}: truncated payload") from exc
-    if pos != len(data):
-        raise FormatError(f"{path}: trailing bytes after payload")
-    return TinyDiscriminator(conv_w, conv_b, out_w.astype(np.float64), float(out_b))

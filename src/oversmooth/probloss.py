@@ -1,4 +1,4 @@
-"""Grid losses: MAE/MSE, SSIM loss, and per-cell Laplace mixtures.
+"""Per-cell Laplace mixtures over grids.
 
 A mixture field holds, for every grid cell, K mixture weights, location
 parameters, and scale parameters of Laplace components. Cells are modeled
@@ -8,35 +8,13 @@ log-likelihoods finite and gives degenerate fits a well-defined optimum.
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
-from . import metrics
-from .core import BadMagic, ContractError, FormatError, SeededRng, Spectrogram, as_grid
+from .core import ContractError, SeededRng, Spectrogram
 
 BETA_FLOOR = 1e-3
-LMF_MAGIC = b"LMF1"
-
-
-def elementwise_loss(kind: str, pred, target) -> float:
-    """Mean absolute (``"mae"``) or mean squared (``"mse"``) error."""
-    p, t = as_grid(pred), as_grid(target)
-    if p.shape != t.shape:
-        raise ContractError(f"shape mismatch {p.shape} vs {t.shape}")
-    delta = p - t
-    if kind == "mae":
-        return float(np.mean(np.abs(delta)))
-    if kind == "mse":
-        return float(np.mean(delta * delta))
-    raise ContractError(f"unknown loss kind {kind!r}")
-
-
-def ssim_loss(pred, target, cfg: metrics.SsimConfig | None = None) -> float:
-    """1 - mean SSIM; zero iff the grids are identical."""
-    return 1.0 - metrics.ssim(pred, target, cfg)
 
 
 @dataclass(frozen=True)
@@ -111,7 +89,7 @@ def _fold(ufunc, parts):
     return out
 
 
-def _log_sum_exp(comps):
+def log_sum_exp(comps):
     """Log-sum-exp over the list of component terms ``comps``.
 
     Returns (log-sum-exp, [exp(comp - top) per component], their sum). A
@@ -126,7 +104,7 @@ def _log_sum_exp(comps):
 
 
 def _softmax(a: np.ndarray) -> np.ndarray:
-    _, e, total = _log_sum_exp([a[..., j] for j in range(a.shape[-1])])
+    _, e, total = log_sum_exp([a[..., j] for j in range(a.shape[-1])])
     return np.stack([part / total for part in e], axis=-1)
 
 
@@ -183,7 +161,7 @@ def lm_log_density(field: LaplaceMixtureField, target) -> np.ndarray:
             f"target grid {targets.shape[1:]} does not match field {field.shape}"
         )
     comps, _, _ = _component_terms(field.pi, field.mu, field.beta, targets)
-    return np.ascontiguousarray(np.moveaxis(_log_sum_exp(comps)[0], -1, 0))
+    return np.ascontiguousarray(np.moveaxis(log_sum_exp(comps)[0], -1, 0))
 
 
 def lm_nll(field: LaplaceMixtureField, target) -> float:
@@ -222,7 +200,7 @@ def lm_nll_grad(params: UnconstrainedMixtureParams, target):
     sig = 1.0 / (1.0 + np.exp(-params.raw_scale))  # d beta / d raw_scale
 
     comps, diffs, absdiffs = _component_terms(pi, params.mu, beta, targets)
-    lse, shifted, total = _log_sum_exp(comps)
+    lse, shifted, total = log_sum_exp(comps)
     nll = float(-np.mean(lse))
 
     # Per component, sums over samples of the responsibility r, of
@@ -258,23 +236,13 @@ def lm_sample_stack(field: LaplaceMixtureField, rng: SeededRng,
                     count: int) -> np.ndarray:
     """Draw ``count`` grids in one vectorized pass, shape (count, T, F)."""
     t, f = field.shape
-    k = field.components
-    u_comp = rng.uniform(size=(count, t, f))
-    cdf = np.cumsum(field.pi, axis=-1)
-    choice = (u_comp[..., None] >= cdf).sum(axis=-1)
-    choice = np.minimum(choice, k - 1)
+    choice = rng.categorical(field.pi, (count, t, f))
     idx_t, idx_f = np.meshgrid(np.arange(t), np.arange(f), indexing="ij")
     mu = field.mu[idx_t, idx_f, choice]
     beta = field.beta[idx_t, idx_f, choice]
     tiny = np.finfo(np.float64).tiny
     u = np.clip(rng.uniform(size=(count, t, f)), tiny, 1.0 - 1e-16)
     return laplace_inverse_cdf(u, mu, beta)
-
-
-def lm_sample(field: LaplaceMixtureField, rng: SeededRng) -> np.ndarray:
-    """Draw one grid: per cell, pick a component by weight, then an
-    inverse-CDF Laplace draw from it."""
-    return lm_sample_stack(field, rng, 1)[0]
 
 
 def _rprop_step(value, grad, prev_sign, delta, shrink=0.5, grow=1.2,
@@ -346,44 +314,3 @@ def fit_lm(samples, k: int, steps: int = 400, step_size: float = 0.02,
             best = params
     return best.constrain()
 
-
-def write_mixture(field: LaplaceMixtureField, path) -> None:
-    """Serialize a mixture field (magic LMF1, u32 K/T/F, then the pi, mu,
-    beta planes as little-endian float32, k-fastest)."""
-    t, f = field.shape
-    with open(path, "wb") as fh:
-        fh.write(LMF_MAGIC)
-        fh.write(struct.pack("<III", field.components, t, f))
-        for plane in (field.pi, field.mu, field.beta):
-            fh.write(np.ascontiguousarray(plane, dtype="<f4").tobytes())
-
-
-def read_mixture(path) -> LaplaceMixtureField:
-    data = Path(path).read_bytes()
-    if len(data) < 16:
-        raise FormatError(f"{path}: truncated header")
-    if data[:4] != LMF_MAGIC:
-        raise BadMagic(f"{path}: expected magic {LMF_MAGIC!r}, got {data[:4]!r}")
-    k, t, f = struct.unpack("<III", data[4:16])
-    plane = t * f * k
-    if len(data) != 16 + 12 * plane:
-        raise FormatError(f"{path}: payload size does not match header")
-    flat = np.frombuffer(data, dtype="<f4", offset=16).astype(np.float64)
-    pi, mu, beta = (flat[i * plane : (i + 1) * plane].reshape(t, f, k)
-                    for i in range(3))
-    # Renormalize float32-quantized weights before validation.
-    pi = pi / pi.sum(axis=-1, keepdims=True)
-    return LaplaceMixtureField(pi, mu, np.maximum(beta, BETA_FLOOR))
-
-
-def mixture_to_csv(field: LaplaceMixtureField, path) -> None:
-    t, f = field.shape
-    lines = ["t,f,k,pi,mu,beta"]
-    for ti in range(t):
-        for fi in range(f):
-            for ki in range(field.components):
-                lines.append(
-                    f"{ti},{fi},{ki},{field.pi[ti, fi, ki]!r},"
-                    f"{field.mu[ti, fi, ki]!r},{field.beta[ti, fi, ki]!r}"
-                )
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")

@@ -33,7 +33,7 @@ import numpy as np
 from . import flow as flowmod
 from . import gan as ganmod
 from . import probloss
-from .core import ContractError, SeededRng, Spectrogram, write_mel
+from .core import Adam, ContractError, SeededRng, Spectrogram, pack, unpack, write_mel
 from .density import dip_statistic
 from .metrics import var_laplacian
 
@@ -145,10 +145,7 @@ def _sample_corpus(spec: ToyCorpusSpec, rng: SeededRng,
     samples = []
     for ci, cond in enumerate(spec.conditions):
         sub = rng.substream(ci)
-        cum = np.cumsum(cond.weights)
-        u = sub.uniform(size=n)
-        modes = np.minimum((u[:, None] >= cum[None, :]).sum(axis=1),
-                           len(cond.weights) - 1)
+        modes = sub.categorical(cond.weights, n)
         noise = sub.normal(size=(n,) + spec.grid_shape) * spec.noise
         for i in range(n):
             samples.append(
@@ -240,9 +237,7 @@ class ConditionedStrategy:
             self.freqs[ci] = counts / counts.sum()
 
     def generate(self, condition: int, count: int, rng: SeededRng) -> np.ndarray:
-        cum = np.cumsum(self.freqs[condition])
-        u = rng.uniform(size=count)
-        picks = np.minimum((u[:, None] >= cum[None, :]).sum(axis=1), len(cum) - 1)
+        picks = rng.categorical(self.freqs[condition], count)
         return np.stack([self.table[(condition, int(v))] for v in picks])
 
     def heldout_nll(self, corpus: ToyCorpus):
@@ -301,10 +296,7 @@ class ArStrategy:
         starts = self.start[condition]
         ctxs = sorted(starts)
         freqs = np.array([starts[c][1] for c in ctxs])
-        cum = np.cumsum(freqs / freqs.sum())
-        u = rng.uniform(size=count)
-        picks = np.minimum((u[:, None] >= cum[None, :]).sum(axis=1),
-                           len(ctxs) - 1)
+        picks = rng.categorical(freqs / freqs.sum(), count)
         first = np.stack([starts[c][0] for c in ctxs])[picks]
         grids = np.empty((count, self.rows, first.shape[1]))
         grids[:, 0] = first
@@ -382,13 +374,11 @@ class CondLmStrategy:
             self.freqs[ci] = counts / counts.sum()
 
     def generate(self, condition: int, count: int, rng: SeededRng) -> np.ndarray:
-        cum = np.cumsum(self.freqs[condition])
-        u = rng.uniform(size=count)
-        picks = np.minimum((u[:, None] >= cum[None, :]).sum(axis=1), len(cum) - 1)
+        picks = rng.categorical(self.freqs[condition], count)
         draws = {
             v: probloss.lm_sample_stack(self.fields[(condition, v)],
                                         rng.substream(v), count)
-            for v in range(len(cum))
+            for v in range(len(self.freqs[condition]))
         }
         return np.stack([draws[int(v)][i] for i, v in enumerate(picks)])
 
@@ -402,10 +392,7 @@ class CondLmStrategy:
             for v, freq in enumerate(self.freqs[ci]):
                 logdens = probloss.lm_log_density(self.fields[(ci, v)], stack)
                 per_mode.append(np.log(max(freq, 1e-12)) + logdens.sum(axis=(1, 2)))
-            stacked = np.stack(per_mode)
-            top = stacked.max(axis=0)
-            loglik = top + np.log(np.exp(stacked - top).sum(axis=0))
-            totals.append(-loglik.mean())
+            totals.append(-probloss.log_sum_exp(per_mode)[0].mean())
         return float(np.mean(totals))
 
 
@@ -472,10 +459,7 @@ class FlowStrategy:
 
     def generate(self, condition: int, count: int, rng: SeededRng) -> np.ndarray:
         if self.condition_on_mode:
-            cum = np.cumsum(self.freqs[condition])
-            u = rng.uniform(size=count)
-            picks = np.minimum((u[:, None] >= cum[None, :]).sum(axis=1),
-                               len(cum) - 1)
+            picks = rng.categorical(self.freqs[condition], count)
         else:
             picks = np.zeros(count, dtype=int)
         conds = np.stack([self._cond_vec(condition, int(v)) for v in picks])
@@ -505,10 +489,7 @@ class FlowStrategy:
                         self.model, flowmod.ConditionedBatch(targets, conds)
                     )
                     per_mode.append(np.log(freq) + ll)
-                stacked = np.stack(per_mode)
-                top = stacked.max(axis=0)
-                loglik = top + np.log(np.exp(stacked - top).sum(axis=0))
-                totals.append(-loglik.mean())
+                totals.append(-probloss.log_sum_exp(per_mode)[0].mean())
         return float(np.mean(totals))
 
 
@@ -530,16 +511,17 @@ class GanDemoStrategy:
         stacks = {ci: corpus.stack(ci) for ci in self.table}
 
         # Alternating sign-free Adam on critics and table entries.
-        adam_d = [_AdamState(_disc_params(d)) for d in self.discs]
-        adam_g = {ci: _AdamState(self.table[ci].ravel().copy())
-                  for ci in self.table}
+        adam_d = [Adam(pack(ganmod.critic_arrays(d)).size, step_size)
+                  for d in self.discs]
+        adam_g = {ci: Adam(self.table[ci].size, step_size) for ci in self.table}
         for it in range(steps):
             ci = int(rng.integers(0, len(self.table)))
             real = stacks[ci][int(rng.integers(0, len(stacks[ci])))]
             fake = self.table[ci]
-            real_clips = ganmod.random_windows(real, self.windows, rng.substream(2 * it))
-            fake_clips = ganmod.random_windows(fake, self.windows,
-                                               rng.substream(2 * it + 1))
+            real_clips, _ = ganmod.random_windows(real, self.windows,
+                                                  rng.substream(2 * it))
+            fake_clips, offsets = ganmod.random_windows(fake, self.windows,
+                                                        rng.substream(2 * it + 1))
             d_scores_r, d_scores_f = [], []
             for di, disc in enumerate(self.discs):
                 s_r, g_r = ganmod.discriminator_score_and_grads(disc, real_clips[di])
@@ -547,21 +529,14 @@ class GanDemoStrategy:
                 d_scores_r.append(s_r)
                 d_scores_f.append(s_f)
                 # d(D loss)/d params = 2(s_r - 1) dD(real) + 2 s_f dD(fake)
-                grad = _disc_params_like(
-                    g_r, scale=2.0 * (s_r - 1.0)
-                ) + _disc_params_like(g_f, scale=2.0 * s_f)
-                _disc_set_params(disc, adam_d[di].update(_disc_params(disc), grad,
-                                                         step_size))
+                grad = (2.0 * (s_r - 1.0) * pack(ganmod.critic_arrays(g_r))
+                        + 2.0 * s_f * pack(ganmod.critic_arrays(g_f)))
+                arrays = ganmod.critic_arrays(disc)
+                unpack(adam_d[di].step(pack(arrays), grad), arrays)
             # Generator step against refreshed critics.
-            g_grad = np.zeros_like(fake)
-            g_scores = []
-            for di, disc in enumerate(self.discs):
-                s_f, g_f = ganmod.discriminator_score_and_grads(disc, fake_clips[di])
-                g_scores.append(s_f)
-                clip_grad = (2.0 / 3.0) * (s_f - 1.0) * g_f["clip"]
-                g_grad += _unclip(clip_grad, fake.shape)
-            flat = adam_g[ci].update(self.table[ci].ravel(), g_grad.ravel(),
-                                     step_size)
+            g_scores, g_grad = _generator_grad(self.discs, fake_clips, offsets,
+                                               fake.shape)
+            flat = adam_g[ci].step(self.table[ci].ravel(), g_grad.ravel())
             self.table[ci] = flat.reshape(fake.shape)
             self.history.append(
                 (it, ganmod.lsgan_d_loss([[s] for s in d_scores_r],
@@ -576,55 +551,16 @@ class GanDemoStrategy:
         return None
 
 
-def _unclip(clip_grad: np.ndarray, shape) -> np.ndarray:
-    # Clips always start at offset 0 on these small grids (window >= grid).
-    out = np.zeros(shape)
-    out[: clip_grad.shape[0], : clip_grad.shape[1]] = clip_grad
-    return out
-
-
-def _disc_params(disc: ganmod.TinyDiscriminator) -> np.ndarray:
-    parts = []
-    for w, b in zip(disc.conv_w, disc.conv_b):
-        parts.extend([w.ravel(), b.ravel()])
-    parts.extend([disc.out_w.ravel(), np.array([disc.out_b])])
-    return np.concatenate(parts)
-
-
-def _disc_params_like(grads: dict, scale: float) -> np.ndarray:
-    parts = []
-    for w, b in zip(grads["conv_w"], grads["conv_b"]):
-        parts.extend([w.ravel(), b.ravel()])
-    parts.extend([grads["out_w"].ravel(), np.array([grads["out_b"]])])
-    return scale * np.concatenate(parts)
-
-
-def _disc_set_params(disc: ganmod.TinyDiscriminator, flat: np.ndarray) -> None:
-    pos = 0
-    for i, (w, b) in enumerate(zip(disc.conv_w, disc.conv_b)):
-        disc.conv_w[i] = flat[pos : pos + w.size].reshape(w.shape)
-        pos += w.size
-        disc.conv_b[i] = flat[pos : pos + b.size].reshape(b.shape)
-        pos += b.size
-    disc.out_w = flat[pos : pos + disc.out_w.size]
-    pos += disc.out_w.size
-    disc.out_b = float(flat[pos])
-
-
-class _AdamState:
-    def __init__(self, theta: np.ndarray):
-        self.m = np.zeros_like(theta)
-        self.v = np.zeros_like(theta)
-        self.t = 0
-
-    def update(self, theta: np.ndarray, grad: np.ndarray,
-               step_size: float) -> np.ndarray:
-        self.t += 1
-        self.m = 0.9 * self.m + 0.1 * grad
-        self.v = 0.999 * self.v + 0.001 * grad * grad
-        m_hat = self.m / (1 - 0.9**self.t)
-        v_hat = self.v / (1 - 0.999**self.t)
-        return theta - step_size * m_hat / (np.sqrt(v_hat) + 1e-8)
+def _generator_grad(discs, clips, offsets, shape):
+    """Critic scores of a table's clips and the gradient of the LSGAN
+    generator loss with respect to the table of ``shape``; clip i starts at
+    frame ``offsets[i]`` of the table."""
+    scores, grad = [], np.zeros(shape)
+    for disc, clip, offset in zip(discs, clips, offsets):
+        s_f, g_f = ganmod.discriminator_score_and_grads(disc, clip)
+        scores.append(s_f)
+        grad[offset : offset + len(clip)] += (2.0 / 3.0) * (s_f - 1.0) * g_f["clip"]
+    return scores, grad
 
 
 # ---------------------------------------------------------------------------

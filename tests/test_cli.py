@@ -152,6 +152,14 @@ class TestCmdDist:
         assert run(["dist", "--manifest", str(manifest), "--ph", "R",
                     "--bin", "123"]) == 2
 
+    def test_manifest_of_strings_exits_2(self, tmp_path, capsys):
+        manifest = tmp_path / "manifest.json"
+        manifest.write_text(json.dumps(["utt0.mel", "utt0.tsv"]))
+        assert run(["dist", "--manifest", str(manifest), "--ph", "R",
+                    "--bin", "3"]) == 2
+        err = capsys.readouterr().err
+        assert "manifest entry 0" in err and "utt0.mel" in err
+
 
 class TestCmdToylab:
     def test_single_strategy_report(self, tmp_path, capsys):
@@ -206,6 +214,20 @@ class TestCmdToylab:
                     "--seed", "2", "--generate", "30", "--heldout", "30"]) == 0
         report = json.loads(capsys.readouterr().out)
         assert report["rows"]["mse"]["var_l"] is None
+
+    def test_spec_without_noise_exits_2(self, tmp_path, capsys):
+        doc = {
+            "conditions": [
+                {"prototypes": [[[-1.0]], [[1.0]]], "weights": [0.5, 0.5]}
+            ],
+            "samples_per_condition": 80,
+        }
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps(doc))
+        assert run(["toylab", "--spec", str(spec_path), "--strategies", "mse",
+                    "--seed", "2"]) == 2
+        err = capsys.readouterr().err
+        assert "'noise'" in err and "internal error" not in err
 
 
 class TestCmdFlow:
@@ -270,6 +292,17 @@ class TestCmdFlow:
         assert run(["flow", "sample", "--ckpt", str(ckpt),
                     "--condition", "11", "--frames", "8",
                     "--out-mel", str(tmp_path / "x.mel")]) == 2
+
+    def test_manifest_entry_without_condition_exits_2(self, tmp_path, capsys):
+        manifest = self.build_corpus(tmp_path, samples=4)
+        doc = json.loads(manifest.read_text())
+        del doc["samples"][2]["condition"]
+        manifest.write_text(json.dumps(doc))
+        assert run(["flow", "train", "--manifest", str(manifest),
+                    "--ckpt", str(tmp_path / "m.flw"), "--steps", "2"]) == 2
+        err = capsys.readouterr().err
+        assert "manifest sample 2" in err and "'condition'" in err
+        assert not (tmp_path / "m.flw").exists()
 
     def test_sample_requires_out_mel(self, tmp_path):
         assert run(["flow", "sample", "--ckpt", str(tmp_path / "x.flw")]) == 2

@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oversmooth.core import (
+    Adam,
     Alignment,
     AlignmentEntry,
     AlignmentError,
@@ -90,6 +91,28 @@ class TestMelFile:
         path = tmp_path_factory.mktemp("mel") / "p.mel"
         write_mel(Spectrogram(values), path)
         assert np.array_equal(read_mel(path).values, values.astype(np.float64))
+
+    @settings(max_examples=40, deadline=None)
+    @given(cut=st.integers(0, 10**4), extra=st.binary(min_size=1, max_size=9),
+           magic=st.binary(min_size=4, max_size=4))
+    def test_malformed_files_are_contract_errors(self, cut, extra, magic,
+                                                 tmp_path_factory):
+        path = tmp_path_factory.mktemp("mel") / "m.mel"
+        write_mel(Spectrogram(np.ones((3, 5))), path)
+        data = path.read_bytes()
+        variants = [data[: cut % len(data)], data + extra]
+        if magic != b"MEL1":
+            variants.append(magic + data[4:])
+        for variant in variants:
+            path.write_bytes(variant)
+            with pytest.raises(ContractError):
+                read_mel(path)
+
+    def test_zero_dimension_header(self, tmp_path):
+        path = tmp_path / "empty.mel"
+        path.write_bytes(b"MEL1" + b"\x00" * 8)
+        with pytest.raises(FormatError, match="invalid dimensions 0x0"):
+            read_mel(path)
 
 
 class TestAlignment:
@@ -197,3 +220,93 @@ class TestSeededRng:
         assert child.stream != parent.stream
         assert not np.array_equal(SeededRng(7).uniform(size=8),
                                   child.uniform(size=8))
+
+
+class FixedUniforms(SeededRng):
+    """A stream whose uniforms are given, to place them on cdf steps."""
+
+    def __init__(self, u):
+        super().__init__(0)
+        self.u = np.asarray(u, dtype=np.float64)
+
+    def uniform(self, low=0.0, high=1.0, size=None):
+        return self.u.reshape(size)
+
+
+def categorical_1d_oracle(rng, weights, count):
+    # The inline draw the toy-lab strategies used before SeededRng.categorical.
+    cum = np.cumsum(weights)
+    u = rng.uniform(size=count)
+    return np.minimum((u[:, None] >= cum[None, :]).sum(axis=1), len(cum) - 1)
+
+
+def categorical_cells_oracle(rng, pi, count):
+    # The inline draw of probloss.lm_sample_stack before the merge.
+    t, f, k = pi.shape
+    u_comp = rng.uniform(size=(count, t, f))
+    cdf = np.cumsum(pi, axis=-1)
+    return np.minimum((u_comp[..., None] >= cdf).sum(axis=-1), k - 1)
+
+
+class TestCategorical:
+    def test_1d_weights_match_the_inline_draw(self):
+        for seed in range(20):
+            weights = np.random.default_rng(seed).dirichlet(np.ones(1 + seed % 5))
+            got = SeededRng(seed, 3).categorical(weights, 500)
+            want = categorical_1d_oracle(SeededRng(seed, 3), weights, 500)
+            assert got.dtype == want.dtype
+            assert np.array_equal(got, want)
+
+    def test_cell_weights_match_the_inline_draw(self):
+        pi = np.random.default_rng(1).dirichlet(np.ones(3), size=(4, 5))
+        got = SeededRng(2).categorical(pi, (50, 4, 5))
+        assert got.shape == (50, 4, 5)
+        assert np.array_equal(got, categorical_cells_oracle(SeededRng(2), pi, 50))
+
+    def test_uniform_on_a_step_picks_the_next_index(self):
+        weights = (0.25, 0.25, 0.5)
+        u = [0.0, 0.25, np.nextafter(0.25, 0), 0.5, 0.75]
+        got = FixedUniforms(u).categorical(weights, 5)
+        assert got.tolist() == [0, 1, 0, 2, 2]
+        assert np.array_equal(got, categorical_1d_oracle(FixedUniforms(u),
+                                                         weights, 5))
+
+    def test_zero_weight_is_never_picked(self):
+        weights = (0.5, 0.0, 0.5)
+        u = [0.0, 0.5, np.nextafter(0.5, 0), 0.999]
+        assert FixedUniforms(u).categorical(weights, 4).tolist() == [0, 2, 0, 2]
+        draws = SeededRng(4).categorical(weights, 10_000)
+        assert 1 not in draws
+
+    def test_cdf_below_one_clamps_to_the_last_index(self):
+        weights = [0.1] * 10
+        assert np.cumsum(weights)[-1] < 1.0
+        u = [np.nextafter(1.0, 0), 0.99999999999999995]
+        got = FixedUniforms(u).categorical(weights, 2)
+        assert got.tolist() == [9, 9]
+        pi = np.full((2, 1, 10), 0.1)
+        cells = FixedUniforms(np.full(4, np.nextafter(1.0, 0))).categorical(
+            pi, (2, 2, 1))
+        assert np.all(cells == 9)
+
+
+class TestAdam:
+    def test_bit_identical_to_the_inline_flow_update(self):
+        rng = np.random.default_rng(5)
+        target = rng.normal(size=40) * np.logspace(-3, 3, 40)
+        theta = ref = rng.normal(size=40)
+        adam = Adam(theta.size, 2e-3)
+        # The update train_flow wrote inline before the class existed.
+        m = np.zeros_like(ref)
+        v = np.zeros_like(ref)
+        beta1, beta2, eps, step_size = 0.9, 0.999, 1e-8, 2e-3
+        for it in range(1, 51):
+            noise = rng.normal(size=40)
+            theta = adam.step(theta, theta - target + noise)
+            g = ref - target + noise
+            m = beta1 * m + (1 - beta1) * g
+            v = beta2 * v + (1 - beta2) * g * g
+            m_hat = m / (1 - beta1**it)
+            v_hat = v / (1 - beta2**it)
+            ref = ref - step_size * m_hat / (np.sqrt(v_hat) + eps)
+            assert np.array_equal(theta, ref)

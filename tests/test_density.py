@@ -19,7 +19,6 @@ from oversmooth.density import (
     dip_statistic,
     kde1d,
     kde2d,
-    mean_dip,
     phoneme_joint,
     phoneme_marginal,
     silverman_bandwidth,
@@ -288,31 +287,3 @@ class TestDipStatistic:
         # rewrite of the hull loops must reproduce them bit for bit.
         assert dip_statistic(sample()).dip == expected
 
-
-class TestMeanDip:
-    def test_single_cell_equals_dip(self):
-        column = np.concatenate([np.zeros(20), np.ones(20)])
-        corpus = corpus_from_columns(column)
-        result = mean_dip(corpus, bins=[2], phonemes=["R"])
-        expected = dip_statistic(column).dip
-        assert result.mean == pytest.approx(expected, abs=1e-12)
-
-    def test_bimodal_cells_large(self):
-        rng = SeededRng(103)
-        column = np.concatenate(
-            [rng.normal(-3, 1, size=250), rng.normal(3, 1, size=250)]
-        )
-        corpus = corpus_from_columns(column)
-        result = mean_dip(corpus, bins=[2], phonemes=["R"])
-        assert result.mean > 0.05
-
-    def test_skips_small_cells(self):
-        corpus = corpus_from_columns(np.ones(30) * 0.5)
-        result = mean_dip(corpus, bins=[2], phonemes=["R", "ZZ"])
-        assert ("ZZ", 2) in result.skipped
-        assert ("R", 2) in result.cells
-
-    def test_all_empty_is_error(self):
-        corpus = corpus_from_columns(np.ones(5))
-        with pytest.raises(ContractError):
-            mean_dip(corpus, bins=[2], phonemes=["ZZ"])

@@ -1,25 +1,9 @@
-import struct
-
 import numpy as np
 import pytest
 
+from conftest import wav_bytes
 from oversmooth.core import ContractError
 from oversmooth import dsp
-
-
-def wav_bytes(samples_i16, rate=22050, channels=1, bits=16, audio_format=1):
-    body = np.asarray(samples_i16, dtype="<i2").tobytes()
-    block = channels * bits // 8
-    header = (
-        b"RIFF"
-        + struct.pack("<I", 36 + len(body))
-        + b"WAVEfmt "
-        + struct.pack("<IHHIIHH", 16, audio_format, channels, rate,
-                      rate * block, block, bits)
-        + b"data"
-        + struct.pack("<I", len(body))
-    )
-    return header + body
 
 
 class TestReadWav:
@@ -55,13 +39,14 @@ class TestReadWav:
         with pytest.raises(dsp.WavError):
             dsp.read_wav(path)
 
-    def test_write_read_roundtrip(self, tmp_path):
-        rng = np.random.default_rng(0)
-        clip = dsp.AudioClip(rng.uniform(-0.9, 0.9, size=500), 22050)
+    def test_reads_every_pcm_value_exactly(self, tmp_path):
+        pcm = np.random.default_rng(0).integers(-32768, 32768, size=500)
+        pcm[:2] = -32768, 32767
         path = tmp_path / "rt.wav"
-        dsp.write_wav(clip, path)
-        back = dsp.read_wav(path)
-        assert np.allclose(back.samples, clip.samples, atol=1 / 32768)
+        path.write_bytes(wav_bytes(pcm, rate=16000))
+        clip = dsp.read_wav(path)
+        assert clip.sample_rate == 16000
+        assert np.array_equal(clip.samples, pcm / 32768.0)
 
 
 def sine(freq, n=22050, rate=22050, amp=0.5):

@@ -1,7 +1,19 @@
+import struct
+import time
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from oversmooth.core import BadMagic, ContractError, SeededRng
+from oversmooth.core import (
+    BadMagic,
+    ContractError,
+    FormatError,
+    SeededRng,
+    pack,
+    unpack,
+)
 from oversmooth import flow
 from oversmooth.flow import (
     ConditionedBatch,
@@ -231,22 +243,24 @@ class TestGradients:
         batch = ConditionedBatch(rng.normal(size=(3, 2, 2)),
                                  rng.normal(size=(3, 2, 1)))
         _, grads = nll_and_grads(model, batch)
-        flat = flow._flat_grads(grads)
-        theta = flow.get_params(model)
+        flat = pack(arr for g in grads for arr in vars(g).values())
+        arrays = flow.param_arrays(model)
+        theta = pack(arrays)
+        assert flat.shape == theta.shape
         eps = 1e-5
         for i in range(len(theta)):
             up = theta.copy()
             up[i] += eps
-            flow._set_params(model, up)
+            unpack(up, arrays)
             hi = nll(model, batch)
             down = theta.copy()
             down[i] -= eps
-            flow._set_params(model, down)
+            unpack(down, arrays)
             lo = nll(model, batch)
             fd = (hi - lo) / (2 * eps)
             denom = max(1e-8, abs(fd) + abs(flat[i]))
             assert abs(flat[i] - fd) / denom < 1e-3
-        flow._set_params(model, theta)
+        unpack(theta, arrays)
 
 
 class TestSampling:
@@ -361,6 +375,74 @@ class TestCheckpoint:
         path.write_bytes(b"WHAT" + b"\x00" * 40)
         with pytest.raises(BadMagic):
             load_model(path)
+
+    @pytest.mark.parametrize("header", [
+        (10**6, 4, 2, 16, 1, 0, 0),
+        (2**32 - 1, 4, 2, 16, 1, 0, 0),
+        (1, 65535, 2, 16, 1, 0, 0),
+        (3, 4, 2, 2**32 - 1, 1, 1, 2**32 - 1),
+    ])
+    def test_oversized_header_rejected_before_allocating(self, tmp_path, header):
+        path = tmp_path / "huge.flw"
+        path.write_bytes(b"FLW1" + struct.pack("<7I", *header))
+        start = time.process_time()
+        with pytest.raises(FormatError):
+            load_model(path)
+        assert time.process_time() - start < 0.1
+
+    def test_grid_context_without_frames_rejected(self, tmp_path):
+        path = tmp_path / "grid.flw"
+        path.write_bytes(b"FLW1" + struct.pack("<7I", 1, 4, 2, 16, 1, 1, 0))
+        with pytest.raises(FormatError, match="frame count"):
+            load_model(path)
+
+    @settings(max_examples=25, deadline=None)
+    @given(channels=st.integers(2, 5), cond_dim=st.integers(0, 3),
+           n_steps=st.integers(0, 3), hidden=st.integers(1, 5),
+           frames=st.integers(0, 4), seed=st.integers(0, 2**32 - 1))
+    def test_roundtrip_property(self, channels, cond_dim, n_steps, hidden,
+                                frames, seed, tmp_path_factory):
+        model = FlowModel.random(SeededRng(seed), channels, cond_dim,
+                                 n_steps=n_steps, hidden=hidden,
+                                 context="grid" if frames else "frame",
+                                 frames=frames)
+        path = tmp_path_factory.mktemp("flw") / "m.flw"
+        save_model(model, path)
+        back = load_model(path)
+        assert (back.channels, back.cond_dim, back.hidden, back.context,
+                back.frames, back.initialized) == (
+            channels, cond_dim, hidden, model.context, frames, False)
+        theta = pack(flow.param_arrays(model))
+        assert np.array_equal(pack(flow.param_arrays(back)),
+                              theta.astype(np.float32).astype(np.float64))
+
+    @settings(max_examples=40, deadline=None)
+    @given(cut=st.integers(0, 10**4), extra=st.binary(min_size=1, max_size=9),
+           magic=st.binary(min_size=4, max_size=4))
+    def test_malformed_files_are_contract_errors(self, cut, extra, magic,
+                                                 tmp_path_factory):
+        model = random_model(39, n_steps=2, hidden=3)
+        path = tmp_path_factory.mktemp("flw") / "m.flw"
+        save_model(model, path)
+        data = path.read_bytes()
+        variants = [data[: cut % len(data)], data + extra]
+        if magic != b"FLW1":
+            variants.append(magic + data[4:])
+        for variant in variants:
+            path.write_bytes(variant)
+            with pytest.raises(ContractError):
+                load_model(path)
+
+    def test_pack_unpack_roundtrip_grid_context(self):
+        model = random_model(40, context="grid", frames=6)
+        theta = pack(flow.param_arrays(model))
+        other = FlowModel.identity(4, 2, n_steps=8, context="grid", frames=6)
+        unpack(theta, flow.param_arrays(other))
+        assert np.array_equal(pack(flow.param_arrays(other)), theta)
+        rng = SeededRng(41)
+        z, cond = rng.normal(size=(6, 4)), rng.normal(size=(6, 2))
+        assert np.array_equal(forward(model, z, cond)[0],
+                              forward(other, z, cond)[0])
 
     def test_curve_csv(self, tmp_path):
         path = tmp_path / "curve.csv"

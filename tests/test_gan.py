@@ -1,17 +1,16 @@
 import numpy as np
 import pytest
 
-from oversmooth.core import ContractError, SeededRng, Spectrogram
+from oversmooth.core import ContractError, SeededRng, Spectrogram, pack, unpack
 from oversmooth.gan import (
     TinyDiscriminator,
     WindowSpec,
+    critic_arrays,
     discriminator_score,
     discriminator_score_and_grads,
-    load_discriminator,
     lsgan_d_loss,
     lsgan_g_loss,
     random_windows,
-    save_discriminator,
 )
 
 
@@ -62,20 +61,25 @@ class TestLsganLosses:
 class TestRandomWindows:
     def test_clamped_lengths(self):
         spec = Spectrogram(np.zeros((100, 5)))
-        clips = random_windows(spec, WindowSpec((32, 64, 128)), SeededRng(1))
+        clips, offsets = random_windows(spec, WindowSpec((32, 64, 128)),
+                                        SeededRng(1))
         assert [c.shape[0] for c in clips] == [32, 64, 100]
+        assert offsets[2] == 0
         assert all(c.shape[1] == 5 for c in clips)
 
     def test_exact_fit_offset_zero(self):
         values = np.arange(64 * 2, dtype=float).reshape(64, 2)
-        clips = random_windows(values, WindowSpec((64, 64, 64)), SeededRng(2))
+        clips, offsets = random_windows(values, WindowSpec((64, 64, 64)),
+                                        SeededRng(2))
+        assert offsets == [0, 0, 0]
         for clip in clips:
             assert np.array_equal(clip, values)
 
     def test_deterministic_given_stream(self):
         spec = np.random.default_rng(3).normal(size=(200, 4))
-        a = random_windows(spec, WindowSpec(), SeededRng(9, 4))
-        b = random_windows(spec, WindowSpec(), SeededRng(9, 4))
+        a, offsets_a = random_windows(spec, WindowSpec(), SeededRng(9, 4))
+        b, offsets_b = random_windows(spec, WindowSpec(), SeededRng(9, 4))
+        assert offsets_a == offsets_b
         for x, y in zip(a, b):
             assert np.array_equal(x, y)
 
@@ -83,8 +87,10 @@ class TestRandomWindows:
         spec = np.random.default_rng(4).normal(size=(70, 3))
         rng = SeededRng(5)
         for i in range(200):
-            for clip in random_windows(spec, WindowSpec(), rng.substream(i)):
+            clips, offsets = random_windows(spec, WindowSpec(), rng.substream(i))
+            for clip, offset in zip(clips, offsets):
                 assert clip.shape[0] <= 70
+                assert np.array_equal(clip, spec[offset : offset + len(clip)])
 
     def test_union_coverage(self):
         t = 100
@@ -92,8 +98,8 @@ class TestRandomWindows:
         covered = np.zeros(t, dtype=bool)
         rng = SeededRng(6)
         for i in range(200):
-            clips = random_windows(spec, WindowSpec((32, 64, 128)),
-                                   rng.substream(i))
+            clips, _ = random_windows(spec, WindowSpec((32, 64, 128)),
+                                      rng.substream(i))
             clip = clips[1]  # the length-64 window
             start = int(clip[0, 0])
             covered[start : start + 64] = True
@@ -175,22 +181,15 @@ class TestDiscriminator:
         )
 
 
-class TestDiscriminatorCheckpoint:
-    def test_roundtrip(self, tmp_path):
+
+class TestCriticArrays:
+    def test_pack_unpack_roundtrip(self):
         disc = TinyDiscriminator.random(SeededRng(17))
-        path = tmp_path / "disc.dsc"
-        save_discriminator(disc, path)
-        assert path.read_bytes()[:4] == b"DSC1"
-        back = load_discriminator(path)
-        clip = SeededRng(18).normal(size=(12, 12))
-        a = discriminator_score(disc, clip)
-        b = discriminator_score(back, clip)
-        assert a == pytest.approx(b, abs=1e-5)
-
-    def test_bad_magic(self, tmp_path):
-        from oversmooth.core import BadMagic
-
-        path = tmp_path / "junk.dsc"
-        path.write_bytes(b"ADSC" + b"\x00" * 16)
-        with pytest.raises(BadMagic):
-            load_discriminator(path)
+        theta = pack(critic_arrays(disc))
+        other = TinyDiscriminator.random(SeededRng(18))
+        unpack(theta, critic_arrays(other))
+        assert np.array_equal(pack(critic_arrays(other)), theta)
+        clip = SeededRng(19).normal(size=(12, 12))
+        score, grads = discriminator_score_and_grads(disc, clip)
+        assert discriminator_score(other, clip) == score
+        assert pack(critic_arrays(grads)).shape == theta.shape

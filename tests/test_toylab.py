@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from oversmooth import gan
 from oversmooth.core import ContractError, SeededRng, read_mel
 from oversmooth.density import dip_statistic
 from oversmooth.toylab import (
@@ -21,6 +22,7 @@ from oversmooth.toylab import (
     default_coherence_tol,
     make_corpus,
     mode_coherence,
+    _generator_grad,
     run_experiment,
     stripes_horizontal,
     stripes_vertical,
@@ -248,6 +250,32 @@ class TestGanDemo:
         for ci in a.table:
             assert np.array_equal(a.table[ci], b.table[ci])
         assert all(np.isfinite(d) and np.isfinite(g) for _, d, g in a.history)
+
+    def test_generator_gradient_on_a_tall_grid(self):
+        # 40 rows: the 32-frame window starts at a random offset, so each
+        # clip's gradient must land at its own offset in the table.
+        rng = SeededRng(14)
+        discs = [gan.TinyDiscriminator.random(rng.substream(i), 0.3)
+                 for i in range(3)]
+        table = rng.normal(size=(40, 8))
+        windows = gan.WindowSpec()
+        clips, offsets = gan.random_windows(table, windows, rng.substream(7))
+        assert offsets[0] > 0 and [len(c) for c in clips] == [32, 40, 40]
+
+        def loss(grid):
+            scores = [gan.discriminator_score(d, grid[o : o + len(c)])
+                      for d, c, o in zip(discs, clips, offsets)]
+            return gan.lsgan_g_loss([[s] for s in scores])
+
+        _, grad = _generator_grad(discs, clips, offsets, table.shape)
+        eps = 1e-6
+        numeric = np.zeros_like(table)
+        for idx in np.ndindex(table.shape):
+            up, down = table.copy(), table.copy()
+            up[idx] += eps
+            down[idx] -= eps
+            numeric[idx] = (loss(up) - loss(down)) / (2 * eps)
+        assert np.allclose(grad, numeric, rtol=1e-5, atol=1e-9)
 
 
 class TestRunExperiment:
