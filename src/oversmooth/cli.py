@@ -69,16 +69,40 @@ def _read_json(path):
         raise ContractError(f"{path}: invalid JSON: {exc}") from None
 
 
+def _number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+_KINDS = {  # what each of these keys must hold, in any JSON input
+    "noise": ("a number", _number),
+    "seed": ("an integer", lambda v: type(v) is int),
+    "samples_per_condition": ("a count", lambda v: type(v) is int and v >= 0),
+    "condition": ("a non-negative integer", lambda v: type(v) is int and v >= 0),
+    "weights": ("a list of numbers",
+                lambda v: isinstance(v, list) and all(map(_number, v))),
+}
+
+
 def _checked(value, where: str, keys=()):
     """``value`` if it is a JSON list (no ``keys``) or an object holding
-    every key in ``keys``; otherwise a ContractError naming ``where``."""
+    every key in ``keys`` and, under each key of ``_KINDS`` it has, a value
+    of that kind; otherwise a ContractError naming ``where`` and the key."""
     kind, name = (dict, "an object") if keys else (list, "a list")
     if not isinstance(value, kind):
         raise ContractError(f"{where} must be {name}, got {json.dumps(value)[:60]}")
     missing = [k for k in keys if k not in value]
     if missing:
         raise ContractError(f"{where} is missing the key {missing[0]!r}")
+    for key, (what, ok) in _KINDS.items():
+        if keys and key in value and not ok(value[key]):
+            raise ContractError(f"{where}: {key!r} must be {what}, got "
+                                f"{json.dumps(value[key])[:60]}")
     return value
+
+
+def _at_least(flag: str, value, floor) -> None:
+    if not value >= floor:
+        raise ContractError(f"{flag} must be at least {floor}, got {value}")
 
 
 def _write_csv(path, header: str, rows) -> None:
@@ -265,7 +289,7 @@ def _load_flow_corpus(manifest_path):
     for i, entry in enumerate(_checked(doc["samples"], "manifest samples")):
         _checked(entry, f"manifest sample {i}", ("mel", "condition"))
         grids.append(read_mel(base / entry["mel"]).values)
-        cond_ids.append(int(entry["condition"]))
+        cond_ids.append(entry["condition"])
     shapes = {g.shape for g in grids}
     if len(shapes) != 1:
         raise ContractError(f"corpus grids must share one shape, got {shapes}")
@@ -281,6 +305,11 @@ def _load_flow_corpus(manifest_path):
 def cmd_flow(args) -> int:
     seed = _seed_of(args)
     if args.action == "train":
+        _at_least("--flow-steps", args.flow_steps, 1)
+        _at_least("--steps", args.steps, 0)
+        _at_least("--hidden", args.hidden, 0)
+        if not args.step_size > 0:
+            raise ContractError(f"--step-size must be positive, got {args.step_size}")
         batch, n_cond = _load_flow_corpus(args.manifest)
         rng = SeededRng(seed, stream=0x434C49)
         model = flow.FlowModel.random(
@@ -290,6 +319,10 @@ def cmd_flow(args) -> int:
         flow.actnorm_init(model, batch)
         result = flow.train_flow(model, batch, steps=args.steps,
                                  step_size=args.step_size, seed=seed)
+        first, final = result.curve[0][1], result.curve[-1][1]
+        if not final <= first:  # also when final is NaN
+            raise ContractError(f"training diverged: final NLL {final!r} is above "
+                                f"the step-0 NLL {first!r}; nothing was saved")
         flow.save_model(result.model, args.ckpt)
         flow.curve_to_csv(result.curve, f"{args.ckpt}.curve.csv")
         _emit(
@@ -305,12 +338,11 @@ def cmd_flow(args) -> int:
             args.out,
         )
     elif args.action == "sample":
+        _at_least("--frames", args.frames, 1)
         model = flow.load_model(args.ckpt)
-        if args.condition >= model.cond_dim:
-            raise ContractError(
-                f"condition {args.condition} out of range (cond_dim "
-                f"{model.cond_dim})"
-            )
+        if not 0 <= args.condition < model.cond_dim:
+            raise ContractError(f"--condition {args.condition} is out of range "
+                                f"[0, {model.cond_dim})")
         cond = np.zeros((args.frames, model.cond_dim))
         cond[:, args.condition] = 1.0
         rng = SeededRng(seed, stream=0x53414D50)

@@ -13,6 +13,7 @@ whole package:
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -195,39 +196,37 @@ def reflect_indices(n: int, lo: int, hi: int) -> np.ndarray:
 
 
 class Adam:
-    """Adam (Kingma & Ba, 2015) on one flat parameter vector."""
+    """Adam (Kingma & Ba, 2015) on one parameter array of ``size`` (an int
+    or a shape), updated in place."""
 
     beta1, beta2, eps = 0.9, 0.999, 1e-8
 
-    def __init__(self, size: int, step_size: float):
+    def __init__(self, size, step_size: float):
         self.step_size = step_size
         self.m = np.zeros(size)
         self.v = np.zeros(size)
         self.t = 0
 
-    def step(self, theta: np.ndarray, grad: np.ndarray) -> np.ndarray:
-        """The parameters after one update with gradient ``grad``."""
+    def step(self, theta: np.ndarray, grad: np.ndarray) -> None:
+        """Update ``theta`` in place with gradient ``grad``."""
         self.t += 1
         self.m = self.beta1 * self.m + (1 - self.beta1) * grad
         self.v = self.beta2 * self.v + (1 - self.beta2) * grad * grad
         m_hat = self.m / (1 - self.beta1**self.t)
         v_hat = self.v / (1 - self.beta2**self.t)
-        return theta - self.step_size * m_hat / (np.sqrt(v_hat) + self.eps)
+        theta -= self.step_size * m_hat / (np.sqrt(v_hat) + self.eps)
 
 
-def pack(arrays) -> np.ndarray:
-    """The values of ``arrays`` (arrays or scalars) as one flat float64
-    vector; no arrays give an empty one."""
-    return np.concatenate([np.empty(0), *map(np.ravel, arrays)])
-
-
-def unpack(flat: np.ndarray, arrays) -> None:
-    """Copy consecutive slices of ``flat`` into ``arrays`` in place, the
-    inverse of :func:`pack`."""
-    pos = 0
-    for arr in arrays:
-        arr[...] = flat[pos : pos + arr.size].reshape(arr.shape)
-        pos += arr.size
+def flat_views(shapes):
+    """A zero float64 vector and, for each shape in ``shapes``, a view of
+    the next slice of it with that shape."""
+    sizes = [math.prod(shape) for shape in shapes]
+    flat = np.zeros(sum(sizes))
+    views, pos = [], 0
+    for shape, size in zip(shapes, sizes):
+        views.append(flat[pos : pos + size].reshape(shape))
+        pos += size
+    return flat, views
 
 
 def write_binary(path, magic: bytes, header, values) -> None:

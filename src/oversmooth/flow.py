@@ -30,7 +30,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import (Adam, ContractError, SeededRng, pack, read_binary, unpack,
+from .core import (Adam, ContractError, SeededRng, flat_views, read_binary,
                    write_binary)
 
 FLW_MAGIC = b"FLW1"
@@ -45,7 +45,7 @@ class DegenerateChannel(ContractError):
     """A channel of the init batch has zero variance."""
 
 
-class FlowDivergence(RuntimeError):
+class FlowDivergence(ContractError):
     """Training produced a non-finite likelihood."""
 
 
@@ -88,6 +88,7 @@ def _net_dims(channels: int, cond_dim: int, context: str, frames: int):
 @dataclass
 class FlowModel:
     steps: list[FlowStep]
+    params: np.ndarray  # every parameter, in the checkpoint payload's order
     channels: int
     cond_dim: int
     hidden: int
@@ -101,19 +102,31 @@ class FlowModel:
         return c_a, self.channels - c_a
 
     @classmethod
+    def zeros(cls, channels: int, cond_dim: int, n_steps: int, hidden: int,
+              context: str = "frame", frames: int = 0) -> "FlowModel":
+        """All parameters zero, in one vector ``params`` laid out per step as
+        scale, bias, mix, w1, b1, w2, b2; every step's arrays are views into
+        it, so updating ``params`` in place updates the model."""
+        in_dim, out_dim = _net_dims(channels, cond_dim, context, frames)
+        shapes = [(channels,), (channels,), (channels, channels),
+                  (hidden, in_dim), (hidden,), (out_dim, hidden), (out_dim,)]
+        params, views = flat_views(shapes * n_steps)
+        steps = [FlowStep(*views[i : i + 3], CouplingNet(*views[i + 3 : i + 7]))
+                 for i in range(0, len(views), len(shapes))]
+        return cls(steps, params, channels, cond_dim, hidden, context=context,
+                   frames=frames)
+
+    @classmethod
     def identity(cls, channels: int, cond_dim: int, n_steps: int = 1,
                  hidden: int = 16, context: str = "frame",
                  frames: int = 0) -> "FlowModel":
         """All-identity steps; usable without data-dependent init."""
-        in_dim, out_dim = _net_dims(channels, cond_dim, context, frames)
-        steps = []
-        for _ in range(n_steps):
-            net = CouplingNet(np.zeros((hidden, in_dim)), np.zeros(hidden),
-                              np.zeros((out_dim, hidden)), np.zeros(out_dim))
-            steps.append(FlowStep(np.ones(channels), np.zeros(channels),
-                                  np.eye(channels), net))
-        return cls(steps, channels, cond_dim, hidden, initialized=True,
-                   context=context, frames=frames)
+        model = cls.zeros(channels, cond_dim, n_steps, hidden, context, frames)
+        for step in model.steps:
+            step.scale[...] = 1.0
+            step.mix[...] = np.eye(channels)
+        model.initialized = True
+        return model
 
     @classmethod
     def random(cls, rng: SeededRng, channels: int, cond_dim: int,
@@ -127,23 +140,18 @@ class FlowModel:
         """
         if channels < 2:
             raise ContractError("need at least 2 channels for coupling splits")
-        in_dim, out_dim = _net_dims(channels, cond_dim, context, frames)
-        steps = []
-        for _ in range(n_steps):
+        model = cls.zeros(channels, cond_dim, n_steps, hidden, context, frames)
+        for step in model.steps:
             gaussian = rng.normal(size=(channels, channels))
             q, r = np.linalg.qr(gaussian)
             q = q * np.sign(np.diag(r))  # unique rotation-ish factor
             if np.linalg.det(q) < 0:
                 q[:, 0] = -q[:, 0]  # keep det = +1
-            net = CouplingNet(
-                w1=weight_scale * rng.normal(size=(hidden, in_dim)),
-                b1=np.zeros(hidden),
-                w2=weight_scale * rng.normal(size=(out_dim, hidden)),
-                b2=np.zeros(out_dim),
-            )
-            steps.append(FlowStep(np.ones(channels), np.zeros(channels), q, net))
-        return cls(steps, channels, cond_dim, hidden, initialized=False,
-                   context=context, frames=frames)
+            step.scale[...] = 1.0
+            step.mix[...] = q
+            step.net.w1[...] = weight_scale * rng.normal(size=step.net.w1.shape)
+            step.net.w2[...] = weight_scale * rng.normal(size=step.net.w2.shape)
+        return model
 
 
 @dataclass(frozen=True)
@@ -357,8 +365,8 @@ def actnorm_init(model: FlowModel, batch: ConditionedBatch) -> FlowModel:
                 f"zero-variance channels {np.nonzero(std < 1e-12)[0].tolist()} "
                 "in init batch"
             )
-        step.scale = 1.0 / std
-        step.bias = -mean / std
+        step.scale[...] = 1.0 / std
+        step.bias[...] = -mean / std
         h = np.linalg.inv(step.mix) @ (step.scale[:, None] * h + step.bias[:, None])
         _, _, th, shift = _coupling_raw(_net_weights(step, order), h[:c_a], cond,
                                         stack)
@@ -390,13 +398,7 @@ def nll(model: FlowModel, batch: ConditionedBatch) -> float:
 def sample(model: FlowModel, cond: np.ndarray, rng: SeededRng,
            temperature: float = 1.0) -> np.ndarray:
     """Draw one (T, c) grid: z ~ N(0, temperature**2 I) pushed to data space."""
-    _require_initialized(model)
-    if temperature <= 0:
-        raise ContractError("temperature must be positive")
-    cond = np.asarray(cond, dtype=np.float64)
-    z = temperature * rng.normal(size=(cond.shape[0], model.channels))
-    y, _ = forward(model, z, cond)
-    return y
+    return sample_batch(model, np.asarray(cond)[None], rng, temperature)[0]
 
 
 def sample_batch(model: FlowModel, conds: np.ndarray, rng: SeededRng,
@@ -419,19 +421,9 @@ def sample_batch(model: FlowModel, conds: np.ndarray, rng: SeededRng,
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class StepGrads:
-    scale: np.ndarray
-    bias: np.ndarray
-    mix: np.ndarray
-    w1: np.ndarray
-    b1: np.ndarray
-    w2: np.ndarray
-    b2: np.ndarray
-
-
 def nll_and_grads(model: FlowModel, batch: ConditionedBatch):
-    """NLL and its gradient w.r.t. every model parameter (hand backprop)."""
+    """NLL and its gradient with respect to ``model.params``, one vector in
+    the same layout (hand backprop)."""
     _require_initialized(model)
     _check_shapes(model, batch.targets, batch.conds)
     c_a = model.split[0]
@@ -444,7 +436,7 @@ def nll_and_grads(model: FlowModel, batch: ConditionedBatch):
     if not np.isfinite(value):
         raise FlowDivergence(f"non-finite NLL {value}")
 
-    grads = []
+    parts = []
     g = z / n  # dNLL/dz, channel-first
     for step, cache in zip(reversed(model.steps), reversed(caches)):
         h0, inv_mix, folded, (w1, _, w2, _), netin, hid, th, exp_neg, z_b = cache
@@ -476,17 +468,9 @@ def nll_and_grads(model: FlowModel, batch: ConditionedBatch):
         g_scale = (inv_mix * m0).sum(axis=0) - t / step.scale
         g_bias = s2 @ inv_mix
         g = folded.T @ g2
-        grads.append(StepGrads(g_scale, g_bias, g_mix, g_w1, g_b1, g_w2, g_b2))
-    grads.reverse()
-    return value, grads
-
-
-def param_arrays(model: FlowModel) -> list[np.ndarray]:
-    """Every parameter array, in the order of :class:`StepGrads` fields and
-    of the checkpoint payload; :func:`core.pack` and :func:`core.unpack`
-    turn them into one flat vector and back."""
-    return [arr for s in model.steps
-            for arr in (s.scale, s.bias, s.mix, s.net.w1, s.net.b1, s.net.w2, s.net.b2)]
+        parts.append((g_scale, g_bias, g_mix, g_w1, g_b1, g_w2, g_b2))
+    grad = np.concatenate([g.ravel() for part in reversed(parts) for g in part])
+    return value, grad
 
 
 @dataclass
@@ -510,8 +494,7 @@ def train_flow(model: FlowModel, batch: ConditionedBatch, steps: int = 500,
     if n < 1:
         raise ContractError("training set must be non-empty")
     rng = SeededRng(seed, stream=0x464C)
-    theta = pack(param_arrays(model))
-    adam = Adam(theta.size, step_size)
+    adam = Adam(model.params.size, step_size)
     curve = [(0, nll(model, batch))]
     order = rng.permutation(n)
     cursor = 0
@@ -522,10 +505,8 @@ def train_flow(model: FlowModel, batch: ConditionedBatch, steps: int = 500,
         idx = order[cursor : cursor + batch_size]
         cursor += batch_size
         mini = ConditionedBatch(batch.targets[idx], batch.conds[idx])
-        _, grads = nll_and_grads(model, mini)
-        theta = adam.step(theta, pack(arr for g in grads
-                                      for arr in vars(g).values()))
-        unpack(theta, param_arrays(model))
+        _, grad = nll_and_grads(model, mini)
+        adam.step(model.params, grad)
         if it % eval_every == 0 or it == steps:
             full = nll(model, batch)
             if not np.isfinite(full):
@@ -541,11 +522,11 @@ def curve_to_csv(curve, path) -> None:
 
 def save_model(model: FlowModel, path) -> None:
     """Checkpoint: magic FLW1; u32 K, c, cond_dim, hidden, initialized,
-    grid_context, frames; then each step's scale, bias, mix, w1, b1, w2, b2
-    as little-endian float32."""
+    grid_context, frames; then :attr:`FlowModel.params` (each step's scale,
+    bias, mix, w1, b1, w2, b2) as little-endian float32."""
     header = (len(model.steps), model.channels, model.cond_dim, model.hidden,
               int(model.initialized), int(model.context == "grid"), model.frames)
-    write_binary(path, FLW_MAGIC, header, pack(param_arrays(model)))
+    write_binary(path, FLW_MAGIC, header, model.params)
 
 
 def _checkpoint_floats(header) -> int:
@@ -557,10 +538,8 @@ def _checkpoint_floats(header) -> int:
 def load_model(path) -> FlowModel:
     header, payload = read_binary(path, FLW_MAGIC, 7, _checkpoint_floats)
     k, c, cond_dim, hidden, inited, grid_ctx, frames = header
-    model = FlowModel.identity(
-        c, cond_dim, n_steps=k, hidden=hidden,
-        context="grid" if grid_ctx else "frame", frames=frames,
-    )
-    unpack(payload, param_arrays(model))
+    model = FlowModel.zeros(c, cond_dim, k, hidden,
+                            "grid" if grid_ctx else "frame", frames)
+    model.params[...] = payload
     model.initialized = bool(inited)
     return model

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ContractError, SeededRng, Spectrogram
+from .core import ContractError, SeededRng, Spectrogram, flat_views
 
 LEAKY_SLOPE = 0.2
 MIN_CLIP_SIDE = 8  # receptive footprint of the three stride-2 stages
@@ -81,32 +81,28 @@ class TinyDiscriminator:
 
     Normalization and dropout act as evaluation-time no-ops, so scoring is
     deterministic; training-time dropout belongs to the demo loop.
+
+    The parameter arrays are views into one vector, ``params``, laid out as
+    every ``conv_w``, every ``conv_b``, ``out_w``, then ``out_b``.
     """
 
     conv_w: list[np.ndarray]  # (c_out, c_in, 3, 3) per stage
     conv_b: list[np.ndarray]
     out_w: np.ndarray  # (c_last,)
-    out_b: float  # a 0-d array in random critics, so training can set it
+    out_b: np.ndarray  # 0-d
+    params: np.ndarray
 
     @classmethod
     def random(cls, rng: SeededRng, weight_scale: float = 0.1) -> "TinyDiscriminator":
-        conv_w, conv_b = [], []
-        c_in = 1
-        for c_out in _STAGE_CHANNELS:
-            conv_w.append(weight_scale * rng.normal(size=(c_out, c_in, 3, 3)))
-            conv_b.append(np.zeros(c_out))
-            c_in = c_out
-        return cls(conv_w, conv_b,
-                   weight_scale * rng.normal(size=_STAGE_CHANNELS[-1]),
-                   np.zeros(()))
-
-
-def critic_arrays(params) -> list:
-    """A critic's parameters, or the gradient dict that
-    :func:`discriminator_score_and_grads` returns for them, as one list of
-    arrays in a fixed order (see :func:`core.pack`)."""
-    p = params if isinstance(params, dict) else vars(params)
-    return [*p["conv_w"], *p["conv_b"], p["out_w"], p["out_b"]]
+        c_ins = (1,) + _STAGE_CHANNELS[:-1]
+        params, views = flat_views(
+            [(c_out, c_in, 3, 3) for c_out, c_in in zip(_STAGE_CHANNELS, c_ins)]
+            + [(c_out,) for c_out in _STAGE_CHANNELS]
+            + [(_STAGE_CHANNELS[-1],), ()])
+        conv_w, conv_b, (out_w, out_b) = views[:3], views[3:6], views[6:]
+        for w in conv_w + [out_w]:
+            w[...] = weight_scale * rng.normal(size=w.shape)
+        return cls(conv_w, conv_b, out_w, out_b, params)
 
 
 def _conv_pad(x: np.ndarray) -> np.ndarray:
@@ -145,7 +141,8 @@ def discriminator_score_and_grads(disc: TinyDiscriminator, clip: np.ndarray,
 
     Returns ``(score, grads)`` where grads is None when not requested,
     otherwise a dict with ``conv_w``, ``conv_b``, ``out_w``, ``out_b``, and
-    ``clip`` entries.
+    ``clip`` entries, plus ``params``: the parameter gradients as one vector
+    laid out like ``disc.params``.
     """
     clip = np.asarray(clip, dtype=np.float64)
     if clip.ndim != 2:
@@ -177,5 +174,7 @@ def discriminator_score_and_grads(disc: TinyDiscriminator, clip: np.ndarray,
         grads["conv_w"].insert(0, d_w)
         grads["conv_b"].insert(0, d_b)
     grads["clip"] = d_h[0]
+    grads["params"] = np.concatenate([*(g.ravel() for g in grads["conv_w"]),
+                                      *grads["conv_b"], pooled, [1.0]])
     return score, grads
 

@@ -33,7 +33,7 @@ import numpy as np
 from . import flow as flowmod
 from . import gan as ganmod
 from . import probloss
-from .core import Adam, ContractError, SeededRng, Spectrogram, pack, unpack, write_mel
+from .core import Adam, ContractError, SeededRng, Spectrogram, write_mel
 from .density import dip_statistic
 from .metrics import var_laplacian
 
@@ -396,12 +396,6 @@ class CondLmStrategy:
         return float(np.mean(totals))
 
 
-def _onehot(index: int, size: int, frames: int) -> np.ndarray:
-    vec = np.zeros(size)
-    vec[index] = 1.0
-    return np.tile(vec, (frames, 1))
-
-
 class FlowStrategy:
     """Conditional flow over whole grids (rows as channels, columns as frames).
 
@@ -511,9 +505,8 @@ class GanDemoStrategy:
         stacks = {ci: corpus.stack(ci) for ci in self.table}
 
         # Alternating sign-free Adam on critics and table entries.
-        adam_d = [Adam(pack(ganmod.critic_arrays(d)).size, step_size)
-                  for d in self.discs]
-        adam_g = {ci: Adam(self.table[ci].size, step_size) for ci in self.table}
+        adam_d = [Adam(d.params.size, step_size) for d in self.discs]
+        adam_g = {ci: Adam(self.table[ci].shape, step_size) for ci in self.table}
         for it in range(steps):
             ci = int(rng.integers(0, len(self.table)))
             real = stacks[ci][int(rng.integers(0, len(stacks[ci])))]
@@ -529,15 +522,12 @@ class GanDemoStrategy:
                 d_scores_r.append(s_r)
                 d_scores_f.append(s_f)
                 # d(D loss)/d params = 2(s_r - 1) dD(real) + 2 s_f dD(fake)
-                grad = (2.0 * (s_r - 1.0) * pack(ganmod.critic_arrays(g_r))
-                        + 2.0 * s_f * pack(ganmod.critic_arrays(g_f)))
-                arrays = ganmod.critic_arrays(disc)
-                unpack(adam_d[di].step(pack(arrays), grad), arrays)
+                adam_d[di].step(disc.params, 2.0 * (s_r - 1.0) * g_r["params"]
+                                + 2.0 * s_f * g_f["params"])
             # Generator step against refreshed critics.
             g_scores, g_grad = _generator_grad(self.discs, fake_clips, offsets,
                                                fake.shape)
-            flat = adam_g[ci].step(self.table[ci].ravel(), g_grad.ravel())
-            self.table[ci] = flat.reshape(fake.shape)
+            adam_g[ci].step(self.table[ci], g_grad)
             self.history.append(
                 (it, ganmod.lsgan_d_loss([[s] for s in d_scores_r],
                                          [[s] for s in d_scores_f]),

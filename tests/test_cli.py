@@ -229,6 +229,29 @@ class TestCmdToylab:
         err = capsys.readouterr().err
         assert "'noise'" in err and "internal error" not in err
 
+    @pytest.mark.parametrize("key,value", [
+        ("noise", "x"),
+        ("samples_per_condition", "5"),
+        ("weights", ["a"]),
+    ])
+    def test_spec_value_of_wrong_type_exits_2(self, tmp_path, capsys, key,
+                                              value):
+        doc = {
+            "conditions": [{"prototypes": [[[1.0]]], "weights": [1.0]}],
+            "noise": 0.05,
+            "samples_per_condition": 5,
+        }
+        if key == "weights":
+            doc["conditions"][0]["weights"] = value
+        else:
+            doc[key] = value
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps(doc))
+        assert run(["toylab", "--spec", str(spec_path), "--strategies", "mse",
+                    "--seed", "2"]) == 2
+        err = capsys.readouterr().err
+        assert repr(key) in err and "internal error" not in err
+
 
 class TestCmdFlow:
     def build_corpus(self, tmp_path, samples=30):
@@ -306,6 +329,60 @@ class TestCmdFlow:
 
     def test_sample_requires_out_mel(self, tmp_path):
         assert run(["flow", "sample", "--ckpt", str(tmp_path / "x.flw")]) == 2
+
+    @pytest.mark.parametrize("condition", ["x", -1])
+    def test_manifest_condition_not_a_count_exits_2(self, tmp_path, capsys,
+                                                    condition):
+        manifest = self.build_corpus(tmp_path, samples=4)
+        doc = json.loads(manifest.read_text())
+        doc["samples"][2]["condition"] = condition
+        manifest.write_text(json.dumps(doc))
+        assert run(["flow", "train", "--manifest", str(manifest),
+                    "--ckpt", str(tmp_path / "m.flw"), "--steps", "2"]) == 2
+        err = capsys.readouterr().err
+        assert "manifest sample 2" in err and "'condition'" in err
+
+    @pytest.mark.parametrize("flag,value", [
+        ("--flow-steps", "0"),
+        ("--steps", "-1"),
+        ("--step-size", "-1"),
+        ("--hidden", "-1"),
+    ])
+    def test_bad_train_number_exits_2(self, tmp_path, capsys, flag, value):
+        manifest = self.build_corpus(tmp_path, samples=4)
+        ckpt = tmp_path / "m.flw"
+        assert run(["flow", "train", "--manifest", str(manifest),
+                    "--ckpt", str(ckpt), "--steps", "2", flag, value]) == 2
+        assert flag in capsys.readouterr().err
+        assert not ckpt.exists()
+
+    @pytest.mark.parametrize("flag,value", [
+        ("--condition", "-1"),
+        ("--frames", "-1"),
+    ])
+    def test_bad_sample_number_exits_2(self, tmp_path, capsys, flag, value):
+        manifest = self.build_corpus(tmp_path, samples=4)
+        ckpt = tmp_path / "m.flw"
+        assert run(["flow", "train", "--manifest", str(manifest),
+                    "--ckpt", str(ckpt), "--steps", "2", "--seed", "1"]) == 0
+        capsys.readouterr()
+        assert run(["flow", "sample", "--ckpt", str(ckpt), flag, value,
+                    "--out-mel", str(tmp_path / "x.mel")]) == 2
+        assert flag in capsys.readouterr().err
+        assert not (tmp_path / "x.mel").exists()
+
+    @pytest.mark.parametrize("step_size", ["1e9", "1e300"])
+    def test_diverged_training_saves_nothing(self, tmp_path, capsys,
+                                             step_size):
+        manifest = self.build_corpus(tmp_path, samples=4)
+        ckpt = tmp_path / "m.flw"
+        assert run(["flow", "train", "--manifest", str(manifest),
+                    "--ckpt", str(ckpt), "--steps", "3", "--seed", "1",
+                    "--step-size", step_size]) == 2
+        err = capsys.readouterr().err
+        assert "NLL" in err and "internal error" not in err
+        assert not ckpt.exists()
+        assert not (tmp_path / "m.flw.curve.csv").exists()
 
 
 class TestDeterminismAcrossCommands:

@@ -294,7 +294,8 @@ class TestAdam:
     def test_bit_identical_to_the_inline_flow_update(self):
         rng = np.random.default_rng(5)
         target = rng.normal(size=40) * np.logspace(-3, 3, 40)
-        theta = ref = rng.normal(size=40)
+        ref = rng.normal(size=40)
+        theta = ref.copy()  # the step updates theta in place
         adam = Adam(theta.size, 2e-3)
         # The update train_flow wrote inline before the class existed.
         m = np.zeros_like(ref)
@@ -302,7 +303,7 @@ class TestAdam:
         beta1, beta2, eps, step_size = 0.9, 0.999, 1e-8, 2e-3
         for it in range(1, 51):
             noise = rng.normal(size=40)
-            theta = adam.step(theta, theta - target + noise)
+            adam.step(theta, theta - target + noise)
             g = ref - target + noise
             m = beta1 * m + (1 - beta1) * g
             v = beta2 * v + (1 - beta2) * g * g

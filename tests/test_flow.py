@@ -11,8 +11,6 @@ from oversmooth.core import (
     ContractError,
     FormatError,
     SeededRng,
-    pack,
-    unpack,
 )
 from oversmooth import flow
 from oversmooth.flow import (
@@ -72,7 +70,7 @@ class TestIdentityModel:
 class TestChannelMixStep:
     def make_doubling_model(self, channels=4):
         model = FlowModel.identity(channels, 1, n_steps=1)
-        model.steps[0].mix = 2.0 * np.eye(channels)
+        model.steps[0].mix[...] = 2.0 * np.eye(channels)
         return model
 
     def test_forward_logdet(self):
@@ -102,7 +100,7 @@ class TestChannelMixStep:
 
     def test_singular_mix_is_a_contract_error(self):
         model = FlowModel.identity(4, 1, n_steps=2)
-        model.steps[1].mix = np.zeros((4, 4))
+        model.steps[1].mix[...] = 0.0
         z, cond = np.zeros((3, 4)), np.zeros((3, 1))
         for direction in (forward, inverse):
             with pytest.raises(ContractError, match="singular"):
@@ -242,25 +240,20 @@ class TestGradients:
         rng = SeededRng(18)
         batch = ConditionedBatch(rng.normal(size=(3, 2, 2)),
                                  rng.normal(size=(3, 2, 1)))
-        _, grads = nll_and_grads(model, batch)
-        flat = pack(arr for g in grads for arr in vars(g).values())
-        arrays = flow.param_arrays(model)
-        theta = pack(arrays)
+        _, flat = nll_and_grads(model, batch)
+        theta = model.params
         assert flat.shape == theta.shape
         eps = 1e-5
         for i in range(len(theta)):
-            up = theta.copy()
-            up[i] += eps
-            unpack(up, arrays)
+            orig = theta[i]
+            theta[i] = orig + eps
             hi = nll(model, batch)
-            down = theta.copy()
-            down[i] -= eps
-            unpack(down, arrays)
+            theta[i] = orig - eps
             lo = nll(model, batch)
+            theta[i] = orig
             fd = (hi - lo) / (2 * eps)
             denom = max(1e-8, abs(fd) + abs(flat[i]))
             assert abs(flat[i] - fd) / denom < 1e-3
-        unpack(theta, arrays)
 
 
 class TestSampling:
@@ -344,6 +337,46 @@ class TestTraining:
             train_flow(model, batch, steps=1)
 
 
+def step_arrays(model):
+    """Every step's arrays, in the checkpoint payload's order."""
+    return [arr for s in model.steps
+            for arr in (s.scale, s.bias, s.mix, s.net.w1, s.net.b1, s.net.w2,
+                        s.net.b2)]
+
+
+class TestParamsVector:
+    @pytest.mark.parametrize("context", ["frame", "grid"])
+    def test_every_step_array_is_a_view_of_params(self, context, tmp_path):
+        model = random_model(42, context=context)
+        save_model(model, tmp_path / "m.flw")
+        identity = FlowModel.identity(4, 2, n_steps=3, context=context,
+                                      frames=6 if context == "grid" else 0)
+        for m in (model, identity, load_model(tmp_path / "m.flw")):
+            arrays = step_arrays(m)
+            assert all(np.shares_memory(a, m.params) for a in arrays)
+            assert np.array_equal(np.concatenate([a.ravel() for a in arrays]),
+                                  m.params)
+
+    def test_checkpoint_payload_is_params_as_float32(self, tmp_path):
+        model = random_model(43, n_steps=3)
+        path = tmp_path / "m.flw"
+        save_model(model, path)
+        assert path.read_bytes()[4 + 4 * 7:] == model.params.astype("<f4").tobytes()
+
+    def test_a_train_step_moves_params_and_every_view(self):
+        model = random_model(44, n_steps=2)
+        params = model.params
+        before = [a.copy() for a in step_arrays(model)]
+        rng = SeededRng(45)
+        batch = ConditionedBatch(rng.normal(size=(8, 6, 4)),
+                                 rng.normal(size=(8, 6, 2)))
+        train_flow(model, batch, steps=1, batch_size=8, seed=46)
+        assert model.params is params
+        after = step_arrays(model)
+        assert all(np.shares_memory(a, params) for a in after)
+        assert not any(np.array_equal(a, b) for a, b in zip(after, before))
+
+
 class TestCheckpoint:
     def test_roundtrip(self, tmp_path):
         model = random_model(36, n_steps=3)
@@ -412,9 +445,8 @@ class TestCheckpoint:
         assert (back.channels, back.cond_dim, back.hidden, back.context,
                 back.frames, back.initialized) == (
             channels, cond_dim, hidden, model.context, frames, False)
-        theta = pack(flow.param_arrays(model))
-        assert np.array_equal(pack(flow.param_arrays(back)),
-                              theta.astype(np.float32).astype(np.float64))
+        assert np.array_equal(back.params,
+                              model.params.astype(np.float32).astype(np.float64))
 
     @settings(max_examples=40, deadline=None)
     @given(cut=st.integers(0, 10**4), extra=st.binary(min_size=1, max_size=9),
@@ -433,12 +465,10 @@ class TestCheckpoint:
             with pytest.raises(ContractError):
                 load_model(path)
 
-    def test_pack_unpack_roundtrip_grid_context(self):
+    def test_params_roundtrip_grid_context(self):
         model = random_model(40, context="grid", frames=6)
-        theta = pack(flow.param_arrays(model))
         other = FlowModel.identity(4, 2, n_steps=8, context="grid", frames=6)
-        unpack(theta, flow.param_arrays(other))
-        assert np.array_equal(pack(flow.param_arrays(other)), theta)
+        other.params[...] = model.params
         rng = SeededRng(41)
         z, cond = rng.normal(size=(6, 4)), rng.normal(size=(6, 2))
         assert np.array_equal(forward(model, z, cond)[0],

@@ -1,11 +1,10 @@
 import numpy as np
 import pytest
 
-from oversmooth.core import ContractError, SeededRng, Spectrogram, pack, unpack
+from oversmooth.core import ContractError, SeededRng, Spectrogram
 from oversmooth.gan import (
     TinyDiscriminator,
     WindowSpec,
-    critic_arrays,
     discriminator_score,
     discriminator_score_and_grads,
     lsgan_d_loss,
@@ -113,8 +112,8 @@ class TestRandomWindows:
 class TestDiscriminator:
     def test_zero_final_affine_scores_zero(self):
         disc = TinyDiscriminator.random(SeededRng(7))
-        disc.out_w = np.zeros_like(disc.out_w)
-        disc.out_b = 0.0
+        disc.out_w[...] = 0.0
+        disc.out_b[...] = 0.0
         clip = SeededRng(8).normal(size=(16, 12))
         assert discriminator_score(disc, clip) == 0.0
 
@@ -182,14 +181,38 @@ class TestDiscriminator:
 
 
 
-class TestCriticArrays:
-    def test_pack_unpack_roundtrip(self):
+class TestCriticParams:
+    def test_params_roundtrip(self):
         disc = TinyDiscriminator.random(SeededRng(17))
-        theta = pack(critic_arrays(disc))
         other = TinyDiscriminator.random(SeededRng(18))
-        unpack(theta, critic_arrays(other))
-        assert np.array_equal(pack(critic_arrays(other)), theta)
+        other.params[...] = disc.params
         clip = SeededRng(19).normal(size=(12, 12))
         score, grads = discriminator_score_and_grads(disc, clip)
         assert discriminator_score(other, clip) == score
-        assert pack(critic_arrays(grads)).shape == theta.shape
+        assert grads["params"].shape == disc.params.shape
+
+    def test_every_array_is_a_view_of_params(self):
+        disc = TinyDiscriminator.random(SeededRng(20))
+        arrays = [*disc.conv_w, *disc.conv_b, disc.out_w, disc.out_b]
+        assert all(np.shares_memory(a, disc.params) for a in arrays)
+        assert np.array_equal(np.concatenate([a.ravel() for a in arrays]),
+                              disc.params)
+
+    def test_params_gradient_matches_finite_differences(self):
+        disc = TinyDiscriminator.random(SeededRng(21))
+        clip = SeededRng(22).normal(size=(12, 10))
+        _, grads = discriminator_score_and_grads(disc, clip)
+        flat = grads["params"]
+        sizes = [a.size for a in (*disc.conv_w, *disc.conv_b, disc.out_w,
+                                  disc.out_b)]
+        ends = np.cumsum(sizes)
+        eps = 1e-6
+        for i in sorted({*(ends - sizes), *(ends - 1)}):  # each array's ends
+            orig = disc.params[i]
+            disc.params[i] = orig + eps
+            up = discriminator_score(disc, clip)
+            disc.params[i] = orig - eps
+            down = discriminator_score(disc, clip)
+            disc.params[i] = orig
+            fd = (up - down) / (2 * eps)
+            assert abs(flat[i] - fd) / max(1e-9, abs(flat[i]) + abs(fd)) < 1e-3
