@@ -73,6 +73,13 @@ def _number(value) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
+def _grid(value) -> bool:
+    """A non-empty list of equally long, non-empty lists of numbers."""
+    return isinstance(value, list) and len(value) > 0 and all(
+        isinstance(row, list) and len(row) == len(value[0]) > 0
+        and all(map(_number, row)) for row in value)
+
+
 _KINDS = {  # what each of these keys must hold, in any JSON input
     "noise": ("a number", _number),
     "seed": ("an integer", lambda v: type(v) is int),
@@ -80,6 +87,10 @@ _KINDS = {  # what each of these keys must hold, in any JSON input
     "condition": ("a non-negative integer", lambda v: type(v) is int and v >= 0),
     "weights": ("a list of numbers",
                 lambda v: isinstance(v, list) and all(map(_number, v))),
+    "prototypes": ("a list of non-empty, rectangular grids of numbers",
+                   lambda v: isinstance(v, list) and all(map(_grid, v))),
+    "mel": ("a path string", lambda v: isinstance(v, str)),
+    "align": ("a path string", lambda v: isinstance(v, str)),
 }
 
 

@@ -5,7 +5,7 @@ whole package:
 
 * ``MEL1`` binary spectrograms: magic ``b"MEL1"``, u32-LE frame count T,
   u32-LE bin count F, then T*F little-endian IEEE-754 32-bit floats in
-  time-major (row-major) order. The flow's ``FLW1`` checkpoints use the same
+  time-major (row-major) order. The flow's ``FLW2`` checkpoints use the same
   envelope (:func:`write_binary`, :func:`read_binary`) with a longer header.
 * Alignment TSV: UTF-8 lines ``label<TAB>start<TAB>end`` with end exclusive,
   sorted by start and non-overlapping.
@@ -244,8 +244,8 @@ def read_binary(path, magic: bytes, words: int, floats):
 
     ``floats(header)`` gives the payload length the header implies, or
     raises :class:`ContractError` for a header it rejects; it runs before
-    anything is allocated, and any other payload size is a
-    :class:`FormatError`.
+    anything is allocated. Any other payload size, and a payload holding a
+    NaN or infinity, is a :class:`FormatError`.
     """
     data = Path(path).read_bytes()
     start = 4 + 4 * words
@@ -262,7 +262,10 @@ def read_binary(path, magic: bytes, words: int, floats):
         raise FormatError(
             f"{path}: payload is {len(data) - start} bytes, header implies {expected}"
         )
-    return header, np.frombuffer(data, dtype="<f4", offset=start)
+    payload = np.frombuffer(data, dtype="<f4", offset=start)
+    if not np.all(np.isfinite(payload)):
+        raise FormatError(f"{path}: payload contains non-finite values")
+    return header, payload
 
 
 def write_mel(spec: Spectrogram, path) -> None:
@@ -284,10 +287,7 @@ def _mel_floats(header) -> int:
 def read_mel(path) -> Spectrogram:
     """Read a MEL1 file written by :func:`write_mel`."""
     (t, f), payload = read_binary(path, MEL_MAGIC, 2, _mel_floats)
-    values = payload.reshape(t, f)
-    if not np.all(np.isfinite(values)):
-        raise FormatError(f"{path}: payload contains non-finite values")
-    return Spectrogram(values.astype(np.float64))
+    return Spectrogram(payload.reshape(t, f).astype(np.float64))
 
 
 def read_alignment(path) -> Alignment:
@@ -310,11 +310,6 @@ def read_alignment(path) -> Alignment:
             ) from None
         entries.append(AlignmentEntry(label, start, end))
     return Alignment(tuple(entries))
-
-
-def write_alignment(align: Alignment, path) -> None:
-    lines = [f"{e.label}\t{e.start}\t{e.end}" for e in align.entries]
-    Path(path).write_text("\n".join(lines) + ("\n" if lines else ""), encoding="utf-8")
 
 
 def gather_phoneme_frames(

@@ -33,7 +33,7 @@ import numpy as np
 from .core import (Adam, ContractError, SeededRng, flat_views, read_binary,
                    write_binary)
 
-FLW_MAGIC = b"FLW1"
+FLW_MAGIC = b"FLW2"
 LOG_2PI = np.log(2.0 * np.pi)
 
 
@@ -56,7 +56,11 @@ class CouplingNet:
     With frame context the net maps each frame independently; with grid
     context it sees every frame of the conditioning half at once (the
     desk-scale stand-in for a coupling network with a temporal receptive
-    field), which fixes the frame count.
+    field), which fixes the frame count. Its weights are stored in the order
+    the flow computes them, channel-major: ``w1`` columns hold every frame
+    of h_a's channel 0, then of channel 1, ..., then of each condition
+    channel; ``w2``/``b2`` rows every frame of each raw log-scale channel,
+    then of each shift channel.
     """
 
     w1: np.ndarray  # (hidden, in_dim)
@@ -101,12 +105,20 @@ class FlowModel:
         c_a = (self.channels + 1) // 2
         return c_a, self.channels - c_a
 
+    @property
+    def column_frames(self) -> int:
+        """Frames per coupling-net column: 1 with frame context, the fixed
+        frame count (a whole grid) with grid context."""
+        return self.frames if self.context == "grid" else 1
+
     @classmethod
     def zeros(cls, channels: int, cond_dim: int, n_steps: int, hidden: int,
               context: str = "frame", frames: int = 0) -> "FlowModel":
         """All parameters zero, in one vector ``params`` laid out per step as
         scale, bias, mix, w1, b1, w2, b2; every step's arrays are views into
         it, so updating ``params`` in place updates the model."""
+        if n_steps < 1:
+            raise ContractError(f"a flow needs at least one step, got {n_steps}")
         in_dim, out_dim = _net_dims(channels, cond_dim, context, frames)
         shapes = [(channels,), (channels,), (channels, channels),
                   (hidden, in_dim), (hidden,), (out_dim, hidden), (out_dim,)]
@@ -213,48 +225,20 @@ def _samples_first(h: np.ndarray, t: int, n: int) -> np.ndarray:
     return np.ascontiguousarray(h.reshape(len(h), t, n).transpose(2, 1, 0))
 
 
-def _coupling_layout(model: FlowModel, t: int):
-    """How the coupling net sees a channel-first (k, T * n) array.
-
-    Returns (stack, order): the net input has one column per frame (frame
-    context, stack 1) or per grid of ``stack`` = T frames (grid context).
-    With grid context a reshape orders the net's inputs and outputs
-    channel-major, not frame-major as the stored weights are, so ``order``
-    holds the index arrays (input columns of w1, output rows of w2 and b2)
-    that reorder the weights to match; frame context needs none.
-    """
-    if model.context == "frame":
-        return 1, None
-    c_a, c_b = model.split
-    d = model.cond_dim
-    cols = np.concatenate([np.arange(t * c_a).reshape(t, c_a).T.ravel(),
-                           t * c_a + np.arange(t * d).reshape(t, d).T.ravel()])
-    rows = np.arange(t * 2 * c_b).reshape(t, 2 * c_b).T.ravel()
-    return t, (cols, rows)
-
-
-def _net_weights(step: FlowStep, order):
-    """(w1, b1, w2, b2) of the step's coupling net in the computing order."""
-    net = step.net
-    if order is None:
-        return net.w1, net.b1, net.w2, net.b2
-    cols, rows = order
-    return net.w1[:, cols], net.b1, net.w2[rows], net.b2[rows]
-
-
-def _coupling_raw(net, h_a: np.ndarray, cond: np.ndarray, stack: int):
+def _coupling_raw(net: CouplingNet, h_a: np.ndarray, cond: np.ndarray,
+                 stack: int):
     """Coupling net on channel-first halves: (netin, hidden, tanh(raw), shift).
 
     The log-scale is ell = 2 * tanh(raw). ``netin`` and ``hidden`` hold one
-    column per frame or per grid; ``tanh(raw)`` and ``shift`` are
-    channel-first like ``h_a``.
+    column per ``stack`` frames (one frame, or a whole grid channel-major);
+    ``tanh(raw)`` and ``shift`` are channel-first like ``h_a``.
     """
-    w1, b1, w2, b2 = net
     columns = h_a.shape[1] // stack
     netin = np.concatenate([h_a.reshape(len(h_a) * stack, columns),
                             cond.reshape(len(cond) * stack, columns)])
-    hid = np.tanh(w1 @ netin + b1[:, None])
-    out = (w2 @ hid + b2[:, None]).reshape(2, len(w2) // (2 * stack), h_a.shape[1])
+    hid = np.tanh(net.w1 @ netin + net.b1[:, None])
+    out = (net.w2 @ hid + net.b2[:, None]).reshape(2, len(net.w2) // (2 * stack),
+                                                  h_a.shape[1])
     return netin, hid, np.tanh(out[0]), out[1]
 
 
@@ -268,33 +252,44 @@ def _logdet_const(model: FlowModel, t: int) -> float:
 
 
 def _analysis(model: FlowModel, grids: np.ndarray, conds: np.ndarray,
-              cache: list | None = None):
+              cache: list | None = None, init: bool = False):
     """Data -> latent on an (n, T, c) stack; returns (z, per-sample logdet)
     with z channel-first (see :func:`_channels_first`).
 
     Each step's actnorm is folded into its mix: h -> F h + inv(mix) bias
-    with F = inv(mix) diag(scale). With a ``cache`` list, appends per step
-    what the reverse sweep of :func:`nll_and_grads` needs.
+    with F = inv(mix) diag(scale). With ``init``, each step first sets its
+    actnorm to standardize its input over the batch (data-dependent init;
+    the returned logdet then holds the scales from before). With a
+    ``cache`` list, appends per step what the reverse sweep of
+    :func:`nll_and_grads` needs.
     """
     c_a = model.split[0]
     n, t = grids.shape[:2]
-    stack, order = _coupling_layout(model, t)
     cond = _channels_first(conds)
     logdet = np.full(n, _logdet_const(model, t))
     inv_mixes = np.linalg.inv(np.stack([step.mix for step in model.steps]))
     h = _channels_first(grids)
     for step, inv_mix in zip(model.steps, inv_mixes):
+        if init:
+            std = h.std(axis=1)
+            if np.any(std < 1e-12):
+                raise DegenerateChannel(
+                    f"zero-variance channels {np.nonzero(std < 1e-12)[0].tolist()} "
+                    "in init batch"
+                )
+            step.scale[...] = 1.0 / std
+            step.bias[...] = -h.mean(axis=1) / std
         h0 = h
         folded = inv_mix * step.scale
         h = folded @ h0 + (inv_mix @ step.bias)[:, None]
-        net = _net_weights(step, order)
-        netin, hid, th, shift = _coupling_raw(net, h[:c_a], cond, stack)
+        netin, hid, th, shift = _coupling_raw(step.net, h[:c_a], cond,
+                                              model.column_frames)
         exp_neg = np.exp(-2.0 * th)
         z_b = (h[c_a:] - shift) * exp_neg
         logdet -= 2.0 * th.reshape(len(th) * t, n).sum(axis=0)
         h = np.concatenate([h[:c_a], z_b])
         if cache is not None:
-            cache.append((h0, inv_mix, folded, net, netin, hid, th, exp_neg, z_b))
+            cache.append((h0, inv_mix, folded, netin, hid, th, exp_neg, z_b))
     return h, logdet
 
 
@@ -302,13 +297,12 @@ def _synthesis(model: FlowModel, latents: np.ndarray, conds: np.ndarray):
     """Latent -> data on an (n, T, c) stack; returns (y, per-sample logdet)."""
     c_a = model.split[0]
     n, t = latents.shape[:2]
-    stack, order = _coupling_layout(model, t)
     cond = _channels_first(conds)
     logdet = np.full(n, -_logdet_const(model, t))
     h = _channels_first(latents)
     for step in reversed(model.steps):
-        _, _, th, shift = _coupling_raw(_net_weights(step, order), h[:c_a],
-                                        cond, stack)
+        _, _, th, shift = _coupling_raw(step.net, h[:c_a], cond,
+                                        model.column_frames)
         h = np.concatenate([h[:c_a], h[c_a:] * np.exp(2.0 * th) + shift])
         logdet += 2.0 * th.reshape(len(th) * t, n).sum(axis=0)
         h = (step.mix @ h - step.bias[:, None]) / step.scale[:, None]
@@ -353,24 +347,7 @@ def actnorm_init(model: FlowModel, batch: ConditionedBatch) -> FlowModel:
     if len(batch) < 1:
         raise ContractError("init batch must be non-empty")
     _check_shapes(model, batch.targets, batch.conds)
-    c_a = model.split[0]
-    stack, order = _coupling_layout(model, batch.targets.shape[1])
-    cond = _channels_first(batch.conds)
-    h = _channels_first(batch.targets)
-    for step in model.steps:
-        mean = h.mean(axis=1)
-        std = h.std(axis=1)
-        if np.any(std < 1e-12):
-            raise DegenerateChannel(
-                f"zero-variance channels {np.nonzero(std < 1e-12)[0].tolist()} "
-                "in init batch"
-            )
-        step.scale[...] = 1.0 / std
-        step.bias[...] = -mean / std
-        h = np.linalg.inv(step.mix) @ (step.scale[:, None] * h + step.bias[:, None])
-        _, _, th, shift = _coupling_raw(_net_weights(step, order), h[:c_a], cond,
-                                        stack)
-        h = np.concatenate([h[:c_a], (h[c_a:] - shift) * np.exp(-2.0 * th)])
+    _analysis(model, batch.targets, batch.conds, init=True)
     model.initialized = True
     return model
 
@@ -428,7 +405,6 @@ def nll_and_grads(model: FlowModel, batch: ConditionedBatch):
     _check_shapes(model, batch.targets, batch.conds)
     c_a = model.split[0]
     n, t = batch.targets.shape[:2]
-    stack, order = _coupling_layout(model, t)
 
     caches = []
     z, logdet = _analysis(model, batch.targets, batch.conds, caches)
@@ -439,7 +415,8 @@ def nll_and_grads(model: FlowModel, batch: ConditionedBatch):
     parts = []
     g = z / n  # dNLL/dz, channel-first
     for step, cache in zip(reversed(model.steps), reversed(caches)):
-        h0, inv_mix, folded, (w1, _, w2, _), netin, hid, th, exp_neg, z_b = cache
+        h0, inv_mix, folded, netin, hid, th, exp_neg, z_b = cache
+        w1, w2 = step.net.w1, step.net.w2
         g_a, g_b = g[:c_a], g[c_a:]
         d_hb = g_b * exp_neg
         d_ell = -g_b * z_b + 1.0 / n  # z-path plus the direct +ell/n term
@@ -450,14 +427,9 @@ def nll_and_grads(model: FlowModel, batch: ConditionedBatch):
         d_pre = (w2.T @ d_out) * (1.0 - hid**2)
         g_w1 = d_pre @ netin.T
         g_b1 = d_pre.sum(axis=1)
-        a_rows = len(g_a) * stack  # rows of netin that hold h_a
+        a_rows = len(g_a) * model.column_frames  # rows of netin that hold h_a
         d_ha = g_a + (w1[:, :a_rows].T @ d_pre).reshape(g_a.shape)
         g2 = np.concatenate([d_ha, d_hb])
-        if order is not None:  # back to the stored weight order
-            cols, rows = order
-            g_w1[:, cols] = g_w1.copy()
-            g_w2[rows] = g_w2.copy()
-            g_b2[rows] = g_b2.copy()
 
         # Folded actnorm and mix, h2 = inv_mix (h0 * scale + bias): every
         # parameter gradient follows from g2 h0^T and g2's row sums.
@@ -521,7 +493,7 @@ def curve_to_csv(curve, path) -> None:
 
 
 def save_model(model: FlowModel, path) -> None:
-    """Checkpoint: magic FLW1; u32 K, c, cond_dim, hidden, initialized,
+    """Checkpoint: magic FLW2; u32 K, c, cond_dim, hidden, initialized,
     grid_context, frames; then :attr:`FlowModel.params` (each step's scale,
     bias, mix, w1, b1, w2, b2) as little-endian float32."""
     header = (len(model.steps), model.channels, model.cond_dim, model.hidden,
@@ -531,6 +503,8 @@ def save_model(model: FlowModel, path) -> None:
 
 def _checkpoint_floats(header) -> int:
     k, c, cond_dim, hidden, _, grid_ctx, frames = header
+    if k < 1:
+        raise ContractError("a flow needs at least one step, got 0")
     in_dim, out_dim = _net_dims(c, cond_dim, "grid" if grid_ctx else "frame", frames)
     return k * (2 * c + c * c + hidden * (in_dim + 1 + out_dim) + out_dim)
 

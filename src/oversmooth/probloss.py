@@ -173,14 +173,6 @@ def lm_nll(field: LaplaceMixtureField, target) -> float:
     return float(-np.mean(lm_log_density(field, target)))
 
 
-def lm_nll_naive(field: LaplaceMixtureField, target) -> float:
-    """Direct-probability evaluation, for cross-checking the stabilized path."""
-    targets = _targets_3d(target)
-    y = targets[..., None]
-    dens = field.pi * np.exp(-np.abs(y - field.mu) / field.beta) / (2.0 * field.beta)
-    return float(-np.mean(np.log(dens.sum(axis=-1))))
-
-
 def lm_nll_grad(params: UnconstrainedMixtureParams, target):
     """NLL and its analytic gradient w.r.t. the unconstrained parameters.
 

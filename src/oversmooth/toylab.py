@@ -309,16 +309,6 @@ class ArStrategy:
                     grids[ctx == c, r] = self.table[key]
         return grids
 
-    def teacher_forced_mse(self, corpus: ToyCorpus) -> float:
-        """Mean per-cell one-step error on held-in data."""
-        errs = []
-        for ci in range(len(corpus.spec.conditions)):
-            for g in corpus.stack(ci):
-                for r in range(1, self.rows):
-                    pred = self.table.get((ci, _row_context(g[r - 1])), g[r - 1])
-                    errs.append(np.mean((pred - g[r]) ** 2))
-        return float(np.mean(errs))
-
     def heldout_nll(self, corpus: ToyCorpus):
         return None
 

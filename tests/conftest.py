@@ -1,4 +1,5 @@
 import struct
+from pathlib import Path
 
 import numpy as np
 
@@ -16,3 +17,10 @@ def wav_bytes(samples_i16, rate=22050, channels=1, bits=16, audio_format=1):
         + struct.pack("<I", len(body))
         + body
     )
+
+
+def write_alignment(align, path) -> None:
+    """Write ``align`` as the TSV that ``core.read_alignment`` parses."""
+    lines = [f"{e.label}\t{e.start}\t{e.end}" for e in align.entries]
+    Path(path).write_text("\n".join(lines) + ("\n" if lines else ""),
+                          encoding="utf-8")

@@ -4,14 +4,13 @@ import xml.etree.ElementTree as ET
 import numpy as np
 import pytest
 
-from conftest import wav_bytes
+from conftest import wav_bytes, write_alignment
 from oversmooth import cli
 from oversmooth.core import (
     Alignment,
     AlignmentEntry,
     Spectrogram,
     read_mel,
-    write_alignment,
     write_mel,
 )
 
@@ -160,6 +159,17 @@ class TestCmdDist:
         err = capsys.readouterr().err
         assert "manifest entry 0" in err and "utt0.mel" in err
 
+    def test_manifest_path_not_a_string_exits_2(self, tmp_path, capsys):
+        manifest = build_dist_fixture(tmp_path)
+        doc = json.loads(manifest.read_text())
+        doc[1]["mel"] = 5
+        manifest.write_text(json.dumps(doc))
+        assert run(["dist", "--manifest", str(manifest), "--ph", "R",
+                    "--bin", "3"]) == 2
+        err = capsys.readouterr().err
+        assert "manifest entry 1" in err and "'mel'" in err
+        assert "internal error" not in err
+
 
 class TestCmdToylab:
     def test_single_strategy_report(self, tmp_path, capsys):
@@ -252,6 +262,22 @@ class TestCmdToylab:
         err = capsys.readouterr().err
         assert repr(key) in err and "internal error" not in err
 
+    @pytest.mark.parametrize("prototype", [[[1.0], [2.0, 3.0]], [["a"]]])
+    def test_spec_prototype_not_a_grid_exits_2(self, tmp_path, capsys,
+                                               prototype):
+        doc = {
+            "conditions": [{"prototypes": [prototype], "weights": [1.0]}],
+            "noise": 0.05,
+            "samples_per_condition": 5,
+        }
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps(doc))
+        assert run(["toylab", "--spec", str(spec_path), "--strategies", "mse",
+                    "--seed", "2"]) == 2
+        err = capsys.readouterr().err
+        assert "spec condition 0" in err and "'prototypes'" in err
+        assert "internal error" not in err
+
 
 class TestCmdFlow:
     def build_corpus(self, tmp_path, samples=30):
@@ -341,6 +367,39 @@ class TestCmdFlow:
                     "--ckpt", str(tmp_path / "m.flw"), "--steps", "2"]) == 2
         err = capsys.readouterr().err
         assert "manifest sample 2" in err and "'condition'" in err
+
+    def test_manifest_mel_not_a_string_exits_2(self, tmp_path, capsys):
+        manifest = self.build_corpus(tmp_path, samples=4)
+        doc = json.loads(manifest.read_text())
+        doc["samples"][1]["mel"] = 5
+        manifest.write_text(json.dumps(doc))
+        assert run(["flow", "train", "--manifest", str(manifest),
+                    "--ckpt", str(tmp_path / "m.flw"), "--steps", "2"]) == 2
+        err = capsys.readouterr().err
+        assert "manifest sample 1" in err and "'mel'" in err
+        assert "internal error" not in err
+
+    @pytest.mark.parametrize("action", ["nll", "sample"])
+    @pytest.mark.parametrize("damage", ["nan", "inf", "zero steps"])
+    def test_unusable_checkpoint_exits_2(self, tmp_path, capsys, action,
+                                         damage):
+        manifest = self.build_corpus(tmp_path, samples=4)
+        ckpt = tmp_path / "m.flw"
+        assert run(["flow", "train", "--manifest", str(manifest),
+                    "--ckpt", str(ckpt), "--steps", "2", "--seed", "1"]) == 0
+        data = bytearray(ckpt.read_bytes())
+        if damage == "zero steps":
+            data[4:8] = bytes(4)
+        else:
+            data[-4:] = np.float32(damage).tobytes()
+        ckpt.write_bytes(bytes(data))
+        capsys.readouterr()
+        args = {"nll": ["--manifest", str(manifest)],
+                "sample": ["--out-mel", str(tmp_path / "x.mel")]}[action]
+        assert run(["flow", action, "--ckpt", str(ckpt)] + args) == 2
+        captured = capsys.readouterr()
+        assert str(ckpt) in captured.err and "internal error" not in captured.err
+        assert captured.out == "" and not (tmp_path / "x.mel").exists()
 
     @pytest.mark.parametrize("flag,value", [
         ("--flow-steps", "0"),

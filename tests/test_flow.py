@@ -117,10 +117,13 @@ class TestActnormInit:
         assert np.allclose(model.steps[0].scale, 1.0, atol=1e-6)
         assert np.allclose(model.steps[0].bias, 0.0, atol=1e-6)
 
-    def test_shifted_batch_standardizes(self):
+    @pytest.mark.parametrize("context", ["frame", "grid"])
+    def test_shifted_batch_standardizes(self, context):
         rng = SeededRng(4)
         data = 5.0 + 2.0 * rng.normal(size=(5000, 4, 2))
-        model = FlowModel.random(rng, 2, 1, n_steps=1, weight_scale=0.0)
+        model = FlowModel.random(rng, 2, 1, n_steps=1, weight_scale=0.0,
+                                 context=context,
+                                 frames=4 if context == "grid" else 0)
         actnorm_init(model, ConditionedBatch(data, np.zeros((5000, 4, 1))))
         assert np.allclose(model.steps[0].scale, 0.5, atol=0.02)
         assert np.allclose(model.steps[0].bias, -2.5, atol=0.1)
@@ -148,6 +151,39 @@ class TestActnormInit:
         model = FlowModel.random(rng, 4, 2, n_steps=1)
         with pytest.raises(UninitializedModel):
             forward(model, np.zeros((3, 4)), np.zeros((3, 2)))
+
+
+class TestGridContextWeightOrder:
+    def test_one_step_matches_a_hand_computed_coupling(self):
+        rng = SeededRng(47)
+        t, c, d, hidden = 4, 4, 2, 5
+        model = FlowModel.random(rng, c, d, n_steps=1, hidden=hidden,
+                                 weight_scale=0.5, context="grid", frames=t)
+        step, net = model.steps[0], model.steps[0].net
+        step.scale[...] = rng.uniform(0.5, 2.0, size=c)
+        step.bias[...] = rng.normal(size=c)
+        net.b1[...] = rng.normal(size=hidden)
+        net.b2[...] = rng.normal(size=4 * t)
+        model.initialized = True
+        y, cond = rng.normal(size=(t, c)), rng.normal(size=(t, d))
+
+        # One grid's net input is channel-major: every frame of h_a's
+        # channel 0, then of channel 1, then of each condition channel; its
+        # output is every frame of each raw log-scale channel, then of each
+        # shift channel.
+        h = (step.scale * y + step.bias) @ np.linalg.inv(step.mix).T
+        h_a, h_b = h[:, :2], h[:, 2:]
+        x = np.concatenate([h_a.T.ravel(), cond.T.ravel()])
+        out = net.w2 @ np.tanh(net.w1 @ x + net.b1) + net.b2
+        ell = 2.0 * np.tanh(out[:2 * t].reshape(2, t).T)
+        shift = out[2 * t:].reshape(2, t).T
+        expected_z = np.concatenate([h_a, (h_b - shift) * np.exp(-ell)], axis=1)
+        expected_logdet = (t * (np.log(step.scale).sum()
+                                - np.linalg.slogdet(step.mix)[1]) - ell.sum())
+
+        z, logdet = inverse(model, y, cond)
+        assert np.allclose(z, expected_z, rtol=1e-12, atol=1e-12)
+        assert logdet == pytest.approx(expected_logdet, rel=1e-12)
 
 
 class TestRoundTrip:
@@ -382,7 +418,7 @@ class TestCheckpoint:
         model = random_model(36, n_steps=3)
         path = tmp_path / "model.flw"
         save_model(model, path)
-        assert path.read_bytes()[:4] == b"FLW1"
+        assert path.read_bytes()[:4] == b"FLW2"
         back = load_model(path)
         assert back.channels == model.channels
         assert back.cond_dim == model.cond_dim
@@ -417,7 +453,7 @@ class TestCheckpoint:
     ])
     def test_oversized_header_rejected_before_allocating(self, tmp_path, header):
         path = tmp_path / "huge.flw"
-        path.write_bytes(b"FLW1" + struct.pack("<7I", *header))
+        path.write_bytes(b"FLW2" + struct.pack("<7I", *header))
         start = time.process_time()
         with pytest.raises(FormatError):
             load_model(path)
@@ -425,13 +461,33 @@ class TestCheckpoint:
 
     def test_grid_context_without_frames_rejected(self, tmp_path):
         path = tmp_path / "grid.flw"
-        path.write_bytes(b"FLW1" + struct.pack("<7I", 1, 4, 2, 16, 1, 1, 0))
+        path.write_bytes(b"FLW2" + struct.pack("<7I", 1, 4, 2, 16, 1, 1, 0))
         with pytest.raises(FormatError, match="frame count"):
             load_model(path)
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_parameter_rejected(self, tmp_path, value):
+        path = tmp_path / "m.flw"
+        save_model(random_model(48, n_steps=2), path)
+        data = bytearray(path.read_bytes())
+        data[40:44] = np.float32(value).tobytes()
+        path.write_bytes(bytes(data))
+        with pytest.raises(FormatError, match="non-finite"):
+            load_model(path)
+
+    def test_zero_step_header_rejected(self, tmp_path):
+        path = tmp_path / "empty.flw"
+        path.write_bytes(b"FLW2" + struct.pack("<7I", 0, 4, 2, 16, 1, 0, 0))
+        with pytest.raises(FormatError, match="at least one step"):
+            load_model(path)
+
+    def test_zero_step_model_rejected(self):
+        with pytest.raises(ContractError, match="at least one step"):
+            FlowModel.zeros(4, 2, 0, 16)
+
     @settings(max_examples=25, deadline=None)
     @given(channels=st.integers(2, 5), cond_dim=st.integers(0, 3),
-           n_steps=st.integers(0, 3), hidden=st.integers(1, 5),
+           n_steps=st.integers(1, 3), hidden=st.integers(1, 5),
            frames=st.integers(0, 4), seed=st.integers(0, 2**32 - 1))
     def test_roundtrip_property(self, channels, cond_dim, n_steps, hidden,
                                 frames, seed, tmp_path_factory):
@@ -458,7 +514,7 @@ class TestCheckpoint:
         save_model(model, path)
         data = path.read_bytes()
         variants = [data[: cut % len(data)], data + extra]
-        if magic != b"FLW1":
+        if magic != b"FLW2":
             variants.append(magic + data[4:])
         for variant in variants:
             path.write_bytes(variant)
