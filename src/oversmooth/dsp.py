@@ -62,8 +62,6 @@ class MelFilterbank:
     matrix: np.ndarray
     center_freqs: np.ndarray
     sample_rate: int
-    f_min: float
-    f_max: float
 
     @property
     def bins(self) -> int:
@@ -152,17 +150,13 @@ def mel_filterbank(
     sample_rate: int = DEFAULT_SAMPLE_RATE,
     n_fft: int = DEFAULT_FRAME,
     n_mels: int = DEFAULT_BINS,
-    f_min: float = 0.0,
-    f_max: float | None = None,
 ) -> MelFilterbank:
-    """Build unnormalized triangular filters, equally spaced on the mel scale."""
-    if f_max is None:
-        f_max = sample_rate / 2.0
-    if not 0.0 <= f_min < f_max:
-        raise ContractError(f"need 0 <= f_min < f_max, got [{f_min}, {f_max}]")
+    """Build unnormalized triangular filters, equally spaced on the mel scale
+    from 0 Hz to the Nyquist frequency."""
     if n_mels < 1:
         raise ContractError("n_mels must be at least 1")
-    edges_hz = mel_to_hz(np.linspace(hz_to_mel(f_min), hz_to_mel(f_max), n_mels + 2))
+    edges_hz = mel_to_hz(np.linspace(hz_to_mel(0.0), hz_to_mel(sample_rate / 2.0),
+                                     n_mels + 2))
     fft_freqs = np.arange(n_fft // 2 + 1) * (sample_rate / n_fft)
     lower, center, upper = edges_hz[:-2], edges_hz[1:-1], edges_hz[2:]
     up = (fft_freqs[None, :] - lower[:, None]) / (center - lower)[:, None]
@@ -172,7 +166,7 @@ def mel_filterbank(
         raise ContractError(
             "a mel filter covers no FFT bin; increase n_fft or reduce n_mels"
         )
-    return MelFilterbank(matrix, center, sample_rate, f_min, f_max)
+    return MelFilterbank(matrix, center, sample_rate)
 
 
 def mel_spectrogram(

@@ -470,20 +470,23 @@ def train_flow(model: FlowModel, batch: ConditionedBatch, steps: int = 500,
     curve = [(0, nll(model, batch))]
     order = rng.permutation(n)
     cursor = 0
-    for it in range(1, steps + 1):
-        if cursor + batch_size > n:
-            order = rng.permutation(n)
-            cursor = 0
-        idx = order[cursor : cursor + batch_size]
-        cursor += batch_size
-        mini = ConditionedBatch(batch.targets[idx], batch.conds[idx])
-        _, grad = nll_and_grads(model, mini)
-        adam.step(model.params, grad)
-        if it % eval_every == 0 or it == steps:
-            full = nll(model, batch)
-            if not np.isfinite(full):
-                raise FlowDivergence(f"non-finite NLL at step {it}")
-            curve.append((it, full))
+    # A diverging run overflows on its way to a non-finite NLL, which is
+    # reported as FlowDivergence rather than as numpy warnings.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for it in range(1, steps + 1):
+            if cursor + batch_size > n:
+                order = rng.permutation(n)
+                cursor = 0
+            idx = order[cursor : cursor + batch_size]
+            cursor += batch_size
+            mini = ConditionedBatch(batch.targets[idx], batch.conds[idx])
+            _, grad = nll_and_grads(model, mini)
+            adam.step(model.params, grad)
+            if it % eval_every == 0 or it == steps:
+                full = nll(model, batch)
+                if not np.isfinite(full):
+                    raise FlowDivergence(f"non-finite NLL at step {it}")
+                curve.append((it, full))
     return TrainResult(model, curve)
 
 

@@ -17,20 +17,21 @@ LAPLACIAN_MASK = np.array(
     [[0.0, -1.0, 0.0], [-1.0, 4.0, -1.0], [0.0, -1.0, 0.0]]
 ) / 6.0
 
+# SSIM stabilization constants (0.01**2 and 0.03**2) for unit dynamic range.
+SSIM_C1, SSIM_C2 = 0.0001, 0.0009
+
 
 @dataclass(frozen=True)
 class SsimConfig:
-    """Window and stabilization constants for SSIM.
+    """Window and dynamic range for SSIM.
 
     ``lo``/``hi`` give the dynamic range used to normalize inputs to [0, 1]
     before any statistics; when left as None the joint min/max of the two
-    grids is used. C1 = 0.01**2 and C2 = 0.03**2 presuppose unit dynamic
+    grids is used. ``SSIM_C1`` and ``SSIM_C2`` presuppose unit dynamic
     range, which is why the normalization is not optional.
     """
 
     window: int = 11
-    c1: float = 0.0001
-    c2: float = 0.0009
     lo: float | None = None
     hi: float | None = None
     window_kind: str = "box"  # "box" or "gaussian"
@@ -39,8 +40,6 @@ class SsimConfig:
     def __post_init__(self):
         if self.window < 3 or self.window % 2 == 0:
             raise ContractError("window side must be odd and >= 3")
-        if self.c1 <= 0 or self.c2 <= 0:
-            raise ContractError("C1 and C2 must be positive")
         if (self.lo is None) != (self.hi is None):
             raise ContractError("set both lo and hi, or neither")
         if self.lo is not None and not self.lo < self.hi:
@@ -138,8 +137,8 @@ def ssim_map(a, b, cfg: SsimConfig | None = None) -> np.ndarray:
     var_a = sq_a - mu_a * mu_a
     var_b = sq_b - mu_b * mu_b
     cov = ab - mu_a * mu_b
-    luminance = (2.0 * mu_a * mu_b + cfg.c1) / (mu_a**2 + mu_b**2 + cfg.c1)
-    structure = (2.0 * cov + cfg.c2) / (var_a + var_b + cfg.c2)
+    luminance = (2.0 * mu_a * mu_b + SSIM_C1) / (mu_a**2 + mu_b**2 + SSIM_C1)
+    structure = (2.0 * cov + SSIM_C2) / (var_a + var_b + SSIM_C2)
     return luminance * structure
 
 

@@ -20,6 +20,9 @@ recognizably blurred output. Strategies differ in what they can express:
 The experiment report replaces listener scores with objective proxies
 (sharpness via the Laplacian-response variance, held-out NLL where a model
 defines one, per-cell dip, and mode coherence) and says so in its header.
+A mode-conditioned density (``cond_lm``, ``cond_flow``) scores held-out
+grids, whose mode ids it is not given, under the mixture over the
+condition's modes weighted by their shares of the training samples.
 """
 
 from __future__ import annotations
@@ -193,7 +196,44 @@ def default_coherence_tol(cond: ConditionSpec) -> float:
 # ---------------------------------------------------------------------------
 
 
-class PointwiseStrategy:
+def _mode_split(corpus: ToyCorpus, condition: int, min_count: int = 0):
+    """The samples of ``condition`` split by mode id, and each mode's share
+    of them; a mode with fewer than ``min_count`` samples is an error."""
+    stack, modes = corpus.stack(condition), corpus.modes(condition)
+    parts = [stack[modes == v]
+             for v in range(len(corpus.spec.conditions[condition].prototypes))]
+    for v, part in enumerate(parts):
+        if len(part) < min_count:
+            raise ContractError(f"(condition {condition}, mode {v}) has "
+                                f"{len(part)} samples, needs {min_count}")
+    counts = np.array([len(part) for part in parts], dtype=float)
+    return parts, counts / counts.sum()
+
+
+class _Strategy:
+    """A fitted strategy. One with a density sets ``weights`` (condition ->
+    the weight of each of its mode models) and defines ``log_likelihood``:
+    (condition, mode, stack) -> the log-density of each grid of ``stack``."""
+
+    log_likelihood = None
+
+    def heldout_nll(self, corpus: ToyCorpus):
+        """Mean over conditions of the per-grid NLL under the condition's
+        mixture of its mode models; None for a strategy without a density."""
+        if self.log_likelihood is None:
+            return None
+        totals = []
+        for ci, weights in self.weights.items():
+            stack = corpus.stack(ci)
+            if len(stack) == 0:
+                continue
+            terms = [np.log(w) + self.log_likelihood(ci, v, stack)
+                     for v, w in enumerate(weights) if w > 0]
+            totals.append(-probloss.log_sum_exp(terms)[0].mean())
+        return float(np.mean(totals))
+
+
+class PointwiseStrategy(_Strategy):
     """Per-condition, per-cell minimizer of MAE (median) or MSE (mean)."""
 
     def __init__(self, corpus: ToyCorpus, loss: str = "mse"):
@@ -211,37 +251,39 @@ class PointwiseStrategy:
     def generate(self, condition: int, count: int, rng: SeededRng) -> np.ndarray:
         return np.repeat(self.table[condition][None], count, axis=0)
 
-    def heldout_nll(self, corpus: ToyCorpus):
-        return None
 
+class _PerModeStrategy(_Strategy):
+    """One model per (condition, mode id), fitted by ``fit(condition, mode,
+    samples)``; generation picks each grid's mode by its training share and
+    takes the grid from the subclass's ``_draw(model, rng, count)``. The mode
+    id is the extra condition input that removes the one-to-many ambiguity."""
 
-class ConditionedStrategy:
-    """MSE fit per (condition, mode id); the mode id is the extra condition
-    input that removes the one-to-many ambiguity."""
-
-    def __init__(self, corpus: ToyCorpus):
-        self.table = {}
-        self.freqs = {}
-        for ci, cond in enumerate(corpus.spec.conditions):
-            stack = corpus.stack(ci)
-            modes = corpus.modes(ci)
-            counts = np.zeros(len(cond.prototypes))
-            for v in range(len(cond.prototypes)):
-                sel = stack[modes == v]
-                if len(sel) == 0:
-                    raise ContractError(
-                        f"(condition {ci}, mode {v}) has no samples"
-                    )
-                self.table[(ci, v)] = sel.mean(axis=0)
-                counts[v] = len(sel)
-            self.freqs[ci] = counts / counts.sum()
+    def __init__(self, corpus: ToyCorpus, fit, min_count: int):
+        self.models, self.weights = {}, {}
+        for ci in range(len(corpus.spec.conditions)):
+            parts, self.weights[ci] = _mode_split(corpus, ci, min_count)
+            for v, part in enumerate(parts):
+                self.models[(ci, v)] = fit(ci, v, part)
 
     def generate(self, condition: int, count: int, rng: SeededRng) -> np.ndarray:
-        picks = rng.categorical(self.freqs[condition], count)
-        return np.stack([self.table[(condition, int(v))] for v in picks])
+        picks = rng.categorical(self.weights[condition], count)
+        draws = np.stack([
+            self._draw(self.models[(condition, v)], rng.substream(v), count)
+            for v in range(len(self.weights[condition]))
+        ])
+        return draws[picks, np.arange(count)]
 
-    def heldout_nll(self, corpus: ToyCorpus):
-        return None
+
+class ConditionedStrategy(_PerModeStrategy):
+    """MSE fit per (condition, mode id): the mode's mean grid."""
+
+    def __init__(self, corpus: ToyCorpus):
+        super().__init__(corpus, lambda ci, v, part: part.mean(axis=0),
+                         min_count=1)
+
+    @staticmethod
+    def _draw(mean, rng, count):
+        return np.repeat(mean[None], count, axis=0)
 
 
 def _row_context(rows: np.ndarray):
@@ -253,7 +295,7 @@ def _row_context(rows: np.ndarray):
     return first * 2 + second
 
 
-class ArStrategy:
+class ArStrategy(_Strategy):
     """Row-autoregressive table predictor (time-axis chain rule analog).
 
     Teacher-forced fit: the mean next row per (condition, previous-row
@@ -309,84 +351,45 @@ class ArStrategy:
                     grids[ctx == c, r] = self.table[key]
         return grids
 
-    def heldout_nll(self, corpus: ToyCorpus):
-        return None
 
-
-class LmStrategy:
+class LmStrategy(_Strategy):
     """Independent per-cell Laplace mixture per condition."""
 
-    def __init__(self, corpus: ToyCorpus, k: int = 2, steps: int = 150,
-                 restarts: int = 1, seed: int = 0):
-        self.fields = {}
+    def __init__(self, corpus: ToyCorpus, seed: int = 0):
+        self.fields, self.weights = {}, {}
         for ci in range(len(corpus.spec.conditions)):
-            self.fields[ci] = probloss.fit_lm(
-                corpus.stack(ci), k=k, steps=steps, restarts=restarts,
-                seed=seed + ci,
-            )
+            self.fields[ci] = probloss.fit_lm(corpus.stack(ci), k=2, steps=150,
+                                              restarts=1, seed=seed + ci)
+            self.weights[ci] = np.ones(1)
 
     def generate(self, condition: int, count: int, rng: SeededRng) -> np.ndarray:
         return probloss.lm_sample_stack(self.fields[condition], rng, count)
 
-    def heldout_nll(self, corpus: ToyCorpus):
-        totals = []
-        for ci, field in self.fields.items():
-            stack = corpus.stack(ci)
-            if len(stack) == 0:
-                continue
-            logdens = probloss.lm_log_density(field, stack)
-            totals.append(-logdens.sum(axis=(1, 2)).mean())
-        return float(np.mean(totals))
+    def log_likelihood(self, condition, mode, stack):
+        return probloss.lm_log_density(self.fields[condition], stack).sum(axis=(1, 2))
 
 
-class CondLmStrategy:
+class CondLmStrategy(_PerModeStrategy):
     """Laplace mixture per (condition, mode id): both categories combined."""
 
-    def __init__(self, corpus: ToyCorpus, k: int = 2, steps: int = 100,
-                 restarts: int = 1, seed: int = 0):
-        self.fields = {}
-        self.freqs = {}
-        for ci, cond in enumerate(corpus.spec.conditions):
-            stack = corpus.stack(ci)
-            modes = corpus.modes(ci)
-            counts = np.zeros(len(cond.prototypes))
-            for v in range(len(cond.prototypes)):
-                sel = stack[modes == v]
-                if len(sel) < k:
-                    raise ContractError(
-                        f"(condition {ci}, mode {v}) has too few samples"
-                    )
-                self.fields[(ci, v)] = probloss.fit_lm(
-                    sel, k=k, steps=steps, restarts=restarts,
-                    seed=seed + 31 * ci + v,
-                )
-                counts[v] = len(sel)
-            self.freqs[ci] = counts / counts.sum()
+    def __init__(self, corpus: ToyCorpus, seed: int = 0):
+        super().__init__(
+            corpus,
+            lambda ci, v, part: probloss.fit_lm(part, k=2, steps=100, restarts=1,
+                                                seed=seed + 31 * ci + v),
+            min_count=2,
+        )
 
-    def generate(self, condition: int, count: int, rng: SeededRng) -> np.ndarray:
-        picks = rng.categorical(self.freqs[condition], count)
-        draws = {
-            v: probloss.lm_sample_stack(self.fields[(condition, v)],
-                                        rng.substream(v), count)
-            for v in range(len(self.freqs[condition]))
-        }
-        return np.stack([draws[int(v)][i] for i, v in enumerate(picks)])
+    @staticmethod
+    def _draw(field, rng, count):
+        return probloss.lm_sample_stack(field, rng, count)
 
-    def heldout_nll(self, corpus: ToyCorpus):
-        totals = []
-        for ci in self.freqs:
-            stack = corpus.stack(ci)
-            if len(stack) == 0:
-                continue
-            per_mode = []
-            for v, freq in enumerate(self.freqs[ci]):
-                logdens = probloss.lm_log_density(self.fields[(ci, v)], stack)
-                per_mode.append(np.log(max(freq, 1e-12)) + logdens.sum(axis=(1, 2)))
-            totals.append(-probloss.log_sum_exp(per_mode)[0].mean())
-        return float(np.mean(totals))
+    def log_likelihood(self, condition, mode, stack):
+        field = self.models[(condition, mode)]
+        return probloss.lm_log_density(field, stack).sum(axis=(1, 2))
 
 
-class FlowStrategy:
+class FlowStrategy(_Strategy):
     """Conditional flow over whole grids (rows as channels, columns as frames).
 
     One model is trained across all conditions with a one-hot condition
@@ -401,17 +404,14 @@ class FlowStrategy:
         h, w = corpus.spec.grid_shape
         self.frames, self.channels = w, h
         n_modes = max(len(c.prototypes) for c in corpus.spec.conditions)
-        self.n_modes = n_modes
         self.cond_dim = self.n_conditions + (n_modes if condition_on_mode else 0)
 
         targets, conds = [], []
-        self.freqs = {}
-        for ci, cond in enumerate(corpus.spec.conditions):
-            stack = corpus.stack(ci)
-            modes = corpus.modes(ci)
-            counts = np.bincount(modes, minlength=n_modes).astype(float)
-            self.freqs[ci] = counts / counts.sum()
-            for g, v in zip(stack, modes):
+        self.weights = {}
+        for ci in range(self.n_conditions):
+            self.weights[ci] = (_mode_split(corpus, ci)[1] if condition_on_mode
+                                else np.ones(1))
+            for g, v in zip(corpus.stack(ci), corpus.modes(ci)):
                 targets.append(g.T)  # (frames, channels)
                 conds.append(self._cond_vec(ci, int(v)))
         batch = flowmod.ConditionedBatch(np.stack(targets), np.stack(conds))
@@ -443,41 +443,21 @@ class FlowStrategy:
 
     def generate(self, condition: int, count: int, rng: SeededRng) -> np.ndarray:
         if self.condition_on_mode:
-            picks = rng.categorical(self.freqs[condition], count)
+            picks = rng.categorical(self.weights[condition], count)
         else:
             picks = np.zeros(count, dtype=int)
         conds = np.stack([self._cond_vec(condition, int(v)) for v in picks])
         grids = flowmod.sample_batch(self.model, conds, rng)
         return np.transpose(grids, (0, 2, 1))  # back to (rows, cols)
 
-    def heldout_nll(self, corpus: ToyCorpus):
-        totals = []
-        for ci in range(self.n_conditions):
-            stack = corpus.stack(ci)
-            if len(stack) == 0:
-                continue
-            targets = np.stack([g.T for g in stack])
-            if not self.condition_on_mode:
-                conds = np.stack([self._cond_vec(ci, 0)] * len(stack))
-                ll = flowmod.log_likelihood(
-                    self.model, flowmod.ConditionedBatch(targets, conds)
-                )
-                totals.append(-ll.mean())
-            else:
-                per_mode = []
-                for v, freq in enumerate(self.freqs[ci]):
-                    if freq == 0:
-                        continue
-                    conds = np.stack([self._cond_vec(ci, v)] * len(stack))
-                    ll = flowmod.log_likelihood(
-                        self.model, flowmod.ConditionedBatch(targets, conds)
-                    )
-                    per_mode.append(np.log(freq) + ll)
-                totals.append(-probloss.log_sum_exp(per_mode)[0].mean())
-        return float(np.mean(totals))
+    def log_likelihood(self, condition, mode, stack):
+        targets = np.stack([g.T for g in stack])
+        conds = np.stack([self._cond_vec(condition, mode)] * len(stack))
+        return flowmod.log_likelihood(self.model,
+                                      flowmod.ConditionedBatch(targets, conds))
 
 
-class GanDemoStrategy:
+class GanDemoStrategy(_Strategy):
     """Adversarial demo: a per-condition table generator against three
     random-window critics. Runs deterministically; no convergence is claimed
     or gated, which is exactly the point the loss surface makes."""
@@ -488,11 +468,9 @@ class GanDemoStrategy:
         self.windows = ganmod.WindowSpec()
         self.discs = [ganmod.TinyDiscriminator.random(rng.substream(i))
                       for i in range(3)]
-        self.table = {}
+        stacks = {ci: corpus.stack(ci) for ci in range(len(corpus.spec.conditions))}
+        self.table = {ci: stack.mean(axis=0) for ci, stack in stacks.items()}
         self.history = []
-        for ci in range(len(corpus.spec.conditions)):
-            self.table[ci] = corpus.stack(ci).mean(axis=0)
-        stacks = {ci: corpus.stack(ci) for ci in self.table}
 
         # Alternating sign-free Adam on critics and table entries.
         adam_d = [Adam(d.params.size, step_size) for d in self.discs]
@@ -526,9 +504,6 @@ class GanDemoStrategy:
 
     def generate(self, condition: int, count: int, rng: SeededRng) -> np.ndarray:
         return np.repeat(self.table[condition][None], count, axis=0)
-
-    def heldout_nll(self, corpus: ToyCorpus):
-        return None
 
 
 def _generator_grad(discs, clips, offsets, shape):
@@ -642,10 +617,11 @@ def run_experiment(spec: ToyCorpusSpec, strategies, seed: int,
     """Train every strategy on one corpus and score generated samples.
 
     Reported per strategy: mean sharpness (Var_L) of generated grids,
-    held-out NLL in nats per grid where the strategy defines a density, the
-    mean per-cell dip of generated values, and mode coherence. The ``gt``
-    row scores held-out real samples as the reference. Identical inputs and
-    seed reproduce the report byte for byte.
+    held-out NLL in nats per grid where the strategy defines a density
+    (for a mode-conditioned one, under the mixture over modes weighted by
+    their training shares), the mean per-cell dip of generated values, and
+    mode coherence. The ``gt`` row scores held-out real samples as the
+    reference. Identical inputs and seed reproduce the report byte for byte.
     """
     strategies = list(strategies)
     unknown = [s for s in strategies if s not in _BUILDERS]

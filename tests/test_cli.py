@@ -1,4 +1,5 @@
 import json
+import re
 import xml.etree.ElementTree as ET
 
 import numpy as np
@@ -439,7 +440,7 @@ class TestCmdFlow:
                     "--ckpt", str(ckpt), "--steps", "3", "--seed", "1",
                     "--step-size", step_size]) == 2
         err = capsys.readouterr().err
-        assert "NLL" in err and "internal error" not in err
+        assert re.fullmatch(r"error: [^\n]*NLL[^\n]*\n", err), err
         assert not ckpt.exists()
         assert not (tmp_path / "m.flw.curve.csv").exists()
 

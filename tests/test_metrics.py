@@ -54,8 +54,9 @@ def ssim_map_2d_window(a, b, cfg):
     var_a = window_mean(a * a) - mu_a * mu_a
     var_b = window_mean(b * b) - mu_b * mu_b
     cov = window_mean(a * b) - mu_a * mu_b
-    luminance = (2.0 * mu_a * mu_b + cfg.c1) / (mu_a**2 + mu_b**2 + cfg.c1)
-    structure = (2.0 * cov + cfg.c2) / (var_a + var_b + cfg.c2)
+    c1, c2 = 0.01**2, 0.03**2
+    luminance = (2.0 * mu_a * mu_b + c1) / (mu_a**2 + mu_b**2 + c1)
+    structure = (2.0 * cov + c2) / (var_a + var_b + c2)
     return luminance * structure
 
 

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from oversmooth import gan
+from oversmooth import flow, gan, probloss
 from oversmooth.core import ContractError, SeededRng, read_mel
 from oversmooth.density import dip_statistic
 from oversmooth.toylab import (
@@ -123,7 +123,7 @@ class TestConditioned:
         n = len(corpus.stack(0))
         bound = 3 * 0.05 / np.sqrt(n / 4)
         for v, proto in enumerate(spec.conditions[0].prototypes):
-            assert np.max(np.abs(strategy.table[(0, v)] - proto)) < 10 * bound
+            assert np.max(np.abs(strategy.models[(0, v)] - proto)) < 10 * bound
 
     def test_more_multimodal_than_pointwise(self):
         corpus = make_corpus(scalar_spec(n=600, seed=4))
@@ -138,7 +138,13 @@ class TestConditioned:
         spec = scalar_spec(weights=(0.7, 0.3), n=1500, seed=6)
         strategy = ConditionedStrategy(make_corpus(spec))
         sigma = np.sqrt(0.7 * 0.3 / 1500)
-        assert abs(strategy.freqs[0][0] - 0.7) <= 3 * sigma
+        assert abs(strategy.weights[0][0] - 0.7) <= 3 * sigma
+
+    @pytest.mark.parametrize("build", [ConditionedStrategy, CondLmStrategy])
+    def test_empty_mode_named(self, build):
+        corpus = make_corpus(scalar_spec(weights=(1.0, 0.0), n=50, seed=2))
+        with pytest.raises(ContractError, match=r"\(condition 0, mode 1\)"):
+            build(corpus)
 
 
 def teacher_forced_mse(strategy: ArStrategy, corpus) -> float:
@@ -235,6 +241,19 @@ class TestLmStrategy:
         r, c = np.argwhere(a != b)[0]
         assert dip_statistic(gen[:, r, c]).dip > 0.05
 
+    def test_heldout_nll_is_the_mean_grid_nll(self):
+        corpus = make_corpus(canonical_spec(seed=9, samples_per_condition=60,
+                                            n_conditions=2))
+        heldout = make_corpus(canonical_spec(seed=19, samples_per_condition=30,
+                                             n_conditions=2))
+        strategy = LmStrategy(corpus, seed=3)
+        oracle = np.mean([
+            -probloss.lm_log_density(strategy.fields[ci], heldout.stack(ci))
+            .sum(axis=(1, 2)).mean()
+            for ci in range(2)
+        ])
+        assert strategy.heldout_nll(heldout) == float(oracle)
+
 
 class TestFlowStrategy:
     def test_pattern_corpus_coherent(self):
@@ -251,6 +270,40 @@ class TestFlowStrategy:
         strategy = FlowStrategy(corpus, train_steps=200, restarts=1, seed=4)
         value = strategy.heldout_nll(corpus)
         assert np.isfinite(value)
+
+    def test_mode_conditioned_heldout_nll_is_the_mode_mixture(self):
+        spec = canonical_spec(seed=20, samples_per_condition=40,
+                              n_conditions=2)
+        corpus = make_corpus(spec)
+        heldout = make_corpus(canonical_spec(seed=21, samples_per_condition=25,
+                                             n_conditions=2))
+        strategy = FlowStrategy(corpus, train_steps=20, restarts=1, seed=6,
+                                condition_on_mode=True)
+        totals = []
+        for ci in range(2):
+            modes = corpus.modes(ci)
+            freqs = np.bincount(modes, minlength=2) / len(modes)
+            targets = np.transpose(heldout.stack(ci), (0, 2, 1))
+            per_mode = []
+            for v in range(2):
+                vec = np.zeros(4)
+                vec[ci] = vec[2 + v] = 1.0
+                conds = np.tile(vec, (len(targets), targets.shape[1], 1))
+                ll = flow.log_likelihood(strategy.model,
+                                         flow.ConditionedBatch(targets, conds))
+                per_mode.append(np.log(freqs[v]) + ll)
+            totals.append(-np.mean(np.logaddexp(*per_mode)))
+        assert strategy.heldout_nll(heldout) == pytest.approx(np.mean(totals),
+                                                             rel=1e-12)
+
+    def test_mode_conditioned_generation_repeats(self):
+        spec = canonical_spec(seed=22, samples_per_condition=40,
+                              n_conditions=1)
+        strategy = FlowStrategy(make_corpus(spec), train_steps=20, restarts=1,
+                                seed=7, condition_on_mode=True)
+        gen = strategy.generate(0, 12, SeededRng(23))
+        assert gen.shape == (12, 8, 8) and np.all(np.isfinite(gen))
+        assert np.array_equal(gen, strategy.generate(0, 12, SeededRng(23)))
 
 
 class TestGanDemo:
