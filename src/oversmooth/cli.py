@@ -257,6 +257,8 @@ def cmd_dist(args) -> int:
 
 
 def cmd_toylab(args) -> int:
+    _at_least("--generate", args.generate, 2)
+    _at_least("--heldout", args.heldout, 2)
     seed = _seed_of(args)
     if args.spec:
         doc = _checked(_read_json(args.spec), f"spec {args.spec}",

@@ -1,13 +1,15 @@
 """Least-squares adversarial losses with multiple random-window critics.
 
 A grid is clipped into three windows of different lengths, each scored by its
-own tiny 2-D convolutional discriminator. Only the loss/score/gradient math
-lives here; the (deliberately unguaranteed) adversarial training demo sits in
-the toy lab.
+own tiny 2-D convolutional discriminator, whose convolutions are one gather
+of 3x3 taps into columns and one matrix product each (im2col). Only the
+loss/score/gradient math lives here; the (deliberately unguaranteed)
+adversarial training demo sits in the toy lab.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -77,7 +79,9 @@ def lsgan_g_loss(fake_scores) -> float:
 @dataclass
 class TinyDiscriminator:
     """Three stride-2 3x3 conv stages with leaky activations, then a global
-    mean pool and an affine map to one scalar score.
+    mean pool and an affine map to one scalar score. A stage multiplies its
+    (c_out, c_in*9) kernel matrix by the (c_in*9, cells) gathered taps of its
+    zero-padded input; backward, a ``bincount`` sums tap gradients per cell.
 
     Normalization and dropout act as evaluation-time no-ops, so scoring is
     deterministic; training-time dropout belongs to the demo loop.
@@ -105,28 +109,20 @@ class TinyDiscriminator:
         return cls(conv_w, conv_b, out_w, out_b, params)
 
 
-def _conv_pad(x: np.ndarray) -> np.ndarray:
-    return np.pad(x, ((0, 0), (1, 1), (1, 1)))
-
-
-def _conv_forward(x: np.ndarray, w: np.ndarray, b: np.ndarray):
-    padded = _conv_pad(x)
-    view = np.lib.stride_tricks.sliding_window_view(padded, (3, 3), axis=(1, 2))
-    view = view[:, ::2, ::2]
-    out = np.einsum("ihwkl,oikl->ohw", view, w) + b[:, None, None]
-    return out, view, padded.shape
-
-
-def _conv_backward(d_out, view, pad_shape, w):
-    d_w = np.einsum("ohw,ihwkl->oikl", d_out, view)
-    d_b = d_out.sum(axis=(1, 2))
-    d_pad = np.zeros(pad_shape)
-    hp, wp = d_out.shape[1:]
-    for ki in range(3):
-        for kj in range(3):
-            contrib = np.einsum("ohw,oi->ihw", d_out, w[:, :, ki, kj])
-            d_pad[:, ki : ki + 2 * hp : 2, kj : kj + 2 * wp : 2] += contrib
-    return d_w, d_b, d_pad[:, 1:-1, 1:-1]
+@functools.lru_cache(maxsize=32)
+def _tap_index(c_in: int, h: int, w: int) -> np.ndarray:
+    """Flat indices of every stride-2 3x3 tap of a (c_in, h, w) input, as a
+    read-only (c_in*9, ho*wo) array whose rows follow the kernel layout
+    (c_in, 3, 3). Taps on the one-cell zero padding index the zero appended
+    after the flattened input, at position c_in*h*w."""
+    ho, wo = (h + 1) // 2, (w + 1) // 2
+    r = (2 * np.arange(ho) + np.arange(3)[:, None] - 1)[:, None, :, None]
+    c = (2 * np.arange(wo) + np.arange(3)[:, None] - 1)[None, :, None, :]
+    inside = (r >= 0) & (r < h) & (c >= 0) & (c < w)
+    chan = (h * w) * np.arange(c_in)[:, None, None, None, None]
+    idx = np.where(inside, chan + r * w + c, c_in * h * w).reshape(-1, ho * wo)
+    idx.flags.writeable = False
+    return idx
 
 
 def discriminator_score(disc: TinyDiscriminator, clip: np.ndarray) -> float:
@@ -152,28 +148,29 @@ def discriminator_score_and_grads(disc: TinyDiscriminator, clip: np.ndarray,
             f"clip {clip.shape} smaller than the receptive footprint "
             f"({MIN_CLIP_SIDE}x{MIN_CLIP_SIDE})"
         )
-    h = clip[None, :, :]
+    x, shape = clip.reshape(1, -1), (1, *clip.shape)  # x: (channels, cells)
     caches = []
     for w, b in zip(disc.conv_w, disc.conv_b):
-        pre, view, pad_shape = _conv_forward(h, w, b)
-        h = np.where(pre > 0, pre, LEAKY_SLOPE * pre)
-        caches.append((pre, view, pad_shape))
-    pooled = h.mean(axis=(1, 2))
+        idx = _tap_index(*shape)
+        cols = np.append(x, 0.0)[idx]
+        pre = w.reshape(len(w), -1) @ cols + b[:, None]
+        caches.append((w, idx, cols, pre, x.size))
+        x = np.where(pre > 0, pre, LEAKY_SLOPE * pre)
+        shape = (len(w), (shape[1] + 1) // 2, (shape[2] + 1) // 2)
+    pooled = x.mean(axis=1)
     score = float(disc.out_w @ pooled + disc.out_b)
     if not want_grads:
         return score, None
 
     grads = {"conv_w": [], "conv_b": [], "out_w": pooled.copy(), "out_b": 1.0}
-    cells = h.shape[1] * h.shape[2]
-    d_h = np.broadcast_to(
-        disc.out_w[:, None, None] / cells, h.shape
-    ).copy()
-    for (pre, view, pad_shape), w in zip(reversed(caches), reversed(disc.conv_w)):
-        d_pre = d_h * np.where(pre > 0, 1.0, LEAKY_SLOPE)
-        d_w, d_b, d_h = _conv_backward(d_pre, view, pad_shape, w)
-        grads["conv_w"].insert(0, d_w)
-        grads["conv_b"].insert(0, d_b)
-    grads["clip"] = d_h[0]
+    d_x = np.broadcast_to(disc.out_w[:, None] / x.shape[1], x.shape)
+    for w, idx, cols, pre, size in reversed(caches):
+        d_pre = d_x.reshape(pre.shape) * np.where(pre > 0, 1.0, LEAKY_SLOPE)
+        grads["conv_w"].insert(0, (d_pre @ cols.T).reshape(w.shape))
+        grads["conv_b"].insert(0, d_pre.sum(axis=1))
+        d_cols = w.reshape(len(w), -1).T @ d_pre
+        d_x = np.bincount(idx.ravel(), d_cols.ravel(), size + 1)[:size]
+    grads["clip"] = d_x.reshape(clip.shape)
     grads["params"] = np.concatenate([*(g.ravel() for g in grads["conv_w"]),
                                       *grads["conv_b"], pooled, [1.0]])
     return score, grads

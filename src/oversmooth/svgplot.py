@@ -28,6 +28,7 @@ RAMP = (
     (0.75, (220, 200, 60)),
     (1.00, (250, 250, 210)),
 )
+NON_FINITE_COLOR = "#ff00ff"  # off the ramp: NaN and +-inf heatmap cells
 
 
 def ramp_colors(values) -> list[str]:
@@ -161,15 +162,23 @@ def line_plot(series, title: str, xlabel: str, ylabel: str) -> str:
 
 
 def heatmap(matrix, title: str, xlabel: str, ylabel: str) -> str:
-    """Row 0 is drawn at the bottom; the colorbar doubles as the legend."""
+    """Row 0 is drawn at the bottom; the colorbar doubles as the legend.
+
+    The ramp spans the finite cells' range; NaN and +-inf cells take
+    ``NON_FINITE_COLOR`` and the colorbar states their count."""
     m = np.asarray(matrix, dtype=float)
-    lo, hi = float(m.min()), float(m.max())
+    finite = np.isfinite(m)
+    values = m[finite] if finite.any() else np.zeros(1)
+    lo, hi = float(values.min()), float(values.max())
     span = hi - lo if hi > lo else 1.0
     rows, cols = m.shape
     cell_w = PLOT_W / cols
     cell_h = PLOT_H / rows
     parts = _header(title) + _axes(xlabel, ylabel, 0, cols, 0, rows)
-    colors = ramp_colors((m - lo) / span)
+    colors = ramp_colors(np.where(finite, m - lo, 0.0) / span)
+    bad = np.flatnonzero(~finite).tolist()
+    for i in bad:
+        colors[i] = NON_FINITE_COLOR
     xs = [_fmt(MARGIN_L + c * cell_w) for c in range(cols)]
     size = f'width="{_fmt(cell_w + 0.5)}" height="{_fmt(cell_h + 0.5)}"'
     for r in range(rows):
@@ -192,6 +201,12 @@ def heatmap(matrix, title: str, xlabel: str, ylabel: str) -> str:
         f'<text x="{bar_x + 18}" y="{MARGIN_T + PLOT_H}" '
         f'font-family="sans-serif" font-size="10">{_fmt(lo)}</text>'
     )
+    if bad:
+        parts.append(
+            f'<text x="{bar_x}" y="{MARGIN_T + PLOT_H + 18}" '
+            f'font-family="sans-serif" font-size="10" '
+            f'fill="{NON_FINITE_COLOR}">{len(bad)} non-finite</text>'
+        )
     parts += _footer()
     return "\n".join(parts) + "\n"
 

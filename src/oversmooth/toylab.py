@@ -144,7 +144,8 @@ def canonical_spec(seed: int = 0, samples_per_condition: int = 500,
 
 def _sample_corpus(spec: ToyCorpusSpec, rng: SeededRng,
                    samples_per_condition: int | None = None) -> ToyCorpus:
-    n = samples_per_condition or spec.samples_per_condition
+    n = (spec.samples_per_condition if samples_per_condition is None
+         else samples_per_condition)
     samples = []
     for ci, cond in enumerate(spec.conditions):
         sub = rng.substream(ci)
@@ -623,6 +624,9 @@ def run_experiment(spec: ToyCorpusSpec, strategies, seed: int,
     mode coherence. The ``gt`` row scores held-out real samples as the
     reference. Identical inputs and seed reproduce the report byte for byte.
     """
+    for name, count in (("n_generate", n_generate), ("n_heldout", n_heldout)):
+        if count < 2:  # the per-cell dip needs two samples
+            raise ContractError(f"{name} must be at least 2, got {count}")
     strategies = list(strategies)
     unknown = [s for s in strategies if s not in _BUILDERS]
     if unknown:

@@ -179,6 +179,14 @@ class TestCmdToylab:
         report = json.loads(capsys.readouterr().out)
         assert set(report["rows"]) == {"gt", "mse"}
 
+    @pytest.mark.parametrize("value", ["-3", "0", "1"])
+    @pytest.mark.parametrize("flag", ["--generate", "--heldout"])
+    def test_sample_count_below_two_exits_2(self, capsys, flag, value):
+        assert run(["toylab", "--strategies", "mse", "--seed", "1",
+                    flag, value]) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: {flag} must be at least 2, got {value}\n"
+
     def test_unknown_strategy_lists_valid_names(self, tmp_path, capsys):
         assert run(["toylab", "--strategies", "bogus", "--seed", "1"]) == 2
         err = capsys.readouterr().err

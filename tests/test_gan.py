@@ -216,3 +216,58 @@ class TestCriticParams:
             disc.params[i] = orig
             fd = (up - down) / (2 * eps)
             assert abs(flat[i] - fd) / max(1e-9, abs(flat[i]) + abs(fd)) < 1e-3
+
+
+def reference_score_and_grads(disc, clip):
+    """The pad + sliding_window_view + einsum convolution that the tap-index
+    gather replaced, forward and backward."""
+    h, caches = clip[None, :, :], []
+    for w, b in zip(disc.conv_w, disc.conv_b):
+        padded = np.pad(h, ((0, 0), (1, 1), (1, 1)))
+        view = np.lib.stride_tricks.sliding_window_view(
+            padded, (3, 3), axis=(1, 2))[:, ::2, ::2]
+        pre = np.einsum("ihwkl,oikl->ohw", view, w) + b[:, None, None]
+        h = np.where(pre > 0, pre, 0.2 * pre)
+        caches.append((pre, view, padded.shape))
+    pooled = h.mean(axis=(1, 2))
+    score = float(disc.out_w @ pooled + disc.out_b)
+    grads = {"conv_w": [], "conv_b": [], "out_w": pooled, "out_b": 1.0}
+    d_h = np.broadcast_to(disc.out_w[:, None, None] / h[0].size, h.shape)
+    for (pre, view, pad_shape), w in zip(reversed(caches), reversed(disc.conv_w)):
+        d_out = d_h * np.where(pre > 0, 1.0, 0.2)
+        grads["conv_w"].insert(0, np.einsum("ohw,ihwkl->oikl", d_out, view))
+        grads["conv_b"].insert(0, d_out.sum(axis=(1, 2)))
+        d_pad = np.zeros(pad_shape)
+        hp, wp = d_out.shape[1:]
+        for ki in range(3):
+            for kj in range(3):
+                d_pad[:, ki : ki + 2 * hp : 2, kj : kj + 2 * wp : 2] += \
+                    np.einsum("ohw,oi->ihw", d_out, w[:, :, ki, kj])
+        d_h = d_pad[:, 1:-1, 1:-1]
+    grads["clip"] = d_h[0]
+    grads["params"] = np.concatenate([*(g.ravel() for g in grads["conv_w"]),
+                                      *grads["conv_b"], pooled, [1.0]])
+    return score, grads
+
+
+@pytest.mark.parametrize("shape", [(8, 8), (9, 13), (8, 80), (32, 80),
+                                   (128, 80), (17, 8)])
+def test_gather_matmul_convolution_matches_the_einsum_reference(shape):
+    disc = TinyDiscriminator.random(SeededRng(23), weight_scale=0.5)
+    clip = SeededRng(24).normal(size=shape)
+    score, grads = discriminator_score_and_grads(disc, clip)
+    ref_score, ref = reference_score_and_grads(disc, clip)
+
+    def close(a, b):
+        a, b = np.asarray(a), np.asarray(b)
+        assert a.shape == b.shape
+        np.testing.assert_allclose(a, b, rtol=1e-12, atol=1e-12 * np.abs(b).max())
+
+    close(score, ref_score)
+    assert discriminator_score_and_grads(disc, clip, want_grads=False) == (score, None)
+    for key in ("conv_w", "conv_b"):
+        assert len(grads[key]) == 3
+        for got, want in zip(grads[key], ref[key]):
+            close(got, want)
+    for key in ("out_w", "out_b", "clip", "params"):
+        close(grads[key], ref[key])

@@ -1,9 +1,13 @@
 import hashlib
+import xml.etree.ElementTree as ET
 
 import numpy as np
 import pytest
 
-from oversmooth.svgplot import RAMP, heatmap, ramp_color, ramp_colors
+from oversmooth.svgplot import (NON_FINITE_COLOR, PLOT_W, RAMP, heatmap,
+                                ramp_color, ramp_colors)
+
+SVG = "{http://www.w3.org/2000/svg}"
 
 
 def scalar_ramp_color(x):
@@ -38,34 +42,50 @@ def heatmap_cases():
         "nan_and_infs": nonfinite,
         "plus_inf": plus_inf,
         "minus_inf": minus_inf,
+        "all_nan": np.full((3, 4), np.nan),
     }
 
 
-# sha256 of heatmap(case, "t", "x", "y"), recorded with the per-cell
-# scalar implementation (one ramp_color and six formats per cell).
+# sha256 of heatmap(case, "t", "x", "y") for the all-finite cases, recorded
+# with the per-cell scalar implementation (one ramp_color and six formats per
+# cell).
 HEATMAP_SHA256 = {
     "ramp_stops": "2db362c1bea4fc72c4febf2cb03e04be59deaaf98faebacf9c99b4dabce08c0d",
     "constant": "b01ca695af2565dfbe714cc00987252efcd02436c15b4a67b9e7b795bb9eb11d",
     "one_row": "5bc4bfa183f9a20406e3ac817602829324367565b2744b96c74e160939d6d84c",
     "one_column": "a7eea4712327f52c9801a6b047c3ec467d4cfbcbd036c877a9af92fee3514ca6",
     "random_515x78": "1a1df4ed84b6f6b7c49d27d9a377e1f3cd60627b2827fbb02e52850bcada7c03",
-    "nan_and_infs": "11bf718a13437d1557475db3a26d68f9fc91fe24ac984ba5bad45338a6a5dd73",
-    "plus_inf": "924bfa55ccfb85ee421a704de616d3ee337698659e9d4c18e4a4e9abc902220d",
-    "minus_inf": "c014a0b5fe4379672892f90099cf213c2900e232aee5f3f451b94f2b34c495a9",
 }
 
 
-@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
 @pytest.mark.parametrize("name", sorted(HEATMAP_SHA256))
 def test_heatmap_bytes_are_pinned(name):
     svg = heatmap(heatmap_cases()[name], "t", "x", "y")
     assert hashlib.sha256(svg.encode()).hexdigest() == HEATMAP_SHA256[name]
 
 
-def test_heatmap_non_finite_cells_take_the_top_colour():
-    svg = heatmap(heatmap_cases()["nan_and_infs"], "t", "x", "y")
-    assert "#-" not in svg
-    assert svg.count('fill="#fafad2"') >= 6 * 7
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("name", ["nan_and_infs", "plus_inf", "minus_inf",
+                                  "all_nan"])
+def test_heatmap_scales_by_the_finite_cells(name):
+    m = heatmap_cases()[name]
+    svg = heatmap(m, "t", "x", "y")
+    rows, cols = m.shape
+    cell_w = f"{PLOT_W / cols + 0.5:.6g}"
+    fills = [r.get("fill") for r in ET.fromstring(svg).iter(f"{SVG}rect")
+             if r.get("width") == cell_w]
+    assert len(fills) == rows * cols
+    finite = np.isfinite(m).ravel()
+    values = m.ravel()[finite]
+    if values.size:
+        lo, hi = values.min(), values.max()
+        assert [f for f, ok in zip(fills, finite) if ok] == \
+            ramp_colors((values - lo) / (hi - lo))
+    assert [f for f, ok in zip(fills, finite) if not ok] == \
+        [NON_FINITE_COLOR] * int((~finite).sum())
+    assert NON_FINITE_COLOR not in ramp_colors(np.linspace(0.0, 1.0, 4097))
+    assert f">{(~finite).sum()} non-finite</text>" in svg
+    assert "nan<" not in svg and "inf<" not in svg
 
 
 def test_ramp_colors_match_the_scalar_lookup():

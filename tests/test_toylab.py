@@ -349,6 +349,13 @@ class TestRunExperiment:
         with pytest.raises(ContractError, match="mse"):
             run_experiment(spec, ["warp"], seed=0)
 
+    @pytest.mark.parametrize("name,count", [("n_generate", 1),
+                                            ("n_heldout", 0)])
+    def test_sample_count_below_two_rejected(self, name, count):
+        spec = canonical_spec(seed=0, samples_per_condition=20)
+        with pytest.raises(ContractError, match=f"{name} must be at least 2"):
+            run_experiment(spec, ["mse"], 0, **{name: count})
+
     def test_byte_identical_reports(self):
         spec = canonical_spec(seed=4, samples_per_condition=60,
                               n_conditions=2)
