@@ -46,18 +46,23 @@ def heatmap_cases():
     }
 
 
-# sha256 of heatmap(case, "t", "x", "y") for the all-finite cases, recorded
+# sha256 of heatmap(case, "t", "x", "y"). The all-finite cases were recorded
 # with the per-cell scalar implementation (one ramp_color and six formats per
-# cell).
+# cell); the non-finite ones with the finite-range rule, whose cells
+# test_heatmap_scales_by_the_finite_cells checks one by one.
 HEATMAP_SHA256 = {
     "ramp_stops": "2db362c1bea4fc72c4febf2cb03e04be59deaaf98faebacf9c99b4dabce08c0d",
     "constant": "b01ca695af2565dfbe714cc00987252efcd02436c15b4a67b9e7b795bb9eb11d",
     "one_row": "5bc4bfa183f9a20406e3ac817602829324367565b2744b96c74e160939d6d84c",
     "one_column": "a7eea4712327f52c9801a6b047c3ec467d4cfbcbd036c877a9af92fee3514ca6",
     "random_515x78": "1a1df4ed84b6f6b7c49d27d9a377e1f3cd60627b2827fbb02e52850bcada7c03",
+    "nan_and_infs": "f5e4a9c2404684d20c4dc53611fd40a7c0732bfd9c71ac16f43141dd70430d84",
+    "plus_inf": "83bbda6748d6b29257737962c8e533143497c82d99ee36d1a3b2fca0750f4e5d",
+    "minus_inf": "72458fe4ff07fee88408a8cec2987197fb1a47326405e0e4df6a101ee4fb62bb",
 }
 
 
+@pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("name", sorted(HEATMAP_SHA256))
 def test_heatmap_bytes_are_pinned(name):
     svg = heatmap(heatmap_cases()[name], "t", "x", "y")
