@@ -2,16 +2,22 @@
 
 No plotting dependency; the output is plain XML that is byte-stable for
 fixed inputs, so figures can be diffed in tests. Heatmaps use a fixed
-five-stop color ramp (dark blue -> teal -> yellow) interpolated linearly.
+five-stop color ramp (dark blue -> teal -> yellow) interpolated linearly,
+and draw their cells as one embedded PNG inside a vector frame and colorbar;
+the PNG's compressed bytes are stable for one zlib build.
 """
 
 from __future__ import annotations
 
+import base64
+import struct
+import zlib
 from xml.sax.saxutils import escape
 
 import numpy as np
 
 from ._version import __version__
+from .core import ContractError
 
 WIDTH, HEIGHT = 640, 480
 MARGIN_L, MARGIN_R, MARGIN_T, MARGIN_B = 70, 120, 50, 60
@@ -31,8 +37,8 @@ RAMP = (
 NON_FINITE_COLOR = "#ff00ff"  # off the ramp: NaN and +-inf heatmap cells
 
 
-def ramp_colors(values) -> list[str]:
-    """Ramp colours of ``values`` in C order, as ``#rrggbb`` strings.
+def ramp_rgb(values) -> np.ndarray:
+    """Ramp colours of ``values`` in C order, as an (n, 3) uint8 array.
 
     Values are clamped to [0, 1]; NaN takes the top stop's colour. Channels
     round half to even, as Python's ``round`` does.
@@ -45,16 +51,23 @@ def ramp_colors(values) -> list[str]:
     x0, x1 = stops[i - 1], stops[i]
     c0, c1 = stop_rgb[i - 1], stop_rgb[i]
     w = ((x - x0) / (x1 - x0))[:, None]
-    rgb = np.rint(c0 + w * (c1 - c0)).astype(np.int64)
-    # The ramp has a few hundred distinct colours: format each one once.
-    codes, cell_code = np.unique((rgb[:, 0] << 16) | (rgb[:, 1] << 8)
-                                 | rgb[:, 2], return_inverse=True)
-    names = [f"#{c:06x}" for c in codes.tolist()]
-    return [names[j] for j in cell_code.tolist()]
+    return np.rint(c0 + w * (c1 - c0)).astype(np.uint8)
 
 
-def ramp_color(x: float) -> str:
-    return ramp_colors(x)[0]
+def ramp_colors(values) -> list[str]:
+    """``ramp_rgb`` of ``values`` as ``#rrggbb`` strings."""
+    return [f"#{r:02x}{g:02x}{b:02x}" for r, g, b in ramp_rgb(values).tolist()]
+
+
+def _png(rgb: np.ndarray) -> bytes:
+    """8-bit RGB PNG of an (h, w, 3) uint8 array, top row first, filter 0."""
+    h, w, _ = rgb.shape
+    rows = np.concatenate([np.zeros((h, 1), np.uint8), rgb.reshape(h, -1)], 1)
+    chunks = ((b"IHDR", struct.pack(">IIBBBBB", w, h, 8, 2, 0, 0, 0)),
+              (b"IDAT", zlib.compress(rows.tobytes(), 1)), (b"IEND", b""))
+    return b"\x89PNG\r\n\x1a\n" + b"".join(
+        struct.pack(">I", len(data)) + tag + data
+        + struct.pack(">I", zlib.crc32(tag + data)) for tag, data in chunks)
 
 
 def _fmt(x: float) -> str:
@@ -97,24 +110,18 @@ def _axes(xlabel: str, ylabel: str, x_lo, x_hi, y_lo, y_hi) -> list[str]:
         frac = i / 4
         x = MARGIN_L + frac * PLOT_W
         y = MARGIN_T + PLOT_H - frac * PLOT_H
-        parts.append(
+        parts += [
             f'<line x1="{_fmt(x)}" y1="{MARGIN_T + PLOT_H}" x2="{_fmt(x)}" '
-            f'y2="{MARGIN_T + PLOT_H + 5}" stroke="black"/>'
-        )
-        parts.append(
+            f'y2="{MARGIN_T + PLOT_H + 5}" stroke="black"/>',
             f'<text x="{_fmt(x)}" y="{MARGIN_T + PLOT_H + 18}" '
             f'text-anchor="middle" font-family="sans-serif" font-size="10">'
-            f"{_fmt(x_lo + frac * (x_hi - x_lo))}</text>"
-        )
-        parts.append(
+            f"{_fmt(x_lo + frac * (x_hi - x_lo))}</text>",
             f'<line x1="{MARGIN_L - 5}" y1="{_fmt(y)}" x2="{MARGIN_L}" '
-            f'y2="{_fmt(y)}" stroke="black"/>'
-        )
-        parts.append(
+            f'y2="{_fmt(y)}" stroke="black"/>',
             f'<text x="{MARGIN_L - 8}" y="{_fmt(y + 3)}" text-anchor="end" '
             f'font-family="sans-serif" font-size="10">'
-            f"{_fmt(y_lo + frac * (y_hi - y_lo))}</text>"
-        )
+            f"{_fmt(y_lo + frac * (y_hi - y_lo))}</text>",
+        ]
     return parts
 
 
@@ -162,50 +169,42 @@ def line_plot(series, title: str, xlabel: str, ylabel: str) -> str:
 
 
 def heatmap(matrix, title: str, xlabel: str, ylabel: str) -> str:
-    """Row 0 is drawn at the bottom; the colorbar doubles as the legend.
-
+    """Each cell is one pixel of a PNG stretched, unsmoothed, over the plot
+    area, row 0 at the bottom; the vector colorbar doubles as the legend.
     The ramp spans the finite cells' range; NaN and +-inf cells take
     ``NON_FINITE_COLOR`` and the colorbar states their count."""
     m = np.asarray(matrix, dtype=float)
+    if m.ndim != 2 or 0 in m.shape:
+        raise ContractError(f"heatmap needs a non-empty 2-D grid, got {m.shape}")
     finite = np.isfinite(m)
     values = m[finite] if finite.any() else np.zeros(1)
     lo, hi = float(values.min()), float(values.max())
     span = hi - lo if hi > lo else 1.0
     rows, cols = m.shape
-    cell_w = PLOT_W / cols
-    cell_h = PLOT_H / rows
-    parts = _header(title) + _axes(xlabel, ylabel, 0, cols, 0, rows)
-    colors = ramp_colors(np.where(finite, m - lo, 0.0) / span)
-    bad = np.flatnonzero(~finite).tolist()
-    for i in bad:
-        colors[i] = NON_FINITE_COLOR
-    xs = [_fmt(MARGIN_L + c * cell_w) for c in range(cols)]
-    size = f'width="{_fmt(cell_w + 0.5)}" height="{_fmt(cell_h + 0.5)}"'
-    for r in range(rows):
-        y = _fmt(MARGIN_T + PLOT_H - (r + 1) * cell_h)
-        parts += [f'<rect x="{x}" y="{y}" {size} fill="{color}"/>'
-                  for x, color in zip(xs, colors[r * cols:(r + 1) * cols])]
+    rgb = ramp_rgb(np.where(finite, m - lo, 0.0) / span).reshape(rows, cols, 3)
+    rgb[~finite] = np.frombuffer(bytes.fromhex(NON_FINITE_COLOR[1:]), np.uint8)
+    png = base64.b64encode(_png(rgb[::-1])).decode("ascii")
+    parts = _header(title) + _axes(xlabel, ylabel, 0, cols, 0, rows) + [
+        f'<image x="{MARGIN_L}" y="{MARGIN_T}" width="{PLOT_W}" '
+        f'height="{PLOT_H}" preserveAspectRatio="none" '
+        f'style="image-rendering:pixelated" href="data:image/png;base64,{png}"/>']
     bar_x = WIDTH - MARGIN_R + 20
-    for i in range(32):
-        frac = i / 31
-        y = MARGIN_T + PLOT_H - (i + 1) / 32 * PLOT_H
-        parts.append(
-            f'<rect x="{bar_x}" y="{_fmt(y)}" width="14" '
-            f'height="{_fmt(PLOT_H / 32 + 0.5)}" fill="{ramp_color(frac)}"/>'
-        )
-    parts.append(
+    parts += [
+        f'<rect x="{bar_x}" y="{_fmt(MARGIN_T + PLOT_H - (i + 1) / 32 * PLOT_H)}" '
+        f'width="14" height="{_fmt(PLOT_H / 32 + 0.5)}" fill="{color}"/>'
+        for i, color in enumerate(ramp_colors(np.arange(32) / 31))
+    ] + [
         f'<text x="{bar_x + 18}" y="{MARGIN_T + 10}" font-family="sans-serif" '
-        f'font-size="10">{_fmt(hi)}</text>'
-    )
-    parts.append(
+        f'font-size="10">{_fmt(hi)}</text>',
         f'<text x="{bar_x + 18}" y="{MARGIN_T + PLOT_H}" '
-        f'font-family="sans-serif" font-size="10">{_fmt(lo)}</text>'
-    )
+        f'font-family="sans-serif" font-size="10">{_fmt(lo)}</text>',
+    ]
+    bad = int(m.size - np.count_nonzero(finite))
     if bad:
         parts.append(
             f'<text x="{bar_x}" y="{MARGIN_T + PLOT_H + 18}" '
             f'font-family="sans-serif" font-size="10" '
-            f'fill="{NON_FINITE_COLOR}">{len(bad)} non-finite</text>'
+            f'fill="{NON_FINITE_COLOR}">{bad} non-finite</text>'
         )
     parts += _footer()
     return "\n".join(parts) + "\n"

@@ -5,7 +5,7 @@ import xml.etree.ElementTree as ET
 import numpy as np
 import pytest
 
-from conftest import wav_bytes, write_alignment
+from conftest import heatmap_pixels, wav_bytes, write_alignment
 from oversmooth import cli
 from oversmooth.core import (
     Alignment,
@@ -86,16 +86,20 @@ class TestCmdMetrics:
     def test_svg_outputs_valid_xml(self, tmp_path, capsys):
         a = tmp_path / "a.mel"
         rng = np.random.default_rng(2)
-        write_mel(Spectrogram(rng.normal(size=(14, 14))), a)
+        write_mel(Spectrogram(rng.normal(size=(15, 12))), a)
         prefix = str(tmp_path / "fig")
         assert run(["metrics", str(a), str(a), "--svg", prefix]) == 0
         capsys.readouterr()
-        for suffix in ("_laplacian.svg", "_ssim.svg"):
+        # one <image>, one pixel per (frame, bin) cell of each map; the
+        # Laplacian response is the valid part, two frames and bins smaller
+        for suffix, shape in (("_laplacian.svg", (13, 10)),
+                              ("_ssim.svg", (15, 12))):
             text = (tmp_path / f"fig{suffix}").read_text()
             root = ET.fromstring(text)
             assert root.tag.endswith("svg")
             assert f"oversmooth {cli.__version__}" in text
             assert "frame" in text and "bin" in text
+            assert heatmap_pixels(text).shape == shape + (3,)
 
 
 def build_dist_fixture(tmp_path):
@@ -141,6 +145,9 @@ class TestCmdDist:
         lines = (tmp_path / "dist_joint_R.csv").read_text().splitlines()
         assert lines[0] == "x,y,density"
         assert len(lines) == 1 + 128 * 128
+        svg = (tmp_path / "dist_joint_R.svg").read_text()
+        # one <image>, one pixel per (grid_x, grid_y) point
+        assert heatmap_pixels(svg).shape == (128, 128, 3)
 
     def test_absent_phoneme_exits_2(self, tmp_path):
         manifest = build_dist_fixture(tmp_path)

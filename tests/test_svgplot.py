@@ -1,11 +1,13 @@
-import hashlib
+import re
 import xml.etree.ElementTree as ET
 
 import numpy as np
 import pytest
 
-from oversmooth.svgplot import (NON_FINITE_COLOR, PLOT_W, RAMP, heatmap,
-                                ramp_color, ramp_colors)
+from conftest import heatmap_pixels
+from oversmooth.core import ContractError
+from oversmooth.svgplot import (MARGIN_L, MARGIN_T, NON_FINITE_COLOR, PLOT_H,
+                                PLOT_W, RAMP, heatmap, ramp_colors)
 
 SVG = "{http://www.w3.org/2000/svg}"
 
@@ -46,27 +48,43 @@ def heatmap_cases():
     }
 
 
-# sha256 of heatmap(case, "t", "x", "y"). The all-finite cases were recorded
-# with the per-cell scalar implementation (one ramp_color and six formats per
-# cell); the non-finite ones with the finite-range rule, whose cells
-# test_heatmap_scales_by_the_finite_cells checks one by one.
-HEATMAP_SHA256 = {
-    "ramp_stops": "2db362c1bea4fc72c4febf2cb03e04be59deaaf98faebacf9c99b4dabce08c0d",
-    "constant": "b01ca695af2565dfbe714cc00987252efcd02436c15b4a67b9e7b795bb9eb11d",
-    "one_row": "5bc4bfa183f9a20406e3ac817602829324367565b2744b96c74e160939d6d84c",
-    "one_column": "a7eea4712327f52c9801a6b047c3ec467d4cfbcbd036c877a9af92fee3514ca6",
-    "random_515x78": "1a1df4ed84b6f6b7c49d27d9a377e1f3cd60627b2827fbb02e52850bcada7c03",
-    "nan_and_infs": "f5e4a9c2404684d20c4dc53611fd40a7c0732bfd9c71ac16f43141dd70430d84",
-    "plus_inf": "83bbda6748d6b29257737962c8e533143497c82d99ee36d1a3b2fca0750f4e5d",
-    "minus_inf": "72458fe4ff07fee88408a8cec2987197fb1a47326405e0e4df6a101ee4fb62bb",
-}
+def pixel_colors(pixels):
+    hexes = np.ascontiguousarray(pixels).tobytes().hex()
+    return ["#" + hexes[i:i + 6] for i in range(0, len(hexes), 6)]
 
 
+def expected_colors(m):
+    """Cell colours in C order: the ramp over the finite cells' range,
+    NON_FINITE_COLOR for NaN and +-inf."""
+    finite = np.isfinite(m).ravel()
+    values = m.ravel()[finite]
+    colors = [NON_FINITE_COLOR] * m.size
+    if values.size:
+        lo, hi = values.min(), values.max()
+        ramp = ramp_colors((values - lo) / (hi - lo if hi > lo else 1.0))
+        for i, color in zip(np.flatnonzero(finite), ramp):
+            colors[i] = color
+    return colors
+
+
+# The cells are pinned through the decoded raster, not through a digest of
+# the SVG: the PNG's compressed bytes depend on the zlib build.
 @pytest.mark.filterwarnings("error")
-@pytest.mark.parametrize("name", sorted(HEATMAP_SHA256))
+@pytest.mark.parametrize("name", sorted(heatmap_cases()))
 def test_heatmap_bytes_are_pinned(name):
-    svg = heatmap(heatmap_cases()[name], "t", "x", "y")
-    assert hashlib.sha256(svg.encode()).hexdigest() == HEATMAP_SHA256[name]
+    m = heatmap_cases()[name]
+    svg = heatmap(m, "t", "x", "y")
+    assert heatmap(m, "t", "x", "y") == svg
+    pixels = heatmap_pixels(svg)  # checks the PNG's structure and CRCs
+    assert pixels.shape == m.shape + (3,)
+    assert pixel_colors(pixels) == expected_colors(m)
+    root = ET.fromstring(svg)
+    (image,) = root.iter(f"{SVG}image")
+    assert [image.get(k) for k in ("x", "y", "width", "height")] == \
+        [str(MARGIN_L), str(MARGIN_T), str(PLOT_W), str(PLOT_H)]
+    bar = [r.get("fill") for r in root.iter(f"{SVG}rect")
+           if r.get("width") == "14"]
+    assert bar == [scalar_ramp_color(i / 31) for i in range(32)]
 
 
 @pytest.mark.filterwarnings("error")
@@ -75,22 +93,21 @@ def test_heatmap_bytes_are_pinned(name):
 def test_heatmap_scales_by_the_finite_cells(name):
     m = heatmap_cases()[name]
     svg = heatmap(m, "t", "x", "y")
-    rows, cols = m.shape
-    cell_w = f"{PLOT_W / cols + 0.5:.6g}"
-    fills = [r.get("fill") for r in ET.fromstring(svg).iter(f"{SVG}rect")
-             if r.get("width") == cell_w]
-    assert len(fills) == rows * cols
+    assert pixel_colors(heatmap_pixels(svg)) == expected_colors(m)
     finite = np.isfinite(m).ravel()
     values = m.ravel()[finite]
     if values.size:
         lo, hi = values.min(), values.max()
-        assert [f for f, ok in zip(fills, finite) if ok] == \
-            ramp_colors((values - lo) / (hi - lo))
-    assert [f for f, ok in zip(fills, finite) if not ok] == \
-        [NON_FINITE_COLOR] * int((~finite).sum())
+        assert f">{hi:.6g}</text>" in svg and f">{lo:.6g}</text>" in svg
     assert NON_FINITE_COLOR not in ramp_colors(np.linspace(0.0, 1.0, 4097))
     assert f">{(~finite).sum()} non-finite</text>" in svg
     assert "nan<" not in svg and "inf<" not in svg
+
+
+@pytest.mark.parametrize("shape", [(0, 5), (5, 0), (0, 0), (5,), (2, 3, 4)])
+def test_heatmap_rejects_grids_without_cells(shape):
+    with pytest.raises(ContractError, match=re.escape(str(shape))):
+        heatmap(np.zeros(shape), "t", "x", "y")
 
 
 def test_ramp_colors_match_the_scalar_lookup():
@@ -101,7 +118,7 @@ def test_ramp_colors_match_the_scalar_lookup():
                          [np.nan, np.inf, -np.inf, -0.0]])
     assert ramp_colors(xs) == [scalar_ramp_color(x) for x in xs]
     for x in xs[::997]:
-        assert ramp_color(x) == scalar_ramp_color(x)
+        assert ramp_colors([x])[0] == scalar_ramp_color(x)
 
 
 def test_ramp_colors_round_channel_ties_half_to_even():
