@@ -203,18 +203,22 @@ class Adam:
 
     def __init__(self, size, step_size: float):
         self.step_size = step_size
-        self.m = np.zeros(size)
-        self.v = np.zeros(size)
+        self.m, self.v, self._tmp, self._den = np.zeros((4, *np.atleast_1d(size)))
         self.t = 0
 
     def step(self, theta: np.ndarray, grad: np.ndarray) -> None:
-        """Update ``theta`` in place with gradient ``grad``."""
+        """Update ``theta`` in place with gradient ``grad``, allocating nothing."""
         self.t += 1
-        self.m = self.beta1 * self.m + (1 - self.beta1) * grad
-        self.v = self.beta2 * self.v + (1 - self.beta2) * grad * grad
-        m_hat = self.m / (1 - self.beta1**self.t)
-        v_hat = self.v / (1 - self.beta2**self.t)
-        theta -= self.step_size * m_hat / (np.sqrt(v_hat) + self.eps)
+        m, v, tmp, den = self.m, self.v, self._tmp, self._den
+        m *= self.beta1
+        m += np.multiply(1 - self.beta1, grad, out=tmp)
+        v *= self.beta2
+        v += np.multiply(np.multiply(1 - self.beta2, grad, out=tmp), grad, out=tmp)
+        np.divide(m, 1 - self.beta1**self.t, out=tmp)  # m_hat
+        tmp *= self.step_size
+        np.sqrt(np.divide(v, 1 - self.beta2**self.t, out=den), out=den)
+        den += self.eps
+        theta -= np.divide(tmp, den, out=tmp)
 
 
 def flat_views(shapes):

@@ -208,38 +208,62 @@ def _check_shapes(model: FlowModel, grids: np.ndarray, conds: np.ndarray):
         )
 
 
-def _channels_first(x: np.ndarray) -> np.ndarray:
-    """(n, T, k) stack -> contiguous (k, T * n) array, column j * n + i
-    holding frame j of sample i.
+class FlowWorkspace:
+    """Buffers for passes over (n, T) batches of one model's architecture,
+    allocated once and overwritten by every call that gets the workspace.
 
-    The flow computes in this layout: channel halves are contiguous row
-    blocks, per-channel parameters broadcast along long rows, and a grid's
-    coupling input is a reshape instead of a copy.
+    Arrays are channel-first, (k, T * n) with column j * n + i holding frame
+    j of sample i: channel halves are row blocks, per-channel parameters
+    broadcast along rows and a grid's coupling input is a reshape of h_a.
+    ``h[s]`` is step s's input; ``netin``, ``hid``, ``th`` (tanh of the raw
+    log-scale) and ``exp_neg`` are kept per step for the backward pass (the
+    default depth) or reused by every step (``depth`` 1). A full-depth
+    workspace's ``grads.params`` is the gradient vector.
     """
-    n, t, k = x.shape
-    return np.ascontiguousarray(x.transpose(2, 1, 0)).reshape(k, t * n)
+
+    def __init__(self, model: FlowModel, n: int, t: int, depth: int = 0):
+        depth, c, n_t = depth or len(model.steps), model.channels, t * n
+        (hidden, in_dim), cols = model.steps[0].net.w1.shape, n_t // model.column_frames
+        self.h, self.g = np.empty((depth + 1, c, n_t)), np.empty((2, c, n_t))
+        self.netin = np.empty((depth, in_dim, cols))
+        self.a_rows = model.split[0] * model.column_frames  # netin rows holding h_a
+        self.hid, self.d_pre = np.empty((depth, hidden, cols)), np.empty((hidden, cols))
+        self.th, self.exp_neg = np.empty((2, depth, model.split[1], n_t))
+        self.folded, self.inv_mixes = np.empty((depth, c, c)), None  # set by analysis
+        self.out = np.empty((len(model.steps[0].net.w2), cols))  # or its gradient
+        self.grads = None if depth < len(model.steps) else FlowModel.zeros(
+            c, model.cond_dim, len(model.steps), hidden, model.context, model.frames)
+
+    def load(self, model: FlowModel, grids: np.ndarray, conds: np.ndarray):
+        """(n, T, c) grids into ``h[0]``, (n, T, d) conditions into every
+        ``netin``'s condition rows."""
+        n, t = grids.shape[:2]
+        self.h[0].reshape(model.channels, t, n)[...] = grids.transpose(2, 1, 0)
+        cond_rows = self.netin[0, self.a_rows :]
+        cond_rows.reshape(model.cond_dim, t, n)[...] = conds.transpose(2, 1, 0)
+        self.netin[1:, self.a_rows :] = cond_rows
 
 
 def _samples_first(h: np.ndarray, t: int, n: int) -> np.ndarray:
-    """Inverse of :func:`_channels_first`."""
+    """(k, T * n) channel-first array -> contiguous (n, T, k) stack."""
     return np.ascontiguousarray(h.reshape(len(h), t, n).transpose(2, 1, 0))
 
 
-def _coupling_raw(net: CouplingNet, h_a: np.ndarray, cond: np.ndarray,
-                 stack: int):
-    """Coupling net on channel-first halves: (netin, hidden, tanh(raw), shift).
+def _coupling_raw(net: CouplingNet, ws: FlowWorkspace, slot: int, h_a: np.ndarray):
+    """Coupling net on channel-first h_a in workspace slot ``slot``:
+    returns (tanh(raw), shift), channel-first like ``h_a``.
 
     The log-scale is ell = 2 * tanh(raw). ``netin`` and ``hidden`` hold one
-    column per ``stack`` frames (one frame, or a whole grid channel-major);
-    ``tanh(raw)`` and ``shift`` are channel-first like ``h_a``.
+    column per frame, or per grid (channel-major) with grid context.
     """
-    columns = h_a.shape[1] // stack
-    netin = np.concatenate([h_a.reshape(len(h_a) * stack, columns),
-                            cond.reshape(len(cond) * stack, columns)])
-    hid = np.tanh(net.w1 @ netin + net.b1[:, None])
-    out = (net.w2 @ hid + net.b2[:, None]).reshape(2, len(net.w2) // (2 * stack),
-                                                  h_a.shape[1])
-    return netin, hid, np.tanh(out[0]), out[1]
+    netin, hid = ws.netin[slot], ws.hid[slot]
+    netin[: ws.a_rows] = h_a.reshape(ws.a_rows, netin.shape[1])
+    np.matmul(net.w1, netin, out=hid)
+    hid += net.b1[:, None]
+    np.matmul(net.w2, np.tanh(hid, out=hid), out=ws.out)
+    ws.out += net.b2[:, None]
+    raw = ws.out.reshape(2, ws.th.shape[1], h_a.shape[1])
+    return np.tanh(raw[0], out=ws.th[slot]), raw[1]
 
 
 def _logdet_const(model: FlowModel, t: int) -> float:
@@ -252,60 +276,62 @@ def _logdet_const(model: FlowModel, t: int) -> float:
 
 
 def _analysis(model: FlowModel, grids: np.ndarray, conds: np.ndarray,
-              cache: list | None = None, init: bool = False):
-    """Data -> latent on an (n, T, c) stack; returns (z, per-sample logdet)
-    with z channel-first (see :func:`_channels_first`).
+              ws: FlowWorkspace | None = None, init: bool = False):
+    """Data -> latent on an (n, T, c) stack in ``ws`` (or a depth-1 one);
+    returns (z, per-sample logdet) with z channel-first, a view into it.
 
     Each step's actnorm is folded into its mix: h -> F h + inv(mix) bias
     with F = inv(mix) diag(scale). With ``init``, each step first sets its
     actnorm to standardize its input over the batch (data-dependent init;
-    the returned logdet then holds the scales from before). With a
-    ``cache`` list, appends per step what the reverse sweep of
-    :func:`nll_and_grads` needs.
+    the returned logdet then holds the scales from before). A full-depth
+    ``ws`` keeps what the reverse sweep of :func:`nll_and_grads` needs.
     """
     c_a = model.split[0]
     n, t = grids.shape[:2]
-    cond = _channels_first(conds)
+    ws = ws or FlowWorkspace(model, n, t, depth=1)
+    ws.load(model, grids, conds)
     logdet = np.full(n, _logdet_const(model, t))
-    inv_mixes = np.linalg.inv(np.stack([step.mix for step in model.steps]))
-    h = _channels_first(grids)
-    for step, inv_mix in zip(model.steps, inv_mixes):
+    ws.inv_mixes = np.linalg.inv(np.stack([step.mix for step in model.steps]))
+    for k, (step, inv_mix) in enumerate(zip(model.steps, ws.inv_mixes)):
+        h0, h = ws.h[k % len(ws.h)], ws.h[(k + 1) % len(ws.h)]
         if init:
-            std = h.std(axis=1)
+            std = h0.std(axis=1)
             if np.any(std < 1e-12):
                 raise DegenerateChannel(
                     f"zero-variance channels {np.nonzero(std < 1e-12)[0].tolist()} "
                     "in init batch"
                 )
             step.scale[...] = 1.0 / std
-            step.bias[...] = -h.mean(axis=1) / std
-        h0 = h
-        folded = inv_mix * step.scale
-        h = folded @ h0 + (inv_mix @ step.bias)[:, None]
-        netin, hid, th, shift = _coupling_raw(step.net, h[:c_a], cond,
-                                              model.column_frames)
-        exp_neg = np.exp(-2.0 * th)
-        z_b = (h[c_a:] - shift) * exp_neg
+            step.bias[...] = -h0.mean(axis=1) / std
+        slot = k % len(ws.netin)
+        np.matmul(np.multiply(inv_mix, step.scale, out=ws.folded[slot]), h0, out=h)
+        h += (inv_mix @ step.bias)[:, None]
+        th, shift = _coupling_raw(step.net, ws, slot, h[:c_a])
+        exp_neg = np.multiply(th, -2.0, out=ws.exp_neg[slot])
+        h[c_a:] -= shift  # becomes z_b
+        h[c_a:] *= np.exp(exp_neg, out=exp_neg)
         logdet -= 2.0 * th.reshape(len(th) * t, n).sum(axis=0)
-        h = np.concatenate([h[:c_a], z_b])
-        if cache is not None:
-            cache.append((h0, inv_mix, folded, netin, hid, th, exp_neg, z_b))
-    return h, logdet
+    return ws.h[len(model.steps) % len(ws.h)], logdet
 
 
 def _synthesis(model: FlowModel, latents: np.ndarray, conds: np.ndarray):
     """Latent -> data on an (n, T, c) stack; returns (y, per-sample logdet)."""
     c_a = model.split[0]
     n, t = latents.shape[:2]
-    cond = _channels_first(conds)
+    ws = FlowWorkspace(model, n, t, depth=1)
+    ws.load(model, latents, conds)
     logdet = np.full(n, -_logdet_const(model, t))
-    h = _channels_first(latents)
+    h, h_next = ws.h
     for step in reversed(model.steps):
-        _, _, th, shift = _coupling_raw(step.net, h[:c_a], cond,
-                                        model.column_frames)
-        h = np.concatenate([h[:c_a], h[c_a:] * np.exp(2.0 * th) + shift])
+        th, shift = _coupling_raw(step.net, ws, 0, h[:c_a])
+        exp_pos = np.multiply(th, 2.0, out=ws.exp_neg[0])
+        h[c_a:] *= np.exp(exp_pos, out=exp_pos)
+        h[c_a:] += shift
         logdet += 2.0 * th.reshape(len(th) * t, n).sum(axis=0)
-        h = (step.mix @ h - step.bias[:, None]) / step.scale[:, None]
+        np.matmul(step.mix, h, out=h_next)
+        h_next -= step.bias[:, None]
+        h_next /= step.scale[:, None]
+        h, h_next = h_next, h
     return _samples_first(h, t, n), logdet
 
 
@@ -352,24 +378,29 @@ def actnorm_init(model: FlowModel, batch: ConditionedBatch) -> FlowModel:
     return model
 
 
-def log_likelihood(model: FlowModel, batch: ConditionedBatch) -> np.ndarray:
-    """Per-sample log-likelihood under the standard-normal prior."""
+def log_likelihood(model: FlowModel, batch: ConditionedBatch, *,
+                   workspace: FlowWorkspace | None = None) -> np.ndarray:
+    """Per-sample log-likelihood under the standard-normal prior, computed in
+    ``workspace`` (any depth, for the batch's (n, T)) or a depth-1 one."""
     _require_initialized(model)
     _check_shapes(model, batch.targets, batch.conds)
-    z, logdet = _analysis(model, batch.targets, batch.conds)
-    return _log_prob(z, logdet, batch.targets.shape[1])
+    n, t = batch.targets.shape[:2]
+    ws = workspace or FlowWorkspace(model, n, t, depth=1)
+    z, logdet = _analysis(model, batch.targets, batch.conds, ws)
+    return _log_prob(z, logdet, t, ws.g[1])
 
 
-def _log_prob(z: np.ndarray, logdet: np.ndarray, t: int) -> np.ndarray:
+def _log_prob(z: np.ndarray, logdet: np.ndarray, t: int,
+              scratch: np.ndarray) -> np.ndarray:
     """Per-sample log-likelihood from channel-first latents of T frames and
-    analysis log-determinants."""
-    sq = (z**2).reshape(len(z) * t, len(logdet)).sum(axis=0)
+    analysis log-determinants; z**2 goes to ``scratch``, shaped like z."""
+    sq = np.square(z, out=scratch).reshape(len(z) * t, len(logdet)).sum(axis=0)
     return -(0.5 * sq + 0.5 * len(z) * t * LOG_2PI) + logdet
 
 
-def nll(model: FlowModel, batch: ConditionedBatch) -> float:
+def nll(model: FlowModel, batch: ConditionedBatch, *, workspace=None) -> float:
     """Mean per-sample negative log-likelihood under the standard-normal prior."""
-    return float(-log_likelihood(model, batch).mean())
+    return float(-log_likelihood(model, batch, workspace=workspace).mean())
 
 
 def sample(model: FlowModel, cond: np.ndarray, rng: SeededRng,
@@ -398,51 +429,63 @@ def sample_batch(model: FlowModel, conds: np.ndarray, rng: SeededRng,
 # ---------------------------------------------------------------------------
 
 
-def nll_and_grads(model: FlowModel, batch: ConditionedBatch):
+def nll_and_grads(model: FlowModel, batch: ConditionedBatch, *,
+                  workspace: FlowWorkspace | None = None):
     """NLL and its gradient with respect to ``model.params``, one vector in
-    the same layout (hand backprop)."""
+    the same layout (hand backprop).
+
+    With ``workspace``, a full-depth :class:`FlowWorkspace` for the batch's
+    (n, T), nothing batch-sized is allocated and the returned gradient is the
+    workspace's buffer, valid until the next call with it; without, the call
+    makes its own workspace and the gradient is a fresh array.
+    """
     _require_initialized(model)
     _check_shapes(model, batch.targets, batch.conds)
     c_a = model.split[0]
     n, t = batch.targets.shape[:2]
+    ws = workspace or FlowWorkspace(model, n, t)
+    if ws.grads is None:
+        raise ContractError("nll_and_grads needs a workspace of the model's depth")
 
-    caches = []
-    z, logdet = _analysis(model, batch.targets, batch.conds, caches)
-    value = float(-_log_prob(z, logdet, t).mean())
+    z, logdet = _analysis(model, batch.targets, batch.conds, ws)
+    g, g2 = ws.g  # dNLL/d(step output) and dNLL/d(mix output), channel-first
+    value = float(-_log_prob(z, logdet, t, g2).mean())
     if not np.isfinite(value):
         raise FlowDivergence(f"non-finite NLL {value}")
 
-    parts = []
-    g = z / n  # dNLL/dz, channel-first
-    for step, cache in zip(reversed(model.steps), reversed(caches)):
-        h0, inv_mix, folded, netin, hid, th, exp_neg, z_b = cache
-        w1, w2 = step.net.w1, step.net.w2
-        g_a, g_b = g[:c_a], g[c_a:]
-        d_hb = g_b * exp_neg
-        d_ell = -g_b * z_b + 1.0 / n  # z-path plus the direct +ell/n term
-        d_raw = d_ell * 2.0 * (1.0 - th**2)
-        d_out = np.concatenate([d_raw, -d_hb]).reshape(len(w2), hid.shape[1])
-        g_w2 = d_out @ hid.T
-        g_b2 = d_out.sum(axis=1)
-        d_pre = (w2.T @ d_out) * (1.0 - hid**2)
-        g_w1 = d_pre @ netin.T
-        g_b1 = d_pre.sum(axis=1)
-        a_rows = len(g_a) * model.column_frames  # rows of netin that hold h_a
-        d_ha = g_a + (w1[:, :a_rows].T @ d_pre).reshape(g_a.shape)
-        g2 = np.concatenate([d_ha, d_hb])
+    np.divide(z, n, out=g)
+    d_out = ws.out  # the net output's gradient: d_raw rows, then -d_hb rows
+    d_raw, neg_d_hb = d_out.reshape(2, len(ws.th[0]), z.shape[1])
+    g_a, g_b, d_ha, d_hb = g[:c_a], g[c_a:], g2[:c_a], g2[c_a:]
+    for k in reversed(range(len(model.steps))):
+        step, grads, inv_mix = model.steps[k], ws.grads.steps[k], ws.inv_mixes[k]
+        hid, th = ws.hid[k], ws.th[k]  # read last here, so overwritten below
+        np.multiply(g_b, ws.exp_neg[k], out=d_hb)
+        np.negative(g_b, out=d_raw)  # d_ell: z path plus the direct +ell/n term
+        d_raw *= ws.h[k + 1][c_a:]  # z_b
+        d_raw += 1.0 / n
+        d_raw *= 2.0
+        d_raw *= np.subtract(1.0, np.square(th, out=th), out=th)
+        np.negative(d_hb, out=neg_d_hb)
+        np.matmul(d_out, hid.T, out=grads.net.w2)
+        np.sum(d_out, axis=1, out=grads.net.b2)
+        d_pre = np.matmul(step.net.w2.T, d_out, out=ws.d_pre)
+        d_pre *= np.subtract(1.0, np.square(hid, out=hid), out=hid)
+        np.matmul(d_pre, ws.netin[k].T, out=grads.net.w1)
+        np.sum(d_pre, axis=1, out=grads.net.b1)
+        np.matmul(step.net.w1[:, : ws.a_rows].T, d_pre, out=d_ha.reshape(ws.a_rows, -1))
+        d_ha += g_a
 
         # Folded actnorm and mix, h2 = inv_mix (h0 * scale + bias): every
         # parameter gradient follows from g2 h0^T and g2's row sums.
-        m0 = g2 @ h0.T
+        m0 = g2 @ ws.h[k].T
         s2 = g2.sum(axis=1)
         d_inv = m0 * step.scale + np.outer(s2, step.bias)
-        g_mix = -inv_mix.T @ d_inv @ inv_mix.T + t * inv_mix.T
-        g_scale = (inv_mix * m0).sum(axis=0) - t / step.scale
-        g_bias = s2 @ inv_mix
-        g = folded.T @ g2
-        parts.append((g_scale, g_bias, g_mix, g_w1, g_b1, g_w2, g_b2))
-    grad = np.concatenate([g.ravel() for part in reversed(parts) for g in part])
-    return value, grad
+        grads.mix[...] = -inv_mix.T @ d_inv @ inv_mix.T + t * inv_mix.T
+        grads.scale[...] = (inv_mix * m0).sum(axis=0) - t / step.scale
+        np.matmul(s2, inv_mix, out=grads.bias)
+        np.matmul(ws.folded[k].T, g2, out=g)
+    return value, ws.grads.params
 
 
 @dataclass
@@ -459,15 +502,18 @@ def train_flow(model: FlowModel, batch: ConditionedBatch, steps: int = 500,
     The model must already be actnorm-initialized. The training curve holds
     full-dataset NLLs (step 0, every ``eval_every`` steps, and the final
     step); a non-finite loss raises :class:`FlowDivergence` instead of being
-    swallowed.
+    swallowed. Two workspaces live until the fit returns: a full-depth one
+    of ``min(n, batch_size)`` samples for the steps, and one of n for the curve.
     """
     _require_initialized(model)
-    n = len(batch)
+    n, t = batch.targets.shape[:2]
     if n < 1:
         raise ContractError("training set must be non-empty")
     rng = SeededRng(seed, stream=0x464C)
     adam = Adam(model.params.size, step_size)
-    curve = [(0, nll(model, batch))]
+    work = FlowWorkspace(model, min(n, batch_size), t)
+    scoring = FlowWorkspace(model, n, t, depth=1)
+    curve = [(0, nll(model, batch, workspace=scoring))]
     order = rng.permutation(n)
     cursor = 0
     # A diverging run overflows on its way to a non-finite NLL, which is
@@ -480,10 +526,10 @@ def train_flow(model: FlowModel, batch: ConditionedBatch, steps: int = 500,
             idx = order[cursor : cursor + batch_size]
             cursor += batch_size
             mini = ConditionedBatch(batch.targets[idx], batch.conds[idx])
-            _, grad = nll_and_grads(model, mini)
+            _, grad = nll_and_grads(model, mini, workspace=work)
             adam.step(model.params, grad)
             if it % eval_every == 0 or it == steps:
-                full = nll(model, batch)
+                full = nll(model, batch, workspace=scoring)
                 if not np.isfinite(full):
                     raise FlowDivergence(f"non-finite NLL at step {it}")
                 curve.append((it, full))

@@ -74,8 +74,8 @@ class UnconstrainedMixtureParams:
         )
 
 
-def _fold(ufunc, parts):
-    """``ufunc`` applied left to right over per-component arrays.
+def _fold(ufunc, parts, out):
+    """``ufunc`` applied left to right over per-component arrays, into ``out``.
 
     Mixtures keep K small, and numpy's max or sum reduction over a short
     trailing axis costs far more per element than K - 1 elementwise calls.
@@ -83,28 +83,33 @@ def _fold(ufunc, parts):
     are the same; from K = 8 on its pairwise summation can differ in the
     last bits.
     """
-    out = parts[0]
+    out[...] = parts[0]
     for part in parts[1:]:
-        out = ufunc(out, part)
+        ufunc(out, part, out=out)
     return out
 
 
-def log_sum_exp(comps):
-    """Log-sum-exp over the list of component terms ``comps``.
+def log_sum_exp(comps, out=None):
+    """Log-sum-exp over the same-shape terms ``comps``, a list or a stack.
 
-    Returns (log-sum-exp, [exp(comp - top) per component], their sum). A
-    cell where every term is -inf gets a log-density of -inf.
+    Returns (log-sum-exp, the terms exp(comp - top), their sum), the shifted
+    terms in place of ``comps``; ``out``, if given, is a (3, *shape) buffer
+    for the top term, the sum and the log-sum-exp. A cell where every term
+    is -inf gets a log-density of -inf.
     """
-    top = _fold(np.maximum, comps)
+    top, total, lse = np.empty((3,) + comps[0].shape) if out is None else out
+    _fold(np.maximum, comps, top)
     if not np.isfinite(top).all():
-        top = np.where(np.isfinite(top), top, 0.0)
-    shifted = [np.exp(comp - top) for comp in comps]
-    total = _fold(np.add, shifted)
-    return top + np.log(total), shifted, total
+        np.copyto(top, 0.0, where=~np.isfinite(top))
+    for comp in comps:
+        np.exp(np.subtract(comp, top, out=comp), out=comp)
+    _fold(np.add, comps, total)
+    np.add(top, np.log(total, out=lse), out=lse)
+    return lse, comps, total
 
 
 def _softmax(a: np.ndarray) -> np.ndarray:
-    _, e, total = log_sum_exp([a[..., j] for j in range(a.shape[-1])])
+    _, e, total = log_sum_exp([a[..., j].copy() for j in range(a.shape[-1])])
     return np.stack([part / total for part in e], axis=-1)
 
 
@@ -130,26 +135,33 @@ def _targets_3d(target) -> np.ndarray:
     raise ContractError("target must be (T, F) or (n, T, F)")
 
 
-def _component_terms(pi, mu, beta, targets):
-    """Per-component log pi - log(2 beta) - |y - mu| / beta, with y - mu and
-    |y - mu|: lists of one (T, F, n) array per component.
+class LmWorkspace:
+    """Buffers for :func:`lm_nll_grad` on one (n, T, F) stack and K
+    components, allocated once and overwritten by every call that gets it:
+    the stack's samples-last copy (cells broadcast along contiguous rows of
+    samples), the per-component terms, log-sum-exp parts and the gradient."""
 
-    Samples go last so that per-cell parameters broadcast along contiguous
-    rows of samples.
-    """
-    y = np.ascontiguousarray(np.moveaxis(targets, 0, -1))
+    def __init__(self, targets: np.ndarray, k: int):
+        self.targets = targets
+        self.y = np.ascontiguousarray(np.moveaxis(targets, 0, -1))
+        self.terms = np.empty((3, k) + self.y.shape)  # log terms, y - mu, |y - mu|
+        self.cells = np.empty((3,) + self.y.shape)  # top, sum, log-sum-exp
+        self.grad = np.empty((3,) + self.y.shape[:2] + (k,))
+        self.grads = UnconstrainedMixtureParams(*self.grad)  # views of ``grad``
+
+
+def _component_terms(pi, mu, beta, ws: LmWorkspace):
+    """Per-component log pi - log(2 beta) - |y - mu| / beta, y - mu and
+    |y - mu| over the workspace's stack, written into ``ws.terms``."""
     with np.errstate(divide="ignore"):
         offset = (np.log(pi) - np.log(2.0 * beta))[..., None]
     mu, beta = mu[..., None], beta[..., None]
-    comps, diffs, absdiffs = [], [], []
+    comps, diffs, absdiffs = ws.terms
     for j in range(pi.shape[-1]):
-        diff = y - mu[:, :, j]
-        absdiff = np.abs(diff)
-        comp = np.divide(absdiff, beta[:, :, j])
-        np.subtract(offset[:, :, j], comp, out=comp)
-        comps.append(comp)
-        diffs.append(diff)
-        absdiffs.append(absdiff)
+        np.subtract(ws.y, mu[:, :, j], out=diffs[j])
+        np.abs(diffs[j], out=absdiffs[j])
+        np.divide(absdiffs[j], beta[:, :, j], out=comps[j])
+        np.subtract(offset[:, :, j], comps[j], out=comps[j])
     return comps, diffs, absdiffs
 
 
@@ -160,8 +172,9 @@ def lm_log_density(field: LaplaceMixtureField, target) -> np.ndarray:
         raise ContractError(
             f"target grid {targets.shape[1:]} does not match field {field.shape}"
         )
-    comps, _, _ = _component_terms(field.pi, field.mu, field.beta, targets)
-    return np.ascontiguousarray(np.moveaxis(log_sum_exp(comps)[0], -1, 0))
+    ws = LmWorkspace(targets, field.components)
+    comps, _, _ = _component_terms(field.pi, field.mu, field.beta, ws)
+    return np.ascontiguousarray(np.moveaxis(log_sum_exp(comps, ws.cells)[0], -1, 0))
 
 
 def lm_nll(field: LaplaceMixtureField, target) -> float:
@@ -173,11 +186,15 @@ def lm_nll(field: LaplaceMixtureField, target) -> float:
     return float(-np.mean(lm_log_density(field, target)))
 
 
-def lm_nll_grad(params: UnconstrainedMixtureParams, target):
+def lm_nll_grad(params: UnconstrainedMixtureParams, target, *,
+                workspace: LmWorkspace | None = None):
     """NLL and its analytic gradient w.r.t. the unconstrained parameters.
 
     Returns ``(nll, grads)`` with ``grads`` an UnconstrainedMixtureParams
     holding the partials. The location sub-gradient at |y - mu| = 0 is 0.
+    With ``workspace``, an :class:`LmWorkspace` made for this ``target``
+    stack and K, ``grads`` is the workspace's buffer, valid until the next
+    call with it; without, the partials are fresh arrays.
     """
     targets = _targets_3d(target)
     t, f, k = params.logits.shape
@@ -186,13 +203,16 @@ def lm_nll_grad(params: UnconstrainedMixtureParams, target):
     if not (np.all(np.isfinite(params.logits)) and np.all(np.isfinite(params.mu))
             and np.all(np.isfinite(params.raw_scale))):
         raise ContractError("parameters must be finite")
+    ws = workspace or LmWorkspace(targets, k)
+    if ws.targets is not targets or ws.terms.shape[1] != k:
+        raise ContractError("the workspace was made for another target stack or K")
     n = targets.shape[0]
     pi = _softmax(params.logits)  # (T, F, K)
     beta = _softplus(params.raw_scale) + BETA_FLOOR
     sig = 1.0 / (1.0 + np.exp(-params.raw_scale))  # d beta / d raw_scale
 
-    comps, diffs, absdiffs = _component_terms(pi, params.mu, beta, targets)
-    lse, shifted, total = log_sum_exp(comps)
+    comps, diffs, absdiffs = _component_terms(pi, params.mu, beta, ws)
+    lse, shifted, total = log_sum_exp(comps, ws.cells)
     nll = float(-np.mean(lse))
 
     # Per component, sums over samples of the responsibility r, of
@@ -209,12 +229,13 @@ def lm_nll_grad(params: UnconstrainedMixtureParams, target):
     resp_sum, sign_sum, abs_sum = (np.stack(parts, axis=-1) for parts in
                                    (resp_sum, sign_sum, abs_sum))
     count = n * t * f
-    g_logits = (n * pi - resp_sum) / count
-    g_mu = -sign_sum / beta / count
-    g_scale = (resp_sum / beta - abs_sum / beta**2) * sig / count
+    g = ws.grads
+    np.divide(n * pi - resp_sum, count, out=g.logits)
+    np.divide(-sign_sum / beta, count, out=g.mu)
+    np.divide((resp_sum / beta - abs_sum / beta**2) * sig, count, out=g.raw_scale)
     if not np.isfinite(nll):
         raise ContractError("non-finite loss; parameters out of range")
-    return nll, UnconstrainedMixtureParams(g_logits, g_mu, g_scale)
+    return nll, g
 
 
 def laplace_inverse_cdf(u, mu, beta):
@@ -237,16 +258,15 @@ def lm_sample_stack(field: LaplaceMixtureField, rng: SeededRng,
     return laplace_inverse_cdf(u, mu, beta)
 
 
-def _rprop_step(value, grad, prev_sign, delta, shrink=0.5, grow=1.2,
+def _rprop_step(value, grad, sign, delta, shrink=0.5, grow=1.2,
                 d_min=1e-12, d_max=1.0):
-    """One iRPROP- update in place; returns the new gradient signs."""
-    sign = np.sign(grad)
-    agree = sign * prev_sign
+    """One iRPROP- update in place, ``sign`` from the last to the new signs."""
+    agree = np.sign(grad) * sign
     delta *= np.where(agree > 0, grow, np.where(agree < 0, shrink, 1.0))
     np.clip(delta, d_min, d_max, out=delta)
-    sign = np.where(agree < 0, 0.0, sign)  # skip the move after a flip
-    value -= sign * delta
-    return sign
+    np.sign(grad, out=sign)
+    sign[agree < 0] = 0.0  # skip the move after a flip
+    value -= np.multiply(sign, delta, out=agree)
 
 
 def fit_lm(samples, k: int, steps: int = 400, step_size: float = 0.02,
@@ -257,7 +277,8 @@ def fit_lm(samples, k: int, steps: int = 400, step_size: float = 0.02,
     independently (but in one vectorized pass). Optimization is sign-based
     resilient gradient descent (iRPROP-) on the unconstrained parameters,
     full batch, which converges tightly even at the |y - mu| kinks. The best
-    of ``restarts`` seeded random initializations by final NLL wins.
+    of ``restarts`` seeded random initializations by final NLL wins. Every
+    :func:`lm_nll_grad` call of the fit runs in one :class:`LmWorkspace`.
     """
     data = np.asarray(samples, dtype=np.float64)
     if data.ndim != 3:
@@ -272,6 +293,7 @@ def fit_lm(samples, k: int, steps: int = 400, step_size: float = 0.02,
     beta0 = np.maximum(mad, 10.0 * BETA_FLOOR)
     quantiles = np.quantile(data, (np.arange(k) + 0.5) / k, axis=0)  # (K, T, F)
     root = SeededRng(seed, stream=0x4C4D)  # fitting stream
+    ws = LmWorkspace(data, k)
 
     best = None
     best_nll = np.inf
@@ -284,25 +306,17 @@ def fit_lm(samples, k: int, steps: int = 400, step_size: float = 0.02,
             pick = rng.integers(0, n, size=(t, f, k))
             idx_t, idx_f = np.meshgrid(np.arange(t), np.arange(f), indexing="ij")
             mu0 = data[pick, idx_t[..., None], idx_f[..., None]]
-        params = UnconstrainedMixtureParams(
-            logits=0.01 * rng.normal(size=(t, f, k)),
-            mu=mu0 + 0.01 * beta0[..., None] * rng.normal(size=(t, f, k)),
-            raw_scale=np.broadcast_to(
-                _inv_softplus(np.maximum(beta0 - BETA_FLOOR, 1e-6))[..., None],
-                (t, f, k),
-            ).copy(),
-        )
-        deltas = [np.full((t, f, k), step_size) for _ in range(3)]
-        signs = [np.zeros((t, f, k)) for _ in range(3)]
-        nll = np.inf
+        theta = np.empty((3, t, f, k))  # logits, mu and raw scales, stepped together
+        theta[0] = 0.01 * rng.normal(size=(t, f, k))
+        theta[1] = mu0 + 0.01 * beta0[..., None] * rng.normal(size=(t, f, k))
+        theta[2] = _inv_softplus(np.maximum(beta0 - BETA_FLOOR, 1e-6))[..., None]
+        params = UnconstrainedMixtureParams(*theta)
+        delta, sign = np.full((3, t, f, k), step_size), np.zeros((3, t, f, k))
         for _ in range(steps):
-            nll, g = lm_nll_grad(params, data)
-            signs[0] = _rprop_step(params.logits, g.logits, signs[0], deltas[0])
-            signs[1] = _rprop_step(params.mu, g.mu, signs[1], deltas[1])
-            signs[2] = _rprop_step(params.raw_scale, g.raw_scale, signs[2], deltas[2])
-        nll, _ = lm_nll_grad(params, data)
+            lm_nll_grad(params, data, workspace=ws)
+            _rprop_step(theta, ws.grad, sign, delta)
+        nll, _ = lm_nll_grad(params, data, workspace=ws)
         if nll < best_nll:
             best_nll = nll
             best = params
     return best.constrain()
-

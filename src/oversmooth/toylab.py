@@ -40,10 +40,6 @@ from .core import Adam, ContractError, SeededRng, Spectrogram, write_mel
 from .density import dip_statistic
 from .metrics import var_laplacian
 
-STRATEGY_NAMES = (
-    "mse", "mae", "conditioned", "ar", "lm", "flow", "cond_lm", "cond_flow", "gan",
-)
-
 _STREAM_CORPUS = 0x544F59
 _STREAM_HELDOUT = 0x484F4C44
 
@@ -82,8 +78,8 @@ class ToyCorpusSpec:
     seed: int
 
     def __post_init__(self):
-        if self.noise < 0:
-            raise ContractError("noise scale must be >= 0")
+        if not (np.isfinite(self.noise) and self.noise >= 0):
+            raise ContractError(f"noise must be finite and >= 0, got {self.noise}")
         if self.samples_per_condition < 1:
             raise ContractError("need at least one sample per condition")
         conditions = tuple(self.conditions)
@@ -540,7 +536,7 @@ _BUILDERS = {
 
 @dataclass(frozen=True)
 class StrategyMetrics:
-    var_l: float | None  # None for grids too small for the Laplacian mask
+    var_l: float
     nll: float | None
     dip: float
     coherence: float
@@ -581,9 +577,8 @@ class ExperimentReport:
         for name in sorted(self.rows):
             m = self.rows[name]
             nll = "n/a" if m.nll is None else f"{m.nll:.3f}"
-            var_l = "n/a" if m.var_l is None else f"{m.var_l:.5f}"
             lines.append(
-                f"| {name} | {var_l} | {nll} | {m.dip:.4f} | "
+                f"| {name} | {m.var_l:.5f} | {nll} | {m.dip:.4f} | "
                 f"{m.coherence:.3f} |"
             )
         return "\n".join(lines) + "\n"
@@ -597,11 +592,7 @@ def _per_cell_dip(stack: np.ndarray) -> float:
 
 def _metrics_for(stack: np.ndarray, spec: ToyCorpusSpec, tol_by_cond,
                  by_condition: dict, nll) -> StrategyMetrics:
-    h, w = spec.grid_shape
-    if h >= 3 and w >= 3:
-        var_l = float(np.mean([var_laplacian(g) for g in stack]))
-    else:
-        var_l = None
+    var_l = float(np.mean([var_laplacian(g) for g in stack]))
     dip = float(np.mean([_per_cell_dip(by_condition[ci])
                          for ci in sorted(by_condition)]))
     coh = float(np.mean([
@@ -624,6 +615,9 @@ def run_experiment(spec: ToyCorpusSpec, strategies, seed: int,
     mode coherence. The ``gt`` row scores held-out real samples as the
     reference. Identical inputs and seed reproduce the report byte for byte.
     """
+    if min(spec.grid_shape) < 3:
+        raise ContractError(f"grid shape {spec.grid_shape} is below 3x3, the "
+                            "size Var_L's Laplacian mask needs")
     for name, count in (("n_generate", n_generate), ("n_heldout", n_heldout)):
         if count < 2:  # the per-cell dip needs two samples
             raise ContractError(f"{name} must be at least 2, got {count}")

@@ -229,7 +229,8 @@ class TestCmdToylab:
     def test_custom_spec_json(self, tmp_path, capsys):
         doc = {
             "conditions": [
-                {"prototypes": [[[-1.0]], [[1.0]]], "weights": [0.5, 0.5]}
+                {"prototypes": [[[-1.0] * 4] * 4, [[1.0] * 4] * 4],
+                 "weights": [0.5, 0.5]}
             ],
             "noise": 0.05,
             "samples_per_condition": 80,
@@ -239,7 +240,43 @@ class TestCmdToylab:
         assert run(["toylab", "--spec", str(spec_path), "--strategies", "mse",
                     "--seed", "2", "--generate", "30", "--heldout", "30"]) == 0
         report = json.loads(capsys.readouterr().out)
-        assert report["rows"]["mse"]["var_l"] is None
+        # the per-cell mean of two constant grids is flat; held-out data is noisy
+        assert 0.0 <= report["rows"]["mse"]["var_l"] < report["rows"]["gt"]["var_l"]
+
+    @pytest.mark.parametrize("rows,cols", [(1, 1), (6, 1)])
+    def test_spec_grid_below_3x3_exits_2(self, tmp_path, capsys, rows, cols):
+        doc = {
+            "conditions": [{"prototypes": [[[0.0] * cols] * rows,
+                                           [[1.0] * cols] * rows],
+                            "weights": [0.5, 0.5]}],
+            "noise": 0.05,
+            "samples_per_condition": 20,
+        }
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps(doc))
+        assert run(["toylab", "--spec", str(spec_path), "--strategies", "mse",
+                    "--seed", "2"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1
+        assert f"({rows}, {cols})" in lines[0] and "3x3" in lines[0]
+        assert "Var_L" in lines[0]
+
+    @pytest.mark.parametrize("noise", [float("nan"), float("inf")])
+    def test_spec_non_finite_noise_exits_2(self, tmp_path, capsys, noise):
+        doc = {
+            "conditions": [{"prototypes": [[[0.0] * 3] * 3], "weights": [1.0]}],
+            "noise": noise,
+            "samples_per_condition": 20,
+        }
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps(doc))
+        assert run(["toylab", "--spec", str(spec_path), "--strategies", "mse",
+                    "--seed", "2"]) == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        assert "noise" in lines[0] and "finite" in lines[0]
 
     def test_spec_without_noise_exits_2(self, tmp_path, capsys):
         doc = {

@@ -17,12 +17,14 @@ from oversmooth.flow import (
     ConditionedBatch,
     DegenerateChannel,
     FlowModel,
+    FlowWorkspace,
     UninitializedModel,
     actnorm_init,
     curve_to_csv,
     forward,
     inverse,
     load_model,
+    log_likelihood,
     nll,
     nll_and_grads,
     sample,
@@ -371,6 +373,92 @@ class TestTraining:
         batch = ConditionedBatch(np.zeros((4, 2, 4)), np.zeros((4, 2, 1)))
         with pytest.raises(UninitializedModel):
             train_flow(model, batch, steps=1)
+
+
+def reference_train(model, batch, steps, step_size, batch_size, seed,
+                    eval_every):
+    """train_flow's loop with every NLL and gradient allocated per call and
+    the textbook Adam update written out."""
+    rng = SeededRng(seed, stream=0x464C)
+    m = np.zeros_like(model.params)
+    v = np.zeros_like(model.params)
+    curve = [(0, nll(model, batch))]
+    order, cursor = rng.permutation(len(batch)), 0
+    for it in range(1, steps + 1):
+        if cursor + batch_size > len(batch):
+            order, cursor = rng.permutation(len(batch)), 0
+        idx = order[cursor : cursor + batch_size]
+        cursor += batch_size
+        _, g = nll_and_grads(model, ConditionedBatch(batch.targets[idx],
+                                                     batch.conds[idx]))
+        m = 0.9 * m + (1 - 0.9) * g
+        v = 0.999 * v + (1 - 0.999) * g * g
+        m_hat = m / (1 - 0.9**it)
+        v_hat = v / (1 - 0.999**it)
+        model.params -= step_size * m_hat / (np.sqrt(v_hat) + 1e-8)
+        if it % eval_every == 0 or it == steps:
+            curve.append((it, nll(model, batch)))
+    return curve
+
+
+class TestWorkspace:
+    """A workspace moves the buffers, never a bit of the result. The
+    canonical toy grid (8 channels = 8 frames, 4 condition channels, even
+    halves) hides shape mix-ups, so these shapes differ in each."""
+
+    SHAPES = {
+        "odd_channels": dict(channels=5, cond_dim=3, frames=4, context="frame"),
+        "grid_6_frames_5_channels": dict(channels=5, cond_dim=3, frames=6,
+                                         context="grid"),
+    }
+
+    def model_and_batches(self, shape, n=9):
+        kw = self.SHAPES[shape]
+        model = random_model(40, n_steps=3, hidden=7, **kw)
+        rng = SeededRng(41)
+        batches = [ConditionedBatch(
+            rng.normal(size=(n, kw["frames"], kw["channels"])),
+            rng.normal(size=(n, kw["frames"], kw["cond_dim"])))
+            for _ in range(2)]
+        return model, batches
+
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_nll_and_grads_equal_the_call_without(self, shape):
+        model, batches = self.model_and_batches(shape)
+        ws = FlowWorkspace(model, 9, self.SHAPES[shape]["frames"])
+        for batch in batches + batches:  # the reused workspace stays exact
+            value, grad = nll_and_grads(model, batch)
+            ws_value, ws_grad = nll_and_grads(model, batch, workspace=ws)
+            assert ws_value == value and np.array_equal(ws_grad, grad)
+            assert ws_grad is ws.grads.params  # the workspace's buffer
+
+    @pytest.mark.parametrize("shape", SHAPES)
+    @pytest.mark.parametrize("depth", [0, 1])
+    def test_log_likelihood_equals_the_call_without(self, shape, depth):
+        model, batches = self.model_and_batches(shape)
+        ws = FlowWorkspace(model, 9, self.SHAPES[shape]["frames"], depth=depth)
+        for batch in batches + batches:
+            assert np.array_equal(log_likelihood(model, batch, workspace=ws),
+                                  log_likelihood(model, batch))
+
+    def test_gradient_without_workspace_is_not_overwritten(self):
+        model, (first, second) = self.model_and_batches("odd_channels")
+        _, grad = nll_and_grads(model, first)
+        kept = grad.copy()
+        _, later = nll_and_grads(model, second)
+        assert not np.array_equal(later, kept)
+        assert np.array_equal(grad, kept)
+
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_train_flow_with_fewer_samples_than_a_batch(self, shape):
+        (model, (batch, _)), (ref, _) = (self.model_and_batches(shape, n=20),
+                                         self.model_and_batches(shape, n=20))
+        result = train_flow(model, batch, steps=25, step_size=1e-2,
+                            batch_size=128, seed=7, eval_every=10)
+        curve = reference_train(ref, batch, 25, 1e-2, 128, 7, 10)
+        assert [s for s, _ in result.curve] == [0, 10, 20, 25]
+        assert result.curve == curve
+        assert np.array_equal(model.params, ref.params)
 
 
 def step_arrays(model):

@@ -5,6 +5,7 @@ from oversmooth.core import ContractError, SeededRng
 from oversmooth.probloss import (
     BETA_FLOOR,
     LaplaceMixtureField,
+    LmWorkspace,
     UnconstrainedMixtureParams,
     _softmax,
     fit_lm,
@@ -149,6 +150,44 @@ class TestLmNllGrad:
         target = rng.normal(size=(2, 3))
         nll, _ = lm_nll_grad(params, target)
         assert nll == pytest.approx(lm_nll(params.constrain(), target), rel=1e-12)
+
+
+class TestLmWorkspace:
+    """K = 3 on a 5 x 7 grid, shapes the canonical 8 x 8 grid with K = 2
+    would let a mix-up of T, F, K or n pass."""
+
+    NAMES = ("logits", "mu", "raw_scale")
+
+    def stack_and_params(self):
+        rng = np.random.default_rng(50)
+        return (rng.normal(size=(30, 5, 7)),
+                [random_params(rng, t=5, f=7, k=3) for _ in range(2)])
+
+    def test_equals_the_call_without(self):
+        targets, params = self.stack_and_params()
+        ws = LmWorkspace(targets, 3)
+        for p in params + params:  # the reused workspace stays exact
+            nll, grads = lm_nll_grad(p, targets)
+            ws_nll, ws_grads = lm_nll_grad(p, targets, workspace=ws)
+            assert ws_nll == nll
+            for name in self.NAMES:
+                assert np.array_equal(getattr(ws_grads, name), getattr(grads, name))
+            assert ws_grads is ws.grads  # the workspace's buffer
+
+    def test_gradient_without_workspace_is_not_overwritten(self):
+        targets, (first, second) = self.stack_and_params()
+        _, grads = lm_nll_grad(first, targets)
+        kept = {name: getattr(grads, name).copy() for name in self.NAMES}
+        lm_nll_grad(second, targets)
+        for name in self.NAMES:
+            assert np.array_equal(getattr(grads, name), kept[name])
+
+    def test_rejects_another_stack_or_k(self):
+        targets, (params, _) = self.stack_and_params()
+        with pytest.raises(ContractError, match="workspace"):
+            lm_nll_grad(params, targets.copy(), workspace=LmWorkspace(targets, 3))
+        with pytest.raises(ContractError, match="workspace"):
+            lm_nll_grad(params, targets, workspace=LmWorkspace(targets, 2))
 
 
 def reduction_softmax(a):

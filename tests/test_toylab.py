@@ -60,6 +60,11 @@ class TestMakeCorpus:
         sigma = np.sqrt(1000 * 0.8 * 0.2)
         assert abs(count_0 - 800) <= 3 * sigma
 
+    @pytest.mark.parametrize("noise", [float("nan"), float("inf"), -0.1])
+    def test_bad_noise_rejected(self, noise):
+        with pytest.raises(ContractError, match="noise must be finite and >= 0"):
+            scalar_spec(noise=noise)
+
     def test_noise_scale(self):
         corpus = make_corpus(scalar_spec(noise=0.05, n=2000, seed=7))
         stack = corpus.stack(0)[:, 0, 0]
@@ -396,20 +401,21 @@ class TestRunExperiment:
             gen = strategy.generate(0, 30, SeededRng(1))
             assert np.all(gen >= lo) and np.all(gen <= hi)
 
-    def test_scalar_corpus_skips_var_l(self):
-        spec = scalar_spec(n=200, seed=14)
-        report = run_experiment(spec, ["mse", "conditioned"], 3,
-                                n_generate=50, n_heldout=50)
-        assert report.rows["mse"].var_l is None
-        assert report.rows["mse"].dip >= 0.0
-        assert "n/a" in report.to_markdown()
+    @pytest.mark.parametrize("shape", [(1, 1), (2, 8), (8, 2), (6, 1)])
+    def test_grid_below_3x3_rejected(self, shape):
+        cond = ConditionSpec((np.zeros(shape), np.ones(shape)), (0.5, 0.5))
+        spec = ToyCorpusSpec((cond,), 0.05, 20, 14)
+        with pytest.raises(ContractError, match="below 3x3") as err:
+            run_experiment(spec, ["mse"], 3, n_generate=10, n_heldout=10)
+        assert str(shape) in str(err.value) and "Var_L" in str(err.value)
 
     def test_markdown_has_header_note(self):
-        spec = scalar_spec(n=100, seed=15)
+        spec = canonical_spec(seed=15, samples_per_condition=20, n_conditions=1)
         report = run_experiment(spec, ["mse"], 1, n_generate=20, n_heldout=20)
         md = report.to_markdown()
         assert "objective proxies" in md
         assert "| strategy |" in md
+        assert f"| mse | {report.rows['mse'].var_l:.5f} | n/a |" in md
 
 
 class TestCondLm:
