@@ -20,7 +20,6 @@ from .core import (
     ContractError,
     SeededRng,
     Spectrogram,
-    gather_phoneme_frames,
     read_alignment,
     read_mel,
     write_mel,
@@ -33,7 +32,6 @@ __all__ = [
     "ContractError",
     "SeededRng",
     "Spectrogram",
-    "gather_phoneme_frames",
     "read_alignment",
     "read_mel",
     "write_mel",

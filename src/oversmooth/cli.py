@@ -198,11 +198,13 @@ def cmd_dist(args) -> int:
     corpus = _load_corpus(args.manifest)
     prefix = args.out_prefix or "dist"
     results: dict = {"dip": {}}
-    bins = [int(b) for b in args.bins.split(",")] if args.bins else []
-    if args.bin is not None:
-        bins.append(args.bin)
+    try:
+        bins = [int(b) for b in args.bins.split(",")] if args.bins else []
+    except ValueError:
+        raise ContractError(f"--bins takes integers, got {args.bins!r}") from None
     for f in bins:
-        d1 = density.phoneme_marginal(corpus, args.ph, f, args.bandwidth)
+        values = density.pooled_phoneme_values(corpus, args.ph, f)
+        d1 = density.kde1d(values, args.bandwidth)
         _write_csv(f"{prefix}_marginal_{args.ph}_{f}.csv", "grid,density",
                    zip(d1.grid.tolist(), d1.values.tolist()))
         Path(f"{prefix}_marginal_{args.ph}_{f}.svg").write_text(
@@ -213,7 +215,6 @@ def cmd_dist(args) -> int:
             ),
             encoding="utf-8",
         )
-        values = density.pooled_phoneme_values(corpus, args.ph, f)
         results["dip"][f"{args.ph}:{f}"] = density.dip_statistic(values).dip
     if args.joint:
         kind, _, rest = args.joint.partition(":")
@@ -439,8 +440,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--manifest", required=True,
                    help="JSON list of {mel, align} path pairs")
     p.add_argument("--ph", required=True)
-    p.add_argument("--bin", type=int)
-    p.add_argument("--bins", help="comma-separated bin indices")
+    p.add_argument("--bins", help="comma-separated bin indices in [0, F)")
     p.add_argument("--joint", help="freq:f1,f2 or time:f,lag")
     p.add_argument("--bandwidth", type=float)
     p.add_argument("--out-prefix")

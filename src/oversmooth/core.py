@@ -120,13 +120,6 @@ class Alignment:
         """Frame spans [start, end) carrying ``label``, in order."""
         return [(e.start, e.end) for e in self.entries if e.label == label]
 
-    def labels(self) -> list[str]:
-        """Distinct labels in first-appearance order."""
-        seen: dict[str, None] = {}
-        for e in self.entries:
-            seen.setdefault(e.label, None)
-        return list(seen)
-
 
 def _splitmix64(x: int) -> int:
     x = (x + _GOLDEN) & _MASK64
@@ -314,24 +307,3 @@ def read_alignment(path) -> Alignment:
             ) from None
         entries.append(AlignmentEntry(label, start, end))
     return Alignment(tuple(entries))
-
-
-def gather_phoneme_frames(
-    spec: Spectrogram, align: Alignment, phoneme: str
-) -> np.ndarray:
-    """Concatenate all frames of ``spec`` aligned to ``phoneme``.
-
-    Returns an (n_frames, F) array with frames copied in span order; a
-    phoneme that never occurs yields a 0-frame result. Spans reaching past
-    the end of the spectrogram are a contract error.
-    """
-    pieces = []
-    for start, end in align.spans(phoneme):
-        if end > spec.frames:
-            raise AlignmentError(
-                f"span [{start}, {end}) for {phoneme!r} exceeds T={spec.frames}"
-            )
-        pieces.append(spec.values[start:end])
-    if not pieces:
-        return np.empty((0, spec.bins), dtype=np.float64)
-    return np.concatenate(pieces, axis=0)

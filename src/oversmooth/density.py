@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ContractError, gather_phoneme_frames
+from .core import AlignmentError, ContractError
 
 
 class PhonemeAbsent(ContractError):
@@ -21,7 +21,7 @@ class PhonemeAbsent(ContractError):
 
 
 class BinOutOfRange(ContractError):
-    """A frequency-bin index exceeds the spectrogram width."""
+    """A frequency-bin index lies outside [0, F) of some spectrogram."""
 
 
 class NoPairs(ContractError):
@@ -78,6 +78,17 @@ def silverman_bandwidth(samples: np.ndarray) -> float:
     return 1.06 * sd * n ** (-0.2)
 
 
+def _bandwidth(values: np.ndarray, given) -> float:
+    """Silverman's rule for ``values`` when ``given`` is None; otherwise
+    ``given``, which must be finite and above 0."""
+    if given is None:
+        return silverman_bandwidth(values)
+    h = float(given)
+    if not 0.0 < h < np.inf:
+        raise ContractError(f"bandwidth must be finite and positive, got {given}")
+    return h
+
+
 def _auto_grid(samples: np.ndarray, h: float, points: int) -> np.ndarray:
     return np.linspace(samples.min() - 4.0 * h, samples.max() + 4.0 * h, points)
 
@@ -105,12 +116,7 @@ def kde1d(samples, bandwidth: float | None = None, grid=None) -> Density1D:
         raise ContractError("need at least one sample")
     if not np.all(np.isfinite(x)):
         raise ContractError("samples must be finite")
-    if bandwidth is None:
-        h = silverman_bandwidth(x)
-    else:
-        if bandwidth <= 0:
-            raise ContractError("bandwidth must be positive")
-        h = float(bandwidth)
+    h = _bandwidth(x, bandwidth)
     g = _auto_grid(x, h, 512) if grid is None else np.asarray(grid, dtype=np.float64)
     return Density1D(g, _gauss_sum(g, x, h) / len(x), h)
 
@@ -124,12 +130,8 @@ def kde2d(pairs, bandwidths: tuple[float, float] | None = None,
     if not np.all(np.isfinite(p)):
         raise ContractError("pairs must be finite")
     xs, ys = p[:, 0], p[:, 1]
-    if bandwidths is None:
-        hx, hy = silverman_bandwidth(xs), silverman_bandwidth(ys)
-    else:
-        hx, hy = float(bandwidths[0]), float(bandwidths[1])
-        if hx <= 0 or hy <= 0:
-            raise ContractError("bandwidths must be positive")
+    given_x, given_y = (None, None) if bandwidths is None else bandwidths
+    hx, hy = _bandwidth(xs, given_x), _bandwidth(ys, given_y)
     gx = _auto_grid(xs, hx, grid_points)
     gy = _auto_grid(ys, hy, grid_points)
     values = np.zeros((len(gx), len(gy)))
@@ -143,23 +145,33 @@ def kde2d(pairs, bandwidths: tuple[float, float] | None = None,
     return Density2D(gx, gy, values * norm / len(p), (hx, hy))
 
 
+def _phoneme_blocks(corpus, phoneme: str, bins) -> list[np.ndarray]:
+    """The (frames, F) block of every span of ``phoneme``, in corpus order.
+
+    ``corpus`` is an iterable of (Spectrogram, Alignment) pairs. Before any
+    block is returned, every index in ``bins`` is checked against [0, F) and
+    every span end against T on every utterance.
+    """
+    blocks = []
+    for spec, align in corpus:
+        for b in bins:
+            if not 0 <= b < spec.bins:
+                raise BinOutOfRange(f"bin {b} out of range [0, {spec.bins})")
+        for start, end in align.spans(phoneme):
+            if end > spec.frames:
+                raise AlignmentError(
+                    f"span [{start}, {end}) for {phoneme!r} exceeds T={spec.frames}"
+                )
+            blocks.append(spec.values[start:end])
+    if not blocks:
+        raise PhonemeAbsent(f"phoneme {phoneme!r} absent from corpus")
+    return blocks
+
+
 def pooled_phoneme_values(corpus, phoneme: str, bin_index: int) -> np.ndarray:
     """All values at one bin over every span of a phoneme, corpus-pooled."""
-    found = False
-    chunks = []
-    for spec, align in corpus:
-        if bin_index >= spec.bins:
-            raise BinOutOfRange(
-                f"bin {bin_index} out of range for F={spec.bins}"
-            )
-        frames = gather_phoneme_frames(spec, align, phoneme)
-        if align.spans(phoneme):
-            found = True
-        if len(frames):
-            chunks.append(frames[:, bin_index])
-    if not found:
-        raise PhonemeAbsent(f"phoneme {phoneme!r} absent from corpus")
-    return np.concatenate(chunks)
+    blocks = _phoneme_blocks(corpus, phoneme, (bin_index,))
+    return np.concatenate([block[:, bin_index] for block in blocks])
 
 
 def phoneme_marginal(corpus, phoneme: str, bin_index: int,
@@ -169,7 +181,6 @@ def phoneme_marginal(corpus, phoneme: str, bin_index: int,
     ``corpus`` is an iterable of (Spectrogram, Alignment) pairs; values are
     pooled across every span of ``phoneme`` in every utterance.
     """
-    corpus = list(corpus)
     return kde1d(pooled_phoneme_values(corpus, phoneme, bin_index), bandwidth)
 
 
@@ -182,42 +193,21 @@ def phoneme_joint(corpus, phoneme: str, axis,
     Time pairs never cross span boundaries, so both frames are guaranteed to
     carry the same phoneme.
     """
-    corpus = list(corpus)
-    pairs = []
-    found = False
-    for spec, align in corpus:
-        spans = align.spans(phoneme)
-        if spans:
-            found = True
-        for start, end in spans:
-            if end > spec.frames:
-                raise ContractError(
-                    f"span [{start}, {end}) exceeds T={spec.frames}"
-                )
-            block = spec.values[start:end]
-            if isinstance(axis, FreqPair):
-                if max(axis.f1, axis.f2) >= spec.bins:
-                    raise BinOutOfRange(
-                        f"bins {(axis.f1, axis.f2)} out of range for F={spec.bins}"
-                    )
-                pairs.append(np.column_stack([block[:, axis.f1], block[:, axis.f2]]))
-            elif isinstance(axis, TimePair):
-                if axis.f >= spec.bins:
-                    raise BinOutOfRange(
-                        f"bin {axis.f} out of range for F={spec.bins}"
-                    )
-                if axis.lag < 1:
-                    raise ContractError("lag must be >= 1")
-                if len(block) > axis.lag:
-                    col = block[:, axis.f]
-                    pairs.append(np.column_stack([col[: -axis.lag], col[axis.lag :]]))
-            else:
-                raise ContractError(f"unknown joint axis {axis!r}")
-    if not found:
-        raise PhonemeAbsent(f"phoneme {phoneme!r} absent from corpus")
-    if not pairs or sum(len(p) for p in pairs) == 0:
+    if isinstance(axis, FreqPair):
+        bins = [axis.f1, axis.f2]
+        pairs = [block[:, bins] for block in _phoneme_blocks(corpus, phoneme, bins)]
+    elif isinstance(axis, TimePair):
+        f, lag = axis.f, axis.lag
+        if lag < 1:
+            raise ContractError("lag must be >= 1")
+        pairs = [np.column_stack([block[:-lag, f], block[lag:, f]])
+                 for block in _phoneme_blocks(corpus, phoneme, (f,))]
+    else:
+        raise ContractError(f"unknown joint axis {axis!r}")
+    pairs = np.concatenate(pairs)
+    if len(pairs) == 0:
         raise NoPairs(f"no within-span pairs for {phoneme!r} with {axis!r}")
-    return kde2d(np.concatenate(pairs), bandwidths)
+    return kde2d(pairs, bandwidths)
 
 
 def _dip_sorted(x: np.ndarray) -> float:

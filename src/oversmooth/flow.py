@@ -504,6 +504,7 @@ def train_flow(model: FlowModel, batch: ConditionedBatch, steps: int = 500,
     step); a non-finite loss raises :class:`FlowDivergence` instead of being
     swallowed. Two workspaces live until the fit returns: a full-depth one
     of ``min(n, batch_size)`` samples for the steps, and one of n for the curve.
+    Each step's minibatch is gathered into one batch of that size.
     """
     _require_initialized(model)
     n, t = batch.targets.shape[:2]
@@ -512,6 +513,11 @@ def train_flow(model: FlowModel, batch: ConditionedBatch, steps: int = 500,
     rng = SeededRng(seed, stream=0x464C)
     adam = Adam(model.params.size, step_size)
     work = FlowWorkspace(model, min(n, batch_size), t)
+    # np.take into ``out`` is several times slower from a stack that is not
+    # C-ordered (FlowStrategy stacks transposed grids), so gather from a copy.
+    targets, conds = map(np.ascontiguousarray, (batch.targets, batch.conds))
+    mini = ConditionedBatch(np.zeros_like(targets[:batch_size]),
+                            np.zeros_like(conds[:batch_size]))
     scoring = FlowWorkspace(model, n, t, depth=1)
     curve = [(0, nll(model, batch, workspace=scoring))]
     order = rng.permutation(n)
@@ -525,7 +531,9 @@ def train_flow(model: FlowModel, batch: ConditionedBatch, steps: int = 500,
                 cursor = 0
             idx = order[cursor : cursor + batch_size]
             cursor += batch_size
-            mini = ConditionedBatch(batch.targets[idx], batch.conds[idx])
+            # idx is in range; "clip" skips the buffered copy "raise" makes
+            np.take(targets, idx, axis=0, out=mini.targets, mode="clip")
+            np.take(conds, idx, axis=0, out=mini.conds, mode="clip")
             _, grad = nll_and_grads(model, mini, workspace=work)
             adam.step(model.params, grad)
             if it % eval_every == 0 or it == steps:

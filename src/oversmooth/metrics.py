@@ -23,7 +23,7 @@ SSIM_C1, SSIM_C2 = 0.0001, 0.0009
 
 @dataclass(frozen=True)
 class SsimConfig:
-    """Window and dynamic range for SSIM.
+    """Box-window side and dynamic range for SSIM.
 
     ``lo``/``hi`` give the dynamic range used to normalize inputs to [0, 1]
     before any statistics; when left as None the joint min/max of the two
@@ -34,8 +34,6 @@ class SsimConfig:
     window: int = 11
     lo: float | None = None
     hi: float | None = None
-    window_kind: str = "box"  # "box" or "gaussian"
-    gaussian_sigma: float = 1.5
 
     def __post_init__(self):
         if self.window < 3 or self.window % 2 == 0:
@@ -44,8 +42,6 @@ class SsimConfig:
             raise ContractError("set both lo and hi, or neither")
         if self.lo is not None and not self.lo < self.hi:
             raise ContractError(f"degenerate dynamic range [{self.lo}, {self.hi}]")
-        if self.window_kind not in ("box", "gaussian"):
-            raise ContractError(f"unknown window kind {self.window_kind!r}")
 
 
 def laplacian_response(spec) -> np.ndarray:
@@ -74,15 +70,6 @@ def var_laplacian(spec) -> float:
     """
     response = np.abs(laplacian_response(spec))
     return float(np.mean((response - response.mean()) ** 2))
-
-
-def _window_kernel(cfg: SsimConfig) -> np.ndarray:
-    w = cfg.window
-    if cfg.window_kind == "box":
-        return np.full(w, 1.0 / w)
-    offsets = np.arange(w) - w // 2
-    k1 = np.exp(-0.5 * (offsets / cfg.gaussian_sigma) ** 2)
-    return k1 / k1.sum()
 
 
 def _window_means(planes: np.ndarray, k1: np.ndarray) -> np.ndarray:
@@ -133,7 +120,8 @@ def ssim_map(a, b, cfg: SsimConfig | None = None) -> np.ndarray:
     gb = (gb - lo) / span
 
     mu_a, mu_b, sq_a, sq_b, ab = _window_means(
-        np.stack([ga, gb, ga * ga, gb * gb, ga * gb]), _window_kernel(cfg))
+        np.stack([ga, gb, ga * ga, gb * gb, ga * gb]),
+        np.full(cfg.window, 1.0 / cfg.window))
     var_a = sq_a - mu_a * mu_a
     var_b = sq_b - mu_b * mu_b
     cov = ab - mu_a * mu_b

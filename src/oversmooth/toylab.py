@@ -61,6 +61,10 @@ class ConditionSpec:
         shape = protos[0].shape
         if any(p.shape != shape for p in protos):
             raise ContractError("prototypes of one condition must share a shape")
+        # Squared differences of cells up to 1e150 stay finite.
+        if not all(np.all(np.abs(p) <= 1e150) for p in protos):
+            raise ContractError("prototypes must be finite with cells of magnitude "
+                                "at most 1e150")
         weights = tuple(float(w) for w in self.weights)
         if len(weights) != len(protos):
             raise ContractError("one weight per prototype required")
@@ -413,7 +417,7 @@ class FlowStrategy(_Strategy):
                 conds.append(self._cond_vec(ci, int(v)))
         batch = flowmod.ConditionedBatch(np.stack(targets), np.stack(conds))
 
-        best, best_nll, best_curve = None, np.inf, None
+        best, best_nll = None, np.inf
         for r in range(restarts):
             rng = SeededRng(seed, stream=0x464C4F57).substream(r)
             model = flowmod.FlowModel.random(
@@ -427,9 +431,8 @@ class FlowStrategy(_Strategy):
             )
             final = result.curve[-1][1]
             if final < best_nll:
-                best, best_nll, best_curve = result.model, final, result.curve
+                best, best_nll = result.model, final
         self.model = best
-        self.curve = best_curve
 
     def _cond_vec(self, condition: int, mode: int) -> np.ndarray:
         vec = np.zeros(self.cond_dim)

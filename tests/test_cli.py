@@ -128,7 +128,7 @@ class TestCmdDist:
         manifest = build_dist_fixture(tmp_path)
         prefix = str(tmp_path / "dist")
         assert run(["dist", "--manifest", str(manifest), "--ph", "R",
-                    "--bin", "3", "--out-prefix", prefix]) == 0
+                    "--bins", "3", "--out-prefix", prefix]) == 0
         report = json.loads(capsys.readouterr().out)
         assert "R:3" in report["results"]["dip"]
         csv_lines = (tmp_path / "dist_marginal_R_3.csv").read_text().splitlines()
@@ -152,18 +152,39 @@ class TestCmdDist:
     def test_absent_phoneme_exits_2(self, tmp_path):
         manifest = build_dist_fixture(tmp_path)
         assert run(["dist", "--manifest", str(manifest), "--ph", "QQ",
-                    "--bin", "3"]) == 2
+                    "--bins", "3"]) == 2
 
     def test_bin_out_of_range_exits_2(self, tmp_path):
         manifest = build_dist_fixture(tmp_path)
         assert run(["dist", "--manifest", str(manifest), "--ph", "R",
-                    "--bin", "123"]) == 2
+                    "--bins", "123"]) == 2
+
+    @pytest.mark.parametrize("flags,named", [
+        (["--bins", "x"], "--bins"),
+        (["--bins", "3,x"], "--bins"),
+        (["--bins", "-1"], "bin -1"),
+        (["--joint", "freq:-1,2"], "bin -1"),
+        (["--joint", "time:-2,1"], "bin -2"),
+        (["--bins", "3", "--bandwidth", "nan"], "bandwidth"),
+        (["--bins", "3", "--bandwidth", "inf"], "bandwidth"),
+    ])
+    def test_malformed_input_exits_2_with_one_error_line(self, tmp_path, capsys,
+                                                          flags, named):
+        manifest = build_dist_fixture(tmp_path)
+        assert run(["dist", "--manifest", str(manifest), "--ph", "R",
+                    "--out-prefix", str(tmp_path / "d")] + flags) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1, lines
+        assert lines[0].startswith("error: ") and named in lines[0]
+        assert not list(tmp_path.glob("d_*"))
 
     def test_manifest_of_strings_exits_2(self, tmp_path, capsys):
         manifest = tmp_path / "manifest.json"
         manifest.write_text(json.dumps(["utt0.mel", "utt0.tsv"]))
         assert run(["dist", "--manifest", str(manifest), "--ph", "R",
-                    "--bin", "3"]) == 2
+                    "--bins", "3"]) == 2
         err = capsys.readouterr().err
         assert "manifest entry 0" in err and "utt0.mel" in err
 
@@ -173,7 +194,7 @@ class TestCmdDist:
         doc[1]["mel"] = 5
         manifest.write_text(json.dumps(doc))
         assert run(["dist", "--manifest", str(manifest), "--ph", "R",
-                    "--bin", "3"]) == 2
+                    "--bins", "3"]) == 2
         err = capsys.readouterr().err
         assert "manifest entry 1" in err and "'mel'" in err
         assert "internal error" not in err
@@ -262,6 +283,24 @@ class TestCmdToylab:
         assert len(lines) == 1
         assert f"({rows}, {cols})" in lines[0] and "3x3" in lines[0]
         assert "Var_L" in lines[0]
+
+    def test_spec_prototypes_too_large_to_square_exit_2(self, tmp_path, capsys):
+        doc = {
+            "conditions": [{"prototypes": [[[1e300] * 4] * 4, [[-1e300] * 4] * 4],
+                            "weights": [0.5, 0.5]}],
+            "noise": 0.05,
+            "samples_per_condition": 20,
+        }
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps(doc))
+        assert run(["toylab", "--spec", str(spec_path), "--strategies",
+                    "mse,flow", "--seed", "2"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1, lines
+        assert lines[0].startswith("error: ")
+        assert "prototypes" in lines[0] and "1e150" in lines[0]
 
     @pytest.mark.parametrize("noise", [float("nan"), float("inf")])
     def test_spec_non_finite_noise_exits_2(self, tmp_path, capsys, noise):

@@ -13,7 +13,6 @@ from oversmooth.core import (
     FormatError,
     SeededRng,
     Spectrogram,
-    gather_phoneme_frames,
     read_alignment,
     read_mel,
     write_mel,
@@ -141,55 +140,6 @@ class TestAlignment:
         path.write_text("A\t0\tx\n")
         with pytest.raises(AlignmentError):
             read_alignment(path)
-
-    def test_labels_order(self):
-        align = Alignment(
-            (AlignmentEntry("B", 0, 2), AlignmentEntry("A", 2, 4),
-             AlignmentEntry("B", 4, 6))
-        )
-        assert align.labels() == ["B", "A"]
-
-
-class TestGatherPhonemeFrames:
-    def test_single_span(self):
-        values = np.arange(20 * 4, dtype=float).reshape(20, 4)
-        spec = Spectrogram(values)
-        align = Alignment((AlignmentEntry("A", 0, 12), AlignmentEntry("R", 12, 20)))
-        frames = gather_phoneme_frames(spec, align, "R")
-        assert frames.shape == (8, 4)
-        assert np.array_equal(frames, values[12:20])
-
-    def test_absent_phoneme_empty(self):
-        spec = Spectrogram(np.zeros((5, 2)))
-        align = Alignment((AlignmentEntry("A", 0, 5),))
-        frames = gather_phoneme_frames(spec, align, "Z")
-        assert frames.shape == (0, 2)
-
-    def test_disjoint_spans_concatenate(self):
-        values = np.arange(10 * 2, dtype=float).reshape(10, 2)
-        spec = Spectrogram(values)
-        align = Alignment(
-            (AlignmentEntry("A", 0, 2), AlignmentEntry("B", 2, 6),
-             AlignmentEntry("A", 6, 8))
-        )
-        frames = gather_phoneme_frames(spec, align, "A")
-        assert np.array_equal(frames, np.concatenate([values[0:2], values[6:8]]))
-
-    def test_span_exceeds_frames(self):
-        spec = Spectrogram(np.zeros((5, 2)))
-        align = Alignment((AlignmentEntry("A", 0, 9),))
-        with pytest.raises(AlignmentError):
-            gather_phoneme_frames(spec, align, "A")
-
-    def test_frame_count_matches_span_lengths(self):
-        rng = np.random.default_rng(0)
-        spec = Spectrogram(rng.normal(size=(30, 3)))
-        align = Alignment(
-            (AlignmentEntry("A", 0, 7), AlignmentEntry("B", 7, 11),
-             AlignmentEntry("A", 15, 30))
-        )
-        frames = gather_phoneme_frames(spec, align, "A")
-        assert frames.shape[0] == 7 + 15
 
 
 class TestSeededRng:

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from oversmooth.core import (
     Alignment,
     AlignmentEntry,
+    AlignmentError,
     ContractError,
     SeededRng,
     Spectrogram,
@@ -21,6 +22,7 @@ from oversmooth.density import (
     kde2d,
     phoneme_joint,
     phoneme_marginal,
+    pooled_phoneme_values,
     silverman_bandwidth,
 )
 
@@ -60,6 +62,11 @@ class TestKde1d:
     def test_empty_rejected(self):
         with pytest.raises(ContractError):
             kde1d([])
+
+    @pytest.mark.parametrize("bandwidth", [float("nan"), float("inf"), 0.0])
+    def test_bandwidth_must_be_finite_and_positive(self, bandwidth):
+        with pytest.raises(ContractError, match="bandwidth must be finite"):
+            kde1d(np.array([0.0, 1.0, 2.0]), bandwidth=bandwidth)
 
     def test_silverman_formula(self):
         rng = np.random.default_rng(2)
@@ -102,6 +109,13 @@ class TestKde2d:
         with pytest.raises(ContractError):
             kde2d(np.empty((0, 2)))
 
+    @pytest.mark.parametrize("bandwidths", [(0.5, float("nan")),
+                                            (float("inf"), 0.5), (0.5, -1.0)])
+    def test_bandwidths_must_be_finite_and_positive(self, bandwidths):
+        pairs = np.array([[0.0, 1.0], [1.0, 0.0], [2.0, 2.0]])
+        with pytest.raises(ContractError, match="bandwidth must be finite"):
+            kde2d(pairs, bandwidths)
+
 
 def corpus_from_columns(column_values, label="R", bins=4, bin_index=2):
     """One-utterance corpus with chosen values at one bin of every frame."""
@@ -111,6 +125,55 @@ def corpus_from_columns(column_values, label="R", bins=4, bin_index=2):
     spec = Spectrogram(values)
     align = Alignment((AlignmentEntry(label, 0, len(column_values)),))
     return [(spec, align)]
+
+
+class TestPooledPhonemeValues:
+    def test_single_span(self):
+        values = np.arange(20 * 4, dtype=float).reshape(20, 4)
+        align = Alignment((AlignmentEntry("A", 0, 12), AlignmentEntry("R", 12, 20)))
+        pooled = pooled_phoneme_values([(Spectrogram(values), align)], "R", 1)
+        assert np.array_equal(pooled, values[12:20, 1])
+
+    def test_utterance_without_phoneme_adds_nothing(self):
+        values = np.arange(5 * 2, dtype=float).reshape(5, 2)
+        with_a = (Spectrogram(values), Alignment((AlignmentEntry("A", 1, 3),)))
+        without = (Spectrogram(np.zeros((5, 2))),
+                   Alignment((AlignmentEntry("B", 0, 5),)))
+        pooled = pooled_phoneme_values([without, with_a, without], "A", 0)
+        assert np.array_equal(pooled, values[1:3, 0])
+
+    def test_disjoint_spans_concatenate(self):
+        values = np.arange(10 * 2, dtype=float).reshape(10, 2)
+        align = Alignment(
+            (AlignmentEntry("A", 0, 2), AlignmentEntry("B", 2, 6),
+             AlignmentEntry("A", 6, 8))
+        )
+        corpus = [(Spectrogram(values), align), (Spectrogram(-values), align)]
+        pooled = pooled_phoneme_values(corpus, "A", 1)
+        assert np.array_equal(pooled, np.concatenate(
+            [values[0:2, 1], values[6:8, 1], -values[0:2, 1], -values[6:8, 1]]))
+
+    def test_span_exceeds_frames(self):
+        spec = Spectrogram(np.zeros((5, 2)))
+        align = Alignment((AlignmentEntry("A", 0, 9),))
+        with pytest.raises(AlignmentError, match=r"\[0, 9\) for 'A' exceeds T=5"):
+            pooled_phoneme_values([(spec, align)], "A", 0)
+
+    def test_frame_count_matches_span_lengths(self):
+        rng = np.random.default_rng(0)
+        spec = Spectrogram(rng.normal(size=(30, 3)))
+        align = Alignment(
+            (AlignmentEntry("A", 0, 7), AlignmentEntry("B", 7, 11),
+             AlignmentEntry("A", 15, 30))
+        )
+        assert len(pooled_phoneme_values([(spec, align)], "A", 2)) == 7 + 15
+
+    @pytest.mark.parametrize("bin_index", [-1, 4])
+    def test_bin_outside_every_width_rejected(self, bin_index):
+        corpus = corpus_from_columns(np.ones(10))
+        expected = rf"bin {bin_index} out of range \[0, 4\)"
+        with pytest.raises(BinOutOfRange, match=expected):
+            pooled_phoneme_values(corpus, "R", bin_index)
 
 
 class TestPhonemeMarginal:
@@ -187,6 +250,33 @@ class TestPhonemeJoint:
         ix = np.argmin(np.abs(density.grid_x - 1.0))
         iy = np.argmin(np.abs(density.grid_y - 10.0))
         assert density.values[ix, iy] < 1e-8
+
+    @pytest.mark.parametrize("axis", [FreqPair(-1, 2), FreqPair(2, 4),
+                                      TimePair(-2, 1), TimePair(4, 1)])
+    def test_bins_outside_width_rejected(self, axis):
+        spec = Spectrogram(np.zeros((6, 4)))
+        align = Alignment((AlignmentEntry("R", 0, 6),))
+        with pytest.raises(BinOutOfRange, match=r"out of range \[0, 4\)"):
+            phoneme_joint([(spec, align)], "R", axis)
+
+    def test_span_exceeds_frames(self):
+        spec = Spectrogram(np.zeros((5, 2)))
+        align = Alignment((AlignmentEntry("R", 0, 9),))
+        with pytest.raises(AlignmentError, match="exceeds T=5"):
+            phoneme_joint([(spec, align)], "R", FreqPair(0, 1))
+
+    def test_bins_checked_on_utterances_without_the_phoneme(self):
+        narrow = (Spectrogram(np.zeros((5, 2))),
+                  Alignment((AlignmentEntry("B", 0, 5),)))
+        corpus = corpus_from_columns(np.ones(10)) + [narrow]
+        with pytest.raises(BinOutOfRange, match=r"bin 3 out of range \[0, 2\)"):
+            phoneme_joint(corpus, "R", FreqPair(0, 3))
+
+    def test_lag_below_one_rejected(self):
+        spec = Spectrogram(np.zeros((5, 2)))
+        align = Alignment((AlignmentEntry("R", 0, 5),))
+        with pytest.raises(ContractError, match="lag must be >= 1"):
+            phoneme_joint([(spec, align)], "R", TimePair(0, 0))
 
     def test_single_short_span_no_pairs(self):
         spec = Spectrogram(np.zeros((1, 2)))

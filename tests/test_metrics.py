@@ -30,16 +30,11 @@ def conv_oracle(grid):
 
 
 def ssim_map_2d_window(a, b, cfg):
-    """SSIM map with the full 2-D window: the outer product of the 1-D
+    """SSIM map with the full 2-D box window: the outer product of the 1-D
     weights, applied with einsum to a sliding view of each reflect-padded
     moment grid."""
     w = cfg.window
-    if cfg.window_kind == "box":
-        k1 = np.full(w, 1.0 / w)
-    else:
-        offsets = np.arange(w) - w // 2
-        k1 = np.exp(-0.5 * (offsets / cfg.gaussian_sigma) ** 2)
-        k1 /= k1.sum()
+    k1 = np.full(w, 1.0 / w)
     kernel = np.outer(k1, k1)
     lo, hi = min(a.min(), b.min()), max(a.max(), b.max())
     span = hi - lo if hi > lo else 1.0
@@ -161,14 +156,6 @@ class TestSsim:
         with pytest.raises(ContractError):
             SsimConfig(window=10)
 
-    def test_gaussian_window_option(self):
-        rng = np.random.default_rng(9)
-        a, b = rng.normal(size=(20, 20)), rng.normal(size=(20, 20))
-        box = ssim(a, b, SsimConfig(window_kind="box"))
-        gauss = ssim(a, b, SsimConfig(window_kind="gaussian"))
-        assert box != gauss
-        assert ssim(a, a, SsimConfig(window_kind="gaussian")) == 1.0
-
     def test_small_grid_behavior(self):
         # Grids smaller than the window still work via mirrored indices.
         rng = np.random.default_rng(13)
@@ -180,9 +167,7 @@ grid_shapes = pytest.mark.parametrize(
     "shape", [(1, 1), (4, 4), (15, 15), (517, 80)])
 window_configs = pytest.mark.parametrize(
     "cfg",
-    [SsimConfig(), SsimConfig(window_kind="gaussian"), SsimConfig(window=3),
-     SsimConfig(window=7, window_kind="gaussian")],
-    ids=["box11", "gauss11", "box3", "gauss7"])
+    [SsimConfig(), SsimConfig(window=3)], ids=["box11", "box3"])
 
 
 class TestSsimSeparableWindow:

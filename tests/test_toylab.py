@@ -65,6 +65,14 @@ class TestMakeCorpus:
         with pytest.raises(ContractError, match="noise must be finite and >= 0"):
             scalar_spec(noise=noise)
 
+    @pytest.mark.parametrize("cell", [1e300, -1e151, float("nan"), float("inf")])
+    def test_prototypes_too_large_to_square_rejected(self, cell):
+        proto = np.zeros((4, 4))
+        proto[1, 2] = cell
+        with pytest.raises(ContractError, match="prototypes must be finite.*1e150"):
+            ConditionSpec((np.zeros((4, 4)), proto), (0.5, 0.5))
+        ConditionSpec((np.full((4, 4), -1e150),), (1.0,))  # the bound itself
+
     def test_noise_scale(self):
         corpus = make_corpus(scalar_spec(noise=0.05, n=2000, seed=7))
         stack = corpus.stack(0)[:, 0, 0]
