@@ -116,10 +116,14 @@ def _at_least(flag: str, value, floor) -> None:
         raise ContractError(f"{flag} must be at least {floor}, got {value}")
 
 
-def _write_csv(path, header: str, rows) -> None:
-    lines = [header] + [",".join(repr(v) if isinstance(v, float) else str(v)
-                                 for v in row) for row in rows]
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+def _reprs(values) -> list:
+    """``repr`` of each number of ``values``, flattened in C order."""
+    return list(map(repr, np.asarray(values).ravel().tolist()))
+
+
+def _csv(header: str, *columns) -> str:
+    """``header``, then line i: the i-th string of each column, comma-joined."""
+    return "\n".join([header, *map(",".join, zip(*columns))]) + "\n"
 
 
 # ---------------------------------------------------------------------------
@@ -202,18 +206,18 @@ def cmd_dist(args) -> int:
         bins = [int(b) for b in args.bins.split(",")] if args.bins else []
     except ValueError:
         raise ContractError(f"--bins takes integers, got {args.bins!r}") from None
+    # Files are written only once every density is computed, so a run
+    # rejected for its input or flags leaves no partial output.
+    files = {}
     for f in bins:
         values = density.pooled_phoneme_values(corpus, args.ph, f)
         d1 = density.kde1d(values, args.bandwidth)
-        _write_csv(f"{prefix}_marginal_{args.ph}_{f}.csv", "grid,density",
-                   zip(d1.grid.tolist(), d1.values.tolist()))
-        Path(f"{prefix}_marginal_{args.ph}_{f}.svg").write_text(
-            svgplot.line_plot(
-                [(f"{args.ph} bin {f}", d1.grid, d1.values)],
-                f"marginal density, phoneme {args.ph}, bin {f}",
-                "log-mel value", "density",
-            ),
-            encoding="utf-8",
+        files[f"{prefix}_marginal_{args.ph}_{f}.csv"] = _csv(
+            "grid,density", _reprs(d1.grid), _reprs(d1.values))
+        files[f"{prefix}_marginal_{args.ph}_{f}.svg"] = svgplot.line_plot(
+            [(f"{args.ph} bin {f}", d1.grid, d1.values)],
+            f"marginal density, phoneme {args.ph}, bin {f}",
+            "log-mel value", "density",
         )
         results["dip"][f"{args.ph}:{f}"] = density.dip_statistic(values).dip
     if args.joint:
@@ -230,20 +234,20 @@ def cmd_dist(args) -> int:
             axis = density.TimePair(first, second)
         else:
             raise ContractError(f"unknown joint kind {kind!r}")
-        d2 = density.phoneme_joint(corpus, args.ph, axis)
-        rows = [
-            (float(d2.grid_x[i]), float(d2.grid_y[j]), float(d2.values[i, j]))
-            for i in range(len(d2.grid_x))
-            for j in range(len(d2.grid_y))
-        ]
-        _write_csv(f"{prefix}_joint_{args.ph}.csv", "x,y,density", rows)
-        Path(f"{prefix}_joint_{args.ph}.svg").write_text(
-            svgplot.heatmap(d2.values, f"joint density, phoneme {args.ph}",
-                            "second value", "first value"),
-            encoding="utf-8",
-        )
+        d2 = density.phoneme_joint(
+            corpus, args.ph, axis,
+            None if args.bandwidth is None else (args.bandwidth,) * 2)
+        xs, ys = _reprs(d2.grid_x), _reprs(d2.grid_y)
+        csv = f"{prefix}_joint_{args.ph}.csv"  # long form, x outer
+        files[csv] = _csv("x,y,density", [x for x in xs for _ in ys],
+                          ys * len(xs), _reprs(d2.values))
+        files[f"{prefix}_joint_{args.ph}.svg"] = svgplot.heatmap(
+            d2.values, f"joint density, phoneme {args.ph}",
+            "second value", "first value")
         results["joint"] = {"kind": kind, "first": first, "second": second,
-                            "csv": f"{prefix}_joint_{args.ph}.csv"}
+                            "csv": csv}
+    for path, text in files.items():
+        Path(path).write_text(text, encoding="utf-8")
     _emit(
         _report(
             "dist",
@@ -338,7 +342,9 @@ def cmd_flow(args) -> int:
             raise ContractError(f"training diverged: final NLL {final!r} is above "
                                 f"the step-0 NLL {first!r}; nothing was saved")
         flow.save_model(result.model, args.ckpt)
-        flow.curve_to_csv(result.curve, f"{args.ckpt}.curve.csv")
+        steps, nlls = zip(*result.curve)
+        Path(f"{args.ckpt}.curve.csv").write_text(
+            _csv("step,nll", _reprs(steps), _reprs(nlls)), encoding="utf-8")
         _emit(
             _report(
                 "flow-train",

@@ -26,7 +26,6 @@ are exact negatives of each other.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -542,11 +541,6 @@ def train_flow(model: FlowModel, batch: ConditionedBatch, steps: int = 500,
                     raise FlowDivergence(f"non-finite NLL at step {it}")
                 curve.append((it, full))
     return TrainResult(model, curve)
-
-
-def curve_to_csv(curve, path) -> None:
-    lines = ["step,nll"] + [f"{s},{v!r}" for s, v in curve]
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
 def save_model(model: FlowModel, path) -> None:

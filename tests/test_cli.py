@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from conftest import heatmap_pixels, wav_bytes, write_alignment
-from oversmooth import cli
+from oversmooth import cli, density
 from oversmooth.core import (
     Alignment,
     AlignmentEntry,
@@ -123,6 +123,26 @@ def build_dist_fixture(tmp_path):
     return manifest
 
 
+def csv_by_rows(header, rows):
+    """The lines of a CSV as ``dist`` wrote it row by row: floats by
+    ``repr``, other cells by ``str``. Split at every newline, so a trailing
+    newline shows as a last empty line and a mismatch reports the first
+    differing line instead of a diff of two whole files."""
+    lines = [header] + [",".join(repr(v) if isinstance(v, float) else str(v)
+                                 for v in row) for row in rows]
+    return ("\n".join(lines) + "\n").split("\n")
+
+
+def joint_csv_by_rows(d2):
+    return csv_by_rows("x,y,density", [
+        (float(d2.grid_x[i]), float(d2.grid_y[j]), float(d2.values[i, j]))
+        for i in range(len(d2.grid_x)) for j in range(len(d2.grid_y))])
+
+
+def read_lines(path):
+    return path.read_text().split("\n")
+
+
 class TestCmdDist:
     def test_marginal_csv_and_dip(self, tmp_path, capsys):
         manifest = build_dist_fixture(tmp_path)
@@ -149,6 +169,41 @@ class TestCmdDist:
         # one <image>, one pixel per (grid_x, grid_y) point
         assert heatmap_pixels(svg).shape == (128, 128, 3)
 
+    @pytest.mark.parametrize("bandwidth", [None, 0.01], ids=["rule", "narrow"])
+    def test_csvs_equal_the_row_formula(self, tmp_path, capsys, bandwidth):
+        manifest = build_dist_fixture(tmp_path)
+        flags = [] if bandwidth is None else ["--bandwidth", str(bandwidth)]
+        assert run(["dist", "--manifest", str(manifest), "--ph", "R",
+                    "--bins", "3,4", "--joint", "time:3,1",
+                    "--out-prefix", str(tmp_path / "d")] + flags) == 0
+        capsys.readouterr()
+        corpus = cli._load_corpus(manifest)
+        for f in (3, 4):
+            d1 = density.phoneme_marginal(corpus, "R", f, bandwidth)
+            assert read_lines(tmp_path / f"d_marginal_R_{f}.csv") == csv_by_rows(
+                "grid,density", zip(d1.grid.tolist(), d1.values.tolist()))
+        d2 = density.phoneme_joint(corpus, "R", density.TimePair(3, 1),
+                                   None if bandwidth is None else (bandwidth,) * 2)
+        lines = read_lines(tmp_path / "d_joint_R.csv")
+        assert lines == joint_csv_by_rows(d2)
+        if bandwidth is not None:  # far cells underflow to exactly 0.0
+            assert (d2.values == 0.0).any()
+            assert any(line.endswith(",0.0") for line in lines)
+
+    def test_bandwidth_sets_both_joint_bandwidths(self, tmp_path, capsys):
+        manifest = build_dist_fixture(tmp_path)
+        joints = []
+        for name, flags in (("rule", []), ("narrow", ["--bandwidth", "0.01"])):
+            assert run(["dist", "--manifest", str(manifest), "--ph", "R",
+                        "--joint", "freq:3,4", "--out-prefix",
+                        str(tmp_path / name)] + flags) == 0
+            joints.append(read_lines(tmp_path / f"{name}_joint_R.csv"))
+        capsys.readouterr()
+        assert joints[0] != joints[1]
+        d2 = density.phoneme_joint(cli._load_corpus(manifest), "R",
+                                   density.FreqPair(3, 4), bandwidths=(0.01, 0.01))
+        assert joints[1] == joint_csv_by_rows(d2)
+
     def test_absent_phoneme_exits_2(self, tmp_path):
         manifest = build_dist_fixture(tmp_path)
         assert run(["dist", "--manifest", str(manifest), "--ph", "QQ",
@@ -167,6 +222,9 @@ class TestCmdDist:
         (["--joint", "time:-2,1"], "bin -2"),
         (["--bins", "3", "--bandwidth", "nan"], "bandwidth"),
         (["--bins", "3", "--bandwidth", "inf"], "bandwidth"),
+        # a later bin or the joint fails after bin 3 is computed
+        (["--bins", "3,123"], "bin 123"),
+        (["--bins", "3", "--joint", "freq:3,x"], "--joint"),
     ])
     def test_malformed_input_exits_2_with_one_error_line(self, tmp_path, capsys,
                                                           flags, named):
@@ -404,6 +462,22 @@ class TestCmdFlow:
                         "--out-mel", str(mel),
                         "--out", str(tmp_path / "s.json")]) == 0
         assert mel_a.read_bytes() == mel_b.read_bytes()
+
+    def test_train_writes_the_curve_csv(self, tmp_path):
+        manifest = self.build_corpus(tmp_path, samples=8)
+        ckpt = tmp_path / "model.flw"
+        out = tmp_path / "train.json"
+        assert run(["flow", "train", "--manifest", str(manifest),
+                    "--ckpt", str(ckpt), "--steps", "250", "--seed", "5",
+                    "--out", str(out)]) == 0
+        final_nll = json.loads(out.read_text())["results"]["final_nll"]
+        lines = (tmp_path / "model.flw.curve.csv").read_text().splitlines()
+        assert lines[0] == "step,nll"
+        rows = [line.split(",") for line in lines[1:]]
+        # step 0, every 100 steps and the last step; NLLs by repr
+        assert [step for step, _ in rows] == ["0", "100", "200", "250"]
+        assert all(repr(float(v)) == v and np.isfinite(float(v)) for _, v in rows)
+        assert rows[-1][1] == repr(final_nll)
 
     def test_channel_mismatch_exits_2(self, tmp_path):
         manifest = self.build_corpus(tmp_path)

@@ -20,7 +20,6 @@ from oversmooth.flow import (
     FlowWorkspace,
     UninitializedModel,
     actnorm_init,
-    curve_to_csv,
     forward,
     inverse,
     load_model,
@@ -617,10 +616,3 @@ class TestCheckpoint:
         z, cond = rng.normal(size=(6, 4)), rng.normal(size=(6, 2))
         assert np.array_equal(forward(model, z, cond)[0],
                               forward(other, z, cond)[0])
-
-    def test_curve_csv(self, tmp_path):
-        path = tmp_path / "curve.csv"
-        curve_to_csv([(0, 1.5), (10, 1.25)], path)
-        lines = path.read_text().splitlines()
-        assert lines[0] == "step,nll"
-        assert len(lines) == 3
