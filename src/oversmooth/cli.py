@@ -315,8 +315,7 @@ def _load_flow_corpus(manifest_path):
     targets = np.stack(grids)
     t = targets.shape[1]
     conds = np.zeros((len(grids), t, n_cond))
-    for i, ci in enumerate(cond_ids):
-        conds[i, :, ci] = 1.0
+    conds[np.arange(len(grids)), :, cond_ids] = 1.0
     return flow.ConditionedBatch(targets, conds), n_cond
 
 
@@ -409,7 +408,7 @@ def cmd_make_corpus(args) -> int:
     _emit(
         _report("make-corpus", {}, {"seed": seed, "samples": args.samples},
                 {"manifest": str(manifest),
-                 "n_samples": len(corpus.samples)}),
+                 "n_samples": sum(map(len, corpus.stacks))}),
         args.out,
     )
     return 0
@@ -493,6 +492,13 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        # Checked before any work, so a report that cannot be written does
+        # not leave a command's other output files behind.
+        if args.out and not Path(args.out).parent.is_dir():
+            raise ContractError(f"--out {args.out}: directory "
+                                f"{Path(args.out).parent} does not exist")
+        if args.out and Path(args.out).is_dir():
+            raise ContractError(f"--out {args.out} is a directory")
         if args.command == "flow":
             if args.action in ("train", "nll") and not args.manifest:
                 raise ContractError(f"flow {args.action} requires --manifest")

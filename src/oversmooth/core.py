@@ -228,11 +228,17 @@ def flat_views(shapes):
 
 def write_binary(path, magic: bytes, header, values) -> None:
     """Write ``magic``, ``header`` as u32-LE words, then ``values`` as
-    little-endian float32."""
+    little-endian float32; a value that float32 cannot hold finitely is an
+    error, raised before the file is opened."""
+    with np.errstate(over="ignore"):
+        payload = np.ascontiguousarray(values, dtype="<f4")
+    if not np.all(np.isfinite(payload)):
+        raise ContractError(f"{path}: values must be finite in float32 "
+                            f"(|v| <= {np.finfo(np.float32).max:.4g})")
     with open(path, "wb") as fh:
         fh.write(magic)
         fh.write(struct.pack(f"<{len(header)}I", *header))
-        fh.write(np.ascontiguousarray(values, dtype="<f4").tobytes())
+        fh.write(payload.tobytes())
 
 
 def read_binary(path, magic: bytes, words: int, floats):

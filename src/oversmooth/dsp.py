@@ -188,8 +188,8 @@ def mel_spectrogram(
             f"clip rate {clip.sample_rate} Hz != filterbank rate "
             f"{filterbank.sample_rate} Hz (no resampling)"
         )
-    if floor <= 0.0:
-        raise ContractError("floor must be positive")
+    if not (np.isfinite(floor) and floor > 0.0):
+        raise ContractError(f"floor must be finite and above 0, got {floor}")
     mag = stft_magnitude(clip, frame_size, hop)
     mel = mag @ filterbank.matrix.T
     return np.log(np.maximum(mel, floor))

@@ -410,16 +410,22 @@ def sample(model: FlowModel, cond: np.ndarray, rng: SeededRng,
 
 def sample_batch(model: FlowModel, conds: np.ndarray, rng: SeededRng,
                  temperature: float = 1.0) -> np.ndarray:
-    """Draw one grid per condition row of an (n, T, d_cond) stack."""
+    """Draw one grid per condition row of an (n, T, d_cond) stack; a draw or
+    grid that overflows to a non-finite value is an error."""
     _require_initialized(model)
-    if temperature <= 0:
-        raise ContractError("temperature must be positive")
+    if not (np.isfinite(temperature) and temperature > 0):
+        raise ContractError(f"temperature must be finite and positive, got "
+                            f"{temperature}")
     conds = np.asarray(conds, dtype=np.float64)
     _check_shapes(model, np.empty(conds.shape[:2] + (model.channels,)), conds)
-    z = temperature * rng.normal(
-        size=(conds.shape[0], conds.shape[1], model.channels)
-    )
-    y, _ = _synthesis(model, z, conds)
+    with np.errstate(over="ignore", invalid="ignore"):
+        z = temperature * rng.normal(
+            size=(conds.shape[0], conds.shape[1], model.channels)
+        )
+        y, _ = _synthesis(model, z, conds)
+    if not np.all(np.isfinite(y)):
+        raise ContractError(f"sampling at temperature {temperature} overflowed "
+                            "to non-finite values")
     return y
 
 

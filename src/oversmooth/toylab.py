@@ -100,23 +100,19 @@ class ToyCorpusSpec:
 
 
 @dataclass(frozen=True)
-class ToySample:
-    condition: int
-    mode: int
-    values: np.ndarray
-
-
-@dataclass
 class ToyCorpus:
+    """Per condition, a read-only (n, h, w) stack of grids and the (n,) mode
+    id of each grid."""
+
     spec: ToyCorpusSpec
-    samples: list
+    stacks: tuple
+    mode_ids: tuple
 
     def stack(self, condition: int) -> np.ndarray:
-        picked = [s.values for s in self.samples if s.condition == condition]
-        return np.stack(picked) if picked else np.empty((0,) + self.spec.grid_shape)
+        return self.stacks[condition]
 
     def modes(self, condition: int) -> np.ndarray:
-        return np.array([s.mode for s in self.samples if s.condition == condition])
+        return self.mode_ids[condition]
 
 
 def stripes_horizontal(side: int = 8) -> np.ndarray:
@@ -146,16 +142,16 @@ def _sample_corpus(spec: ToyCorpusSpec, rng: SeededRng,
                    samples_per_condition: int | None = None) -> ToyCorpus:
     n = (spec.samples_per_condition if samples_per_condition is None
          else samples_per_condition)
-    samples = []
+    stacks, mode_ids = [], []
     for ci, cond in enumerate(spec.conditions):
         sub = rng.substream(ci)
         modes = sub.categorical(cond.weights, n)
         noise = sub.normal(size=(n,) + spec.grid_shape) * spec.noise
-        for i in range(n):
-            samples.append(
-                ToySample(ci, int(modes[i]), cond.prototypes[modes[i]] + noise[i])
-            )
-    return ToyCorpus(spec, samples)
+        stacks.append(np.stack(cond.prototypes)[modes] + noise)
+        mode_ids.append(modes)
+    for arr in stacks + mode_ids:
+        arr.flags.writeable = False
+    return ToyCorpus(spec, tuple(stacks), tuple(mode_ids))
 
 
 def make_corpus(spec: ToyCorpusSpec) -> ToyCorpus:
@@ -225,10 +221,7 @@ class _Strategy:
             return None
         totals = []
         for ci, weights in self.weights.items():
-            stack = corpus.stack(ci)
-            if len(stack) == 0:
-                continue
-            terms = [np.log(w) + self.log_likelihood(ci, v, stack)
+            terms = [np.log(w) + self.log_likelihood(ci, v, corpus.stack(ci))
                      for v, w in enumerate(weights) if w > 0]
             totals.append(-probloss.log_sum_exp(terms)[0].mean())
         return float(np.mean(totals))
@@ -241,13 +234,9 @@ class PointwiseStrategy(_Strategy):
         if loss not in ("mse", "mae"):
             raise ContractError(f"unknown pointwise loss {loss!r}")
         self.loss = loss
-        self.table = {}
-        for ci in range(len(corpus.spec.conditions)):
-            stack = corpus.stack(ci)
-            if len(stack) == 0:
-                raise ContractError(f"condition {ci} has no samples")
-            self.table[ci] = (np.mean(stack, axis=0) if loss == "mse"
-                              else np.median(stack, axis=0))
+        self.table = {ci: np.mean(stack, axis=0) if loss == "mse"
+                      else np.median(stack, axis=0)
+                      for ci, stack in enumerate(corpus.stacks)}
 
     def generate(self, condition: int, count: int, rng: SeededRng) -> np.ndarray:
         return np.repeat(self.table[condition][None], count, axis=0)
@@ -407,15 +396,14 @@ class FlowStrategy(_Strategy):
         n_modes = max(len(c.prototypes) for c in corpus.spec.conditions)
         self.cond_dim = self.n_conditions + (n_modes if condition_on_mode else 0)
 
-        targets, conds = [], []
-        self.weights = {}
-        for ci in range(self.n_conditions):
-            self.weights[ci] = (_mode_split(corpus, ci)[1] if condition_on_mode
-                                else np.ones(1))
-            for g, v in zip(corpus.stack(ci), corpus.modes(ci)):
-                targets.append(g.T)  # (frames, channels)
-                conds.append(self._cond_vec(ci, int(v)))
-        batch = flowmod.ConditionedBatch(np.stack(targets), np.stack(conds))
+        self.weights = {ci: _mode_split(corpus, ci)[1] if condition_on_mode
+                        else np.ones(1) for ci in range(self.n_conditions)}
+        batch = flowmod.ConditionedBatch(
+            np.concatenate([np.transpose(stack, (0, 2, 1))  # (n, frames, channels)
+                            for stack in corpus.stacks]),
+            np.concatenate([self._conds(ci, modes)
+                            for ci, modes in enumerate(corpus.mode_ids)]),
+        )
 
         best, best_nll = None, np.inf
         for r in range(restarts):
@@ -434,27 +422,28 @@ class FlowStrategy(_Strategy):
                 best, best_nll = result.model, final
         self.model = best
 
-    def _cond_vec(self, condition: int, mode: int) -> np.ndarray:
-        vec = np.zeros(self.cond_dim)
-        vec[condition] = 1.0
+    def _conds(self, condition: int, modes: np.ndarray) -> np.ndarray:
+        """One-hot condition inputs, (len(modes), frames, cond_dim): the
+        condition and, with mode conditioning, each grid's mode."""
+        conds = np.zeros((len(modes), self.frames, self.cond_dim))
+        conds[:, :, condition] = 1.0
         if self.condition_on_mode:
-            vec[self.n_conditions + mode] = 1.0
-        return np.tile(vec, (self.frames, 1))
+            conds[np.arange(len(modes)), :, self.n_conditions + modes] = 1.0
+        return conds
 
     def generate(self, condition: int, count: int, rng: SeededRng) -> np.ndarray:
         if self.condition_on_mode:
             picks = rng.categorical(self.weights[condition], count)
         else:
             picks = np.zeros(count, dtype=int)
-        conds = np.stack([self._cond_vec(condition, int(v)) for v in picks])
-        grids = flowmod.sample_batch(self.model, conds, rng)
+        grids = flowmod.sample_batch(self.model, self._conds(condition, picks), rng)
         return np.transpose(grids, (0, 2, 1))  # back to (rows, cols)
 
     def log_likelihood(self, condition, mode, stack):
-        targets = np.stack([g.T for g in stack])
-        conds = np.stack([self._cond_vec(condition, mode)] * len(stack))
-        return flowmod.log_likelihood(self.model,
-                                      flowmod.ConditionedBatch(targets, conds))
+        batch = flowmod.ConditionedBatch(
+            np.transpose(stack, (0, 2, 1)),
+            self._conds(condition, np.full(len(stack), mode)))
+        return flowmod.log_likelihood(self.model, batch)
 
 
 class GanDemoStrategy(_Strategy):
@@ -468,8 +457,8 @@ class GanDemoStrategy(_Strategy):
         self.windows = ganmod.WindowSpec()
         self.discs = [ganmod.TinyDiscriminator.random(rng.substream(i))
                       for i in range(3)]
-        stacks = {ci: corpus.stack(ci) for ci in range(len(corpus.spec.conditions))}
-        self.table = {ci: stack.mean(axis=0) for ci, stack in stacks.items()}
+        self.table = {ci: stack.mean(axis=0)
+                      for ci, stack in enumerate(corpus.stacks)}
         self.history = []
 
         # Alternating sign-free Adam on critics and table entries.
@@ -477,7 +466,7 @@ class GanDemoStrategy(_Strategy):
         adam_g = {ci: Adam(self.table[ci].shape, step_size) for ci in self.table}
         for it in range(steps):
             ci = int(rng.integers(0, len(self.table)))
-            real = stacks[ci][int(rng.integers(0, len(stacks[ci])))]
+            real = corpus.stack(ci)[int(rng.integers(0, len(corpus.stack(ci))))]
             fake = self.table[ci]
             real_clips, _ = ganmod.random_windows(real, self.windows,
                                                   rng.substream(2 * it))
@@ -593,15 +582,13 @@ def _per_cell_dip(stack: np.ndarray) -> float:
     return float(np.mean(dips))
 
 
-def _metrics_for(stack: np.ndarray, spec: ToyCorpusSpec, tol_by_cond,
-                 by_condition: dict, nll) -> StrategyMetrics:
-    var_l = float(np.mean([var_laplacian(g) for g in stack]))
-    dip = float(np.mean([_per_cell_dip(by_condition[ci])
-                         for ci in sorted(by_condition)]))
+def _metrics_for(stacks, spec: ToyCorpusSpec, tol_by_cond, nll) -> StrategyMetrics:
+    """Metrics of one (n, h, w) stack of grids per condition."""
+    var_l = float(np.mean([var_laplacian(g) for stack in stacks for g in stack]))
+    dip = float(np.mean([_per_cell_dip(stack) for stack in stacks]))
     coh = float(np.mean([
-        mode_coherence(by_condition[ci], spec.conditions[ci].prototypes,
-                       tol_by_cond[ci])
-        for ci in sorted(by_condition)
+        mode_coherence(stack, cond.prototypes, tol)
+        for stack, cond, tol in zip(stacks, spec.conditions, tol_by_cond)
     ]))
     return StrategyMetrics(var_l, nll, dip, coh)
 
@@ -633,28 +620,19 @@ def run_experiment(spec: ToyCorpusSpec, strategies, seed: int,
     corpus = make_corpus(spec)
     root = SeededRng(seed, stream=0x455850)
     heldout = _sample_corpus(spec, root.substream(_STREAM_HELDOUT), n_heldout)
-    tol_by_cond = {
-        ci: (tol if tol is not None else default_coherence_tol(cond))
-        for ci, cond in enumerate(spec.conditions)
-    }
+    tol_by_cond = [tol if tol is not None else default_coherence_tol(cond)
+                   for cond in spec.conditions]
 
-    rows = {}
-    gt_by_cond = {ci: heldout.stack(ci) for ci in range(len(spec.conditions))}
-    gt_stack = np.concatenate(list(gt_by_cond.values()))
-    rows["gt"] = _metrics_for(gt_stack, spec, tol_by_cond, gt_by_cond, None)
-
+    rows = {"gt": _metrics_for(heldout.stacks, spec, tol_by_cond, None)}
     for si, name in enumerate(strategies):
         fit_seed = int(root.substream(1000 + si).integers(0, 2**62))
         strategy = _BUILDERS[name](corpus, fit_seed)
         gen_rng = root.substream(2000 + si)
-        by_cond = {
-            ci: strategy.generate(ci, n_generate, gen_rng.substream(ci))
-            for ci in range(len(spec.conditions))
-        }
-        stack = np.concatenate(list(by_cond.values()))
-        if not np.all(np.isfinite(stack)):
+        stacks = [strategy.generate(ci, n_generate, gen_rng.substream(ci))
+                  for ci in range(len(spec.conditions))]
+        if not all(np.all(np.isfinite(stack)) for stack in stacks):
             raise ContractError(f"strategy {name} generated non-finite values")
-        rows[name] = _metrics_for(stack, spec, tol_by_cond, by_cond,
+        rows[name] = _metrics_for(stacks, spec, tol_by_cond,
                                   strategy.heldout_nll(heldout))
 
     note = ("listener scores have no desk-scale analog; this report uses "
@@ -669,11 +647,11 @@ def corpus_to_files(corpus: ToyCorpus, out_dir) -> Path:
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     entries = []
-    for i, sample in enumerate(corpus.samples):
-        name = f"sample_{i:05d}.mel"
-        write_mel(Spectrogram(sample.values), out / name)
-        entries.append({"mel": name, "condition": sample.condition,
-                        "mode": sample.mode})
+    for ci, (stack, modes) in enumerate(zip(corpus.stacks, corpus.mode_ids)):
+        for grid, mode in zip(stack, modes.tolist()):
+            name = f"sample_{len(entries):05d}.mel"
+            write_mel(Spectrogram(grid), out / name)
+            entries.append({"mel": name, "condition": ci, "mode": mode})
     manifest = {
         "noise": corpus.spec.noise,
         "seed": corpus.spec.seed,

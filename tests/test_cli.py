@@ -58,6 +58,18 @@ class TestCmdMel:
         assert run(["mel", str(tmp_path / "none.wav"),
                     str(tmp_path / "x.mel")]) == 2
 
+    @pytest.mark.parametrize("floor", ["nan", "inf", "0", "-1e-5"])
+    def test_bad_floor_exits_2_naming_floor(self, tmp_path, capsys, floor):
+        wav = tmp_path / "a.wav"
+        make_wav(wav)
+        mel = tmp_path / "a.mel"
+        assert run(["mel", str(wav), str(mel), f"--floor={floor}"]) == 2
+        captured = capsys.readouterr()
+        lines = captured.err.splitlines()
+        assert captured.out == "" and len(lines) == 1, lines
+        assert lines[0].startswith("error: floor must be finite and above 0")
+        assert not mel.exists()
+
 
 class TestCmdMetrics:
     def test_single_input_var_l_only(self, tmp_path, capsys):
@@ -225,10 +237,15 @@ class TestCmdDist:
         # a later bin or the joint fails after bin 3 is computed
         (["--bins", "3,123"], "bin 123"),
         (["--bins", "3", "--joint", "freq:3,x"], "--joint"),
+        # the report's directory is missing; checked before any file is written
+        (["--bins", "3", "--joint", "freq:3,4", "--out", "{tmp}/missing/r.json"],
+         "--out"),
+        (["--bins", "3", "--out", "{tmp}"], "is a directory"),
     ])
     def test_malformed_input_exits_2_with_one_error_line(self, tmp_path, capsys,
                                                           flags, named):
         manifest = build_dist_fixture(tmp_path)
+        flags = [flag.replace("{tmp}", str(tmp_path)) for flag in flags]
         assert run(["dist", "--manifest", str(manifest), "--ph", "R",
                     "--out-prefix", str(tmp_path / "d")] + flags) == 2
         captured = capsys.readouterr()
@@ -596,6 +613,27 @@ class TestCmdFlow:
         assert flag in capsys.readouterr().err
         assert not (tmp_path / "x.mel").exists()
 
+    @pytest.mark.parametrize("temperature,named", [
+        ("nan", "temperature"),
+        ("inf", "temperature"),
+        ("1e308", "temperature"),  # finite, but its draws overflow
+        ("1e200", "finite in float32"),  # its grid overflows the MEL1 file
+    ])
+    def test_unusable_temperature_exits_2(self, tmp_path, capsys, temperature,
+                                          named):
+        manifest = self.build_corpus(tmp_path, samples=4)
+        ckpt = tmp_path / "m.flw"
+        assert run(["flow", "train", "--manifest", str(manifest),
+                    "--ckpt", str(ckpt), "--steps", "2", "--seed", "1"]) == 0
+        capsys.readouterr()
+        assert run(["flow", "sample", "--ckpt", str(ckpt), "--temperature",
+                    temperature, "--out-mel", str(tmp_path / "x.mel")]) == 2
+        captured = capsys.readouterr()
+        lines = captured.err.splitlines()
+        assert captured.out == "" and len(lines) == 1, lines
+        assert lines[0].startswith("error: ") and named in lines[0]
+        assert not (tmp_path / "x.mel").exists()
+
     @pytest.mark.parametrize("step_size", ["1e9", "1e300"])
     def test_diverged_training_saves_nothing(self, tmp_path, capsys,
                                              step_size):
@@ -635,3 +673,16 @@ class TestDeterminismAcrossCommands:
         text = capsys.readouterr().out
         assert text == json.dumps(json.loads(text), sort_keys=True,
                                   indent=2) + "\n"
+
+
+@pytest.mark.parametrize("out,named", [("missing/r.json", "does not exist"),
+                                       (".", "is a directory")])
+def test_unwritable_report_exits_2_before_any_work(tmp_path, capsys, out,
+                                                   named):
+    assert run(["make-corpus", str(tmp_path / "corpus"), "--samples", "2",
+                "--out", str(tmp_path / out)]) == 2
+    captured = capsys.readouterr()
+    lines = captured.err.splitlines()
+    assert captured.out == "" and len(lines) == 1, lines
+    assert lines[0].startswith("error: --out ") and named in lines[0]
+    assert not (tmp_path / "corpus").exists()

@@ -69,6 +69,17 @@ class TestMelFile:
         with pytest.raises(FormatError):
             read_mel(path)
 
+    def test_value_beyond_float32_rejected_before_writing(self, tmp_path):
+        path = tmp_path / "big.mel"
+        values = np.zeros((2, 3))
+        values[1, 2] = -1e39  # finite in float64, -inf in float32
+        with pytest.raises(ContractError, match="finite in float32"):
+            write_mel(Spectrogram(values), path)
+        assert not path.exists()
+        values[1, 2] = -float(np.finfo(np.float32).max)  # the bound itself
+        write_mel(Spectrogram(values), path)
+        assert read_mel(path).values[1, 2] == values[1, 2]
+
     def test_nan_payload(self, tmp_path):
         path = tmp_path / "nan.mel"
         import struct

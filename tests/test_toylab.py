@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from oversmooth import flow, gan, probloss
+from oversmooth import flow, gan, probloss, toylab
 from oversmooth.core import ContractError, SeededRng, read_mel
 from oversmooth.density import dip_statistic
 from oversmooth.toylab import (
@@ -35,14 +35,57 @@ def scalar_spec(weights=(0.5, 0.5), noise=0.05, n=500, seed=0):
     return ToyCorpusSpec((cond,), noise, n, seed)
 
 
+def per_sample_corpus(spec):
+    """Each condition's (stack, modes) built one sample at a time, as
+    ``prototypes[mode] + noise[i]``, from the same substreams as
+    ``make_corpus``."""
+    rng = SeededRng(spec.seed, toylab._STREAM_CORPUS)
+    out = []
+    for ci, cond in enumerate(spec.conditions):
+        sub = rng.substream(ci)
+        n = spec.samples_per_condition
+        modes = sub.categorical(cond.weights, n)
+        noise = sub.normal(size=(n,) + spec.grid_shape) * spec.noise
+        grids = [cond.prototypes[modes[i]] + noise[i] for i in range(n)]
+        out.append((np.stack(grids), np.array([int(m) for m in modes])))
+    return out
+
+
+def three_mode_spec():
+    """Two conditions of 5x7 grids; three modes with uneven weights, then
+    two."""
+    rng = np.random.default_rng(4)
+    protos = tuple(np.sign(rng.normal(size=(5, 7))) for _ in range(3))
+    return ToyCorpusSpec((ConditionSpec(protos, (0.6, 0.3, 0.1)),
+                          ConditionSpec(protos[1:], (0.25, 0.75))), 0.1, 37, 9)
+
+
 class TestMakeCorpus:
     def test_deterministic(self):
         a = make_corpus(scalar_spec(seed=3))
         b = make_corpus(scalar_spec(seed=3))
-        assert all(
-            np.array_equal(x.values, y.values) and x.mode == y.mode
-            for x, y in zip(a.samples, b.samples)
-        )
+        assert np.array_equal(a.stack(0), b.stack(0))
+        assert np.array_equal(a.modes(0), b.modes(0))
+
+    @pytest.mark.parametrize("spec", [canonical_spec(seed=17), three_mode_spec()],
+                             ids=["canonical", "three_modes"])
+    def test_equals_the_per_sample_construction(self, spec):
+        corpus = make_corpus(spec)
+        assert len(corpus.stacks) == len(spec.conditions)
+        for ci, (stack, modes) in enumerate(per_sample_corpus(spec)):
+            assert corpus.stack(ci).shape == (spec.samples_per_condition,
+                                              *spec.grid_shape)
+            assert np.array_equal(corpus.stack(ci), stack)
+            assert np.array_equal(corpus.modes(ci), modes)
+            assert corpus.modes(ci).dtype == modes.dtype
+
+    def test_arrays_are_read_only_and_not_copied(self):
+        corpus = make_corpus(scalar_spec(n=10))
+        assert corpus.stack(0) is corpus.stack(0)
+        with pytest.raises(ValueError, match="read-only"):
+            corpus.stack(0)[0, 0, 0] = 5.0
+        with pytest.raises(ValueError, match="read-only"):
+            corpus.modes(0)[0] = 1
 
     def test_degenerate_single_mode(self):
         proto = np.array([[2.0, -1.0], [0.5, 0.0]])
@@ -50,8 +93,8 @@ class TestMakeCorpus:
             (ConditionSpec((proto,), (1.0,)),), 0.0, 20, 0
         )
         corpus = make_corpus(spec)
-        for sample in corpus.samples:
-            assert np.array_equal(sample.values, proto)
+        assert np.array_equal(corpus.stack(0), np.broadcast_to(proto, (20, 2, 2)))
+        assert np.array_equal(corpus.modes(0), np.zeros(20))
 
     def test_mode_frequencies_within_3_sigma(self):
         spec = scalar_spec(weights=(0.8, 0.2), n=1000, seed=5)
@@ -309,6 +352,24 @@ class TestFlowStrategy:
         assert strategy.heldout_nll(heldout) == pytest.approx(np.mean(totals),
                                                              rel=1e-12)
 
+    @pytest.mark.parametrize("on_mode", [False, True])
+    def test_one_hot_conditions_equal_the_tiled_vectors(self, on_mode):
+        spec = three_mode_spec()
+        strategy = FlowStrategy(make_corpus(spec), n_steps=1, hidden=2,
+                                train_steps=0, restarts=1,
+                                condition_on_mode=on_mode)
+        assert strategy.cond_dim == 2 + 3 * on_mode
+        modes = np.array([2, 0, 1, 1])
+        for ci in range(2):
+            tiled = []
+            for v in modes:
+                vec = np.zeros(strategy.cond_dim)
+                vec[ci] = 1.0
+                if on_mode:
+                    vec[2 + v] = 1.0
+                tiled.append(np.tile(vec, (7, 1)))  # 7 frames (columns)
+            assert np.array_equal(strategy._conds(ci, modes), np.stack(tiled))
+
     def test_mode_conditioned_generation_repeats(self):
         spec = canonical_spec(seed=22, samples_per_condition=40,
                               n_conditions=1)
@@ -446,13 +507,17 @@ class TestCondLm:
 
 class TestCorpusFiles:
     def test_manifest_and_mels(self, tmp_path):
-        spec = canonical_spec(seed=18, samples_per_condition=5)
+        spec = three_mode_spec()
         corpus = make_corpus(spec)
         manifest_path = corpus_to_files(corpus, tmp_path / "corpus")
         doc = json.loads(manifest_path.read_text())
-        assert doc["seed"] == 18
-        assert len(doc["samples"]) == 20
-        first = doc["samples"][0]
-        mel = read_mel(manifest_path.parent / first["mel"])
-        assert mel.values.shape == (8, 8)
-        assert first["condition"] == corpus.samples[0].condition
+        assert doc["seed"] == 9 and doc["noise"] == 0.1
+        entries = iter(doc["samples"])
+        for ci in range(2):
+            for grid, mode in zip(corpus.stack(ci), corpus.modes(ci)):
+                entry = next(entries)
+                assert entry["condition"] == ci and entry["mode"] == int(mode)
+                mel = read_mel(manifest_path.parent / entry["mel"])
+                assert np.array_equal(mel.values, grid.astype(np.float32))
+        assert next(entries, None) is None
+        assert doc["samples"][-1]["mel"] == "sample_00073.mel"
