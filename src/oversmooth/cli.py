@@ -13,6 +13,7 @@ import argparse
 import hashlib
 import json
 import os
+import re
 import sys
 from pathlib import Path
 
@@ -442,6 +443,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_metrics)
 
     p = sub.add_parser("dist", help="per-phoneme marginal/joint densities")
+    p._negative_number_matcher = re.compile(r"-\.?\d")  # "--bins -1,3" is a value
     p.add_argument("--manifest", required=True,
                    help="JSON list of {mel, align} path pairs")
     p.add_argument("--ph", required=True)

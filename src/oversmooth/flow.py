@@ -110,6 +110,16 @@ class FlowModel:
         frame count (a whole grid) with grid context."""
         return self.frames if self.context == "grid" else 1
 
+    def stacked(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Stacked (K, c) scales, (K, c) biases and (K, c, c) mixes: views of ``params``."""
+        k, c, grid = len(self.steps), self.channels, self.context == "grid"
+        size = _checkpoint_floats((k, c, self.cond_dim, self.hidden, 0, grid, self.frames))
+        if self.params.size != size:
+            raise ContractError(f"{k} steps need {size} parameters, not {self.params.size}")
+        blocks = self.params.reshape(k, -1)
+        mixes = blocks[:, 2 * c : c * (c + 2)].reshape(k, c, c)
+        return blocks[:, :c], blocks[:, c : 2 * c], mixes
+
     @classmethod
     def zeros(cls, channels: int, cond_dim: int, n_steps: int, hidden: int,
               context: str = "frame", frames: int = 0) -> "FlowModel":
@@ -133,9 +143,8 @@ class FlowModel:
                  frames: int = 0) -> "FlowModel":
         """All-identity steps; usable without data-dependent init."""
         model = cls.zeros(channels, cond_dim, n_steps, hidden, context, frames)
-        for step in model.steps:
-            step.scale[...] = 1.0
-            step.mix[...] = np.eye(channels)
+        scales, _, mixes = model.stacked()
+        scales[...], mixes[...] = 1.0, np.eye(channels)
         model.initialized = True
         return model
 
@@ -267,10 +276,10 @@ def _coupling_raw(net: CouplingNet, ws: FlowWorkspace, slot: int, h_a: np.ndarra
 
 def _logdet_const(model: FlowModel, t: int) -> float:
     """The analysis log-determinant of every actnorm and mix, for T frames."""
-    sign, mix_logdets = np.linalg.slogdet(np.stack([step.mix for step in model.steps]))
+    scales, _, mixes = model.stacked()
+    sign, mix_logdets = np.linalg.slogdet(mixes)
     if np.any(sign == 0):
         raise ContractError("channel-mix matrix is singular")
-    scales = np.stack([step.scale for step in model.steps])
     return t * (np.log(np.abs(scales)).sum() - mix_logdets.sum())
 
 
@@ -290,7 +299,7 @@ def _analysis(model: FlowModel, grids: np.ndarray, conds: np.ndarray,
     ws = ws or FlowWorkspace(model, n, t, depth=1)
     ws.load(model, grids, conds)
     logdet = np.full(n, _logdet_const(model, t))
-    ws.inv_mixes = np.linalg.inv(np.stack([step.mix for step in model.steps]))
+    ws.inv_mixes = np.linalg.inv(model.stacked()[2])
     for k, (step, inv_mix) in enumerate(zip(model.steps, ws.inv_mixes)):
         h0, h = ws.h[k % len(ws.h)], ws.h[(k + 1) % len(ws.h)]
         if init:
@@ -462,8 +471,9 @@ def nll_and_grads(model: FlowModel, batch: ConditionedBatch, *,
     d_out = ws.out  # the net output's gradient: d_raw rows, then -d_hb rows
     d_raw, neg_d_hb = d_out.reshape(2, len(ws.th[0]), z.shape[1])
     g_a, g_b, d_ha, d_hb = g[:c_a], g[c_a:], g2[:c_a], g2[c_a:]
+    (scales, biases, _), (g_scale, g_bias, g_mix) = model.stacked(), ws.grads.stacked()
     for k in reversed(range(len(model.steps))):
-        step, grads, inv_mix = model.steps[k], ws.grads.steps[k], ws.inv_mixes[k]
+        step, grads = model.steps[k], ws.grads.steps[k]
         hid, th = ws.hid[k], ws.th[k]  # read last here, so overwritten below
         np.multiply(g_b, ws.exp_neg[k], out=d_hb)
         np.negative(g_b, out=d_raw)  # d_ell: z path plus the direct +ell/n term
@@ -481,15 +491,16 @@ def nll_and_grads(model: FlowModel, batch: ConditionedBatch, *,
         np.matmul(step.net.w1[:, : ws.a_rows].T, d_pre, out=d_ha.reshape(ws.a_rows, -1))
         d_ha += g_a
 
-        # Folded actnorm and mix, h2 = inv_mix (h0 * scale + bias): every
-        # parameter gradient follows from g2 h0^T and g2's row sums.
-        m0 = g2 @ ws.h[k].T
-        s2 = g2.sum(axis=1)
-        d_inv = m0 * step.scale + np.outer(s2, step.bias)
-        grads.mix[...] = -inv_mix.T @ d_inv @ inv_mix.T + t * inv_mix.T
-        grads.scale[...] = (inv_mix * m0).sum(axis=0) - t / step.scale
-        np.matmul(s2, inv_mix, out=grads.bias)
+        # Folded actnorm and mix, h2 = inv_mix (h0 * scale + bias): g2 h0^T and g2's
+        # row sums, kept in the mix and scale gradients, give all their gradients below.
+        np.matmul(g2, ws.h[k].T, out=grads.mix)
+        np.sum(g2, axis=1, out=grads.scale)
         np.matmul(ws.folded[k].T, g2, out=g)
+    inv_mixes, inv_t = ws.inv_mixes, ws.inv_mixes.transpose(0, 2, 1)
+    np.matmul(g_scale[:, None], inv_mixes, out=g_bias[:, None])
+    d_inv = g_mix * scales[:, None] + g_scale[:, :, None] * biases[:, None]
+    np.subtract((inv_mixes * g_mix).sum(axis=1), t / scales, out=g_scale)
+    g_mix[...] = -inv_t @ d_inv @ inv_t + t * inv_t
     return value, ws.grads.params
 
 
@@ -553,6 +564,7 @@ def save_model(model: FlowModel, path) -> None:
     """Checkpoint: magic FLW2; u32 K, c, cond_dim, hidden, initialized,
     grid_context, frames; then :attr:`FlowModel.params` (each step's scale,
     bias, mix, w1, b1, w2, b2) as little-endian float32."""
+    model.stacked()  # a steps list that no longer matches params is an error
     header = (len(model.steps), model.channels, model.cond_dim, model.hidden,
               int(model.initialized), int(model.context == "grid"), model.frames)
     write_binary(path, FLW_MAGIC, header, model.params)

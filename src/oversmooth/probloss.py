@@ -81,11 +81,12 @@ def _fold(ufunc, parts, out):
     trailing axis costs far more per element than K - 1 elementwise calls.
     For K < 8 numpy reduces such an axis left to right too, so the values
     are the same; from K = 8 on its pairwise summation can differ in the
-    last bits.
+    last bits. The first pair goes straight into ``out``.
     """
-    out[...] = parts[0]
-    for part in parts[1:]:
-        ufunc(out, part, out=out)
+    if len(parts) == 1:
+        out[...] = parts[0]
+    for i, part in enumerate(parts[1:]):
+        ufunc(out if i else parts[0], part, out=out)
     return out
 
 
@@ -109,8 +110,8 @@ def log_sum_exp(comps, out=None):
 
 
 def _softmax(a: np.ndarray) -> np.ndarray:
-    _, e, total = log_sum_exp([a[..., j].copy() for j in range(a.shape[-1])])
-    return np.stack([part / total for part in e], axis=-1)
+    _, e, total = log_sum_exp(np.moveaxis(a, -1, 0).copy())
+    return np.moveaxis(np.divide(e, total, out=e), 0, -1)
 
 
 def _softplus(x: np.ndarray) -> np.ndarray:
@@ -215,24 +216,22 @@ def lm_nll_grad(params: UnconstrainedMixtureParams, target, *,
     lse, shifted, total = log_sum_exp(comps, ws.cells)
     nll = float(-np.mean(lse))
 
-    # Per component, sums over samples of the responsibility r, of
-    # r * sign(y - mu) and of r * |y - mu|; 1/beta is applied after the sum.
-    resp_sum, sign_sum, abs_sum = [], [], []
-    for resp, diff, absdiff in zip(shifted, diffs, absdiffs):
-        np.divide(resp, total, out=resp)
-        resp_sum.append(resp.sum(axis=-1))
-        np.multiply(absdiff, resp, out=absdiff)
-        abs_sum.append(absdiff.sum(axis=-1))
-        np.sign(diff, out=diff)
-        np.multiply(diff, resp, out=diff)
-        sign_sum.append(diff.sum(axis=-1))
-    resp_sum, sign_sum, abs_sum = (np.stack(parts, axis=-1) for parts in
-                                   (resp_sum, sign_sum, abs_sum))
-    count = n * t * f
+    # Per component, sums over samples of the responsibility r, of r * sign(y - mu)
+    # (copysign, 0 at exact ties: np.sign's bits) and of r * |y - mu|, in the
+    # gradient buffer; 1/beta is applied after the sum, and resp_sum read last.
     g = ws.grads
-    np.divide(n * pi - resp_sum, count, out=g.logits)
+    resp_sum, sign_sum, abs_sum = g.logits, g.mu, g.raw_scale
+    for j, (resp, diff, absdiff) in enumerate(zip(shifted, diffs, absdiffs)):
+        np.divide(resp, total, out=resp)
+        resp.sum(axis=-1, out=resp_sum[..., j])
+        np.copyto(np.copysign(resp, diff, out=diff), 0.0, where=absdiff == 0.0)
+        diff.sum(axis=-1, out=sign_sum[..., j])
+        np.multiply(absdiff, resp, out=absdiff)
+        absdiff.sum(axis=-1, out=abs_sum[..., j])
+    count = n * t * f
     np.divide(-sign_sum / beta, count, out=g.mu)
     np.divide((resp_sum / beta - abs_sum / beta**2) * sig, count, out=g.raw_scale)
+    np.divide(n * pi - resp_sum, count, out=g.logits)
     if not np.isfinite(nll):
         raise ContractError("non-finite loss; parameters out of range")
     return nll, g

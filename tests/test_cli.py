@@ -241,6 +241,8 @@ class TestCmdDist:
         (["--bins", "3", "--joint", "freq:3,4", "--out", "{tmp}/missing/r.json"],
          "--out"),
         (["--bins", "3", "--out", "{tmp}"], "is a directory"),
+        # argparse reads a value such as -1,3 as an option unless told not to
+        (["--bins", "-1,3"], "bin -1"),
     ])
     def test_malformed_input_exits_2_with_one_error_line(self, tmp_path, capsys,
                                                           flags, named):

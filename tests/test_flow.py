@@ -232,10 +232,11 @@ class TestNll:
         rng = SeededRng(14)
         batch = ConditionedBatch(rng.normal(size=(8, 6, 4)),
                                  rng.normal(size=(8, 6, 2)))
-        before = nll(model, batch)
-        extra = FlowModel.identity(4, 2, n_steps=1, hidden=16)
-        model.steps.append(extra.steps[0])
-        assert nll(model, batch) == pytest.approx(before, rel=1e-12)
+        longer = FlowModel.zeros(4, 2, 5, 16)  # one params vector for 5 steps
+        longer.params[...] = np.concatenate(
+            [model.params, FlowModel.identity(4, 2, n_steps=1, hidden=16).params])
+        longer.initialized = True
+        assert nll(longer, batch) == pytest.approx(nll(model, batch), rel=1e-12)
 
     @pytest.mark.parametrize("context", ["frame", "grid"])
     def test_empty_batch(self, context):
@@ -400,6 +401,82 @@ def reference_train(model, batch, steps, step_size, batch_size, seed,
     return curve
 
 
+def per_step_nll_and_grads(model, batch, *, workspace=None):
+    """nll_and_grads with every step's actnorm and mix gradients formed in
+    the reverse sweep by c x c products, one step at a time: the reference
+    for the stacked gradient tail."""
+    c_a = model.split[0]
+    n, t = batch.targets.shape[:2]
+    ws = workspace or FlowWorkspace(model, n, t)
+    z, logdet = flow._analysis(model, batch.targets, batch.conds, ws)
+    g, g2 = ws.g
+    value = float(-flow._log_prob(z, logdet, t, g2).mean())
+    np.divide(z, n, out=g)
+    d_out = ws.out
+    d_raw, neg_d_hb = d_out.reshape(2, len(ws.th[0]), z.shape[1])
+    g_a, g_b, d_ha, d_hb = g[:c_a], g[c_a:], g2[:c_a], g2[c_a:]
+    for k in reversed(range(len(model.steps))):
+        step, grads, inv_mix = model.steps[k], ws.grads.steps[k], ws.inv_mixes[k]
+        hid, th = ws.hid[k], ws.th[k]
+        np.multiply(g_b, ws.exp_neg[k], out=d_hb)
+        np.negative(g_b, out=d_raw)
+        d_raw *= ws.h[k + 1][c_a:]
+        d_raw += 1.0 / n
+        d_raw *= 2.0
+        d_raw *= np.subtract(1.0, np.square(th, out=th), out=th)
+        np.negative(d_hb, out=neg_d_hb)
+        np.matmul(d_out, hid.T, out=grads.net.w2)
+        np.sum(d_out, axis=1, out=grads.net.b2)
+        d_pre = np.matmul(step.net.w2.T, d_out, out=ws.d_pre)
+        d_pre *= np.subtract(1.0, np.square(hid, out=hid), out=hid)
+        np.matmul(d_pre, ws.netin[k].T, out=grads.net.w1)
+        np.sum(d_pre, axis=1, out=grads.net.b1)
+        np.matmul(step.net.w1[:, : ws.a_rows].T, d_pre, out=d_ha.reshape(ws.a_rows, -1))
+        d_ha += g_a
+        m0 = g2 @ ws.h[k].T
+        s2 = g2.sum(axis=1)
+        d_inv = m0 * step.scale + np.outer(s2, step.bias)
+        grads.mix[...] = -inv_mix.T @ d_inv @ inv_mix.T + t * inv_mix.T
+        grads.scale[...] = (inv_mix * m0).sum(axis=0) - t / step.scale
+        np.matmul(s2, inv_mix, out=grads.bias)
+        np.matmul(ws.folded[k].T, g2, out=g)
+    return value, ws.grads.params
+
+
+class TestStackedGradientTail:
+    """The actnorm and mix gradients of every step, formed at once from
+    stacked views after the sweep, equal the per-step c x c formula bit for
+    bit: in the value, the whole gradient vector and a trained model."""
+
+    @pytest.mark.parametrize("context", ["frame", "grid"])
+    @pytest.mark.parametrize("channels", [5, 8])
+    @pytest.mark.parametrize("n_steps", [1, 6])
+    def test_value_and_gradient(self, context, channels, n_steps):
+        model = random_model(60, channels=channels, cond_dim=3, n_steps=n_steps,
+                             hidden=7, frames=4, context=context)
+        rng = SeededRng(61)
+        batch = ConditionedBatch(rng.normal(size=(9, 4, channels)) * 2 + 1,
+                                 rng.normal(size=(9, 4, 3)))
+        value, grad = nll_and_grads(model, batch)
+        ref_value, ref_grad = per_step_nll_and_grads(model, batch)
+        assert value == ref_value
+        assert np.array_equal(grad, ref_grad)
+
+    @pytest.mark.parametrize("context", ["frame", "grid"])
+    def test_train_flow_params(self, context, monkeypatch):
+        model, ref = (random_model(62, channels=5, cond_dim=3, n_steps=6,
+                                   hidden=7, frames=4, context=context)
+                      for _ in range(2))
+        rng = SeededRng(63)
+        batch = ConditionedBatch(rng.normal(size=(40, 4, 5)),
+                                 rng.normal(size=(40, 4, 3)))
+        result = train_flow(model, batch, steps=100, batch_size=16, seed=64)
+        monkeypatch.setattr(flow, "nll_and_grads", per_step_nll_and_grads)
+        ref_result = train_flow(ref, batch, steps=100, batch_size=16, seed=64)
+        assert result.curve == ref_result.curve
+        assert np.array_equal(model.params, ref.params)
+
+
 class TestWorkspace:
     """A workspace moves the buffers, never a bit of the result. The
     canonical toy grid (8 channels = 8 frames, 4 condition channels, even
@@ -479,6 +556,27 @@ class TestParamsVector:
             assert all(np.shares_memory(a, m.params) for a in arrays)
             assert np.array_equal(np.concatenate([a.ravel() for a in arrays]),
                                   m.params)
+
+    @pytest.mark.parametrize("context", ["frame", "grid"])
+    def test_stacked_views_are_the_step_arrays(self, context):
+        model = random_model(47, channels=5, n_steps=3, context=context)
+        for stack, name in zip(model.stacked(), ("scale", "bias", "mix")):
+            assert np.shares_memory(stack, model.params)
+            assert np.array_equal(stack, [getattr(s, name) for s in model.steps])
+
+    def test_steps_that_no_longer_match_params_are_rejected(self, tmp_path):
+        model = random_model(48, n_steps=4)
+        size = model.params.size
+        model.steps.append(FlowModel.identity(4, 2, n_steps=1).steps[0])
+        rng = SeededRng(49)
+        batch = ConditionedBatch(rng.normal(size=(8, 6, 4)),
+                                 rng.normal(size=(8, 6, 2)))
+        message = f"5 steps need {size // 4 * 5} parameters, not {size}"
+        with pytest.raises(ContractError, match=message):
+            save_model(model, tmp_path / "m.flw")
+        assert not (tmp_path / "m.flw").exists()
+        with pytest.raises(ContractError, match=message):
+            nll(model, batch)
 
     def test_checkpoint_payload_is_params_as_float32(self, tmp_path):
         model = random_model(43, n_steps=3)

@@ -272,6 +272,45 @@ class TestComponentLoop:
         )
 
 
+class TestSignTies:
+    """sign(y - mu) * r is formed as copysign(r, y - mu) with exact ties set
+    to 0; the np.sign formula is the reference, at locations set exactly on
+    sample values and at y - mu = -0.0."""
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_nll_grad_equals_the_sign_formula(self, k):
+        rng = np.random.default_rng(70 + k)
+        targets = np.round(rng.normal(size=(30, 5, 7)), 1)  # repeated values
+        targets[::4] = -0.0
+        targets[1::4, 0] = 0.0
+        idx_t, idx_f = np.meshgrid(np.arange(5), np.arange(7), indexing="ij")
+        mu = targets[rng.integers(0, 30, size=(5, 7, k)), idx_t[..., None],
+                     idx_f[..., None]]
+        mu[..., 0] = 0.0  # -0.0 - 0.0 is -0.0
+        params = UnconstrainedMixtureParams(rng.normal(size=(5, 7, k)), mu,
+                                            rng.normal(size=(5, 7, k)))
+        n, count = len(targets), targets.size
+        pi = reduction_softmax(params.logits)
+        beta = np.logaddexp(0.0, params.raw_scale) + BETA_FLOOR
+        sig = 1.0 / (1.0 + np.exp(-params.raw_scale))
+        comp, diff = reduction_terms(pi, params.mu, beta, targets)
+        assert np.any(diff == 0) and np.any(np.signbit(diff[diff == 0]))
+        lse, resp = reduction_lse(comp)
+        resp_sum = sample_sums(resp)
+        expected = np.stack([
+            (n * pi - resp_sum) / count,
+            -sample_sums(np.sign(diff) * resp) / beta / count,
+            (resp_sum / beta - sample_sums(np.abs(diff) * resp) / beta**2) * sig
+            / count,
+        ])
+
+        ws = LmWorkspace(targets, k)
+        nll, grads = lm_nll_grad(params, targets, workspace=ws)
+        assert np.array_equal(np.array(nll), np.array(float(-np.mean(lse))))
+        assert np.array_equal(ws.grad, expected)
+        assert ws.grad.tobytes() == expected.tobytes()
+
+
 def mixture_cdf(x, pi, mu, beta):
     total = np.zeros_like(np.asarray(x, dtype=float))
     for p, m, b in zip(pi, mu, beta):
