@@ -443,7 +443,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_metrics)
 
     p = sub.add_parser("dist", help="per-phoneme marginal/joint densities")
-    p._negative_number_matcher = re.compile(r"-\.?\d")  # "--bins -1,3" is a value
+    # "--bins -1,3" and "--bins -x" are values for cmd_dist to check, not options.
+    p._negative_number_matcher = re.compile(r"-[^-]")
     p.add_argument("--manifest", required=True,
                    help="JSON list of {mel, align} path pairs")
     p.add_argument("--ph", required=True)

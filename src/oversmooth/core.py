@@ -181,13 +181,6 @@ class SeededRng:
         return f"SeededRng(seed={self.seed}, stream={self.stream})"
 
 
-def reflect_indices(n: int, lo: int, hi: int) -> np.ndarray:
-    """Indices lo..hi-1 reflected into [0, n) without repeating edges."""
-    period = max(2 * (n - 1), 1)  # n == 1 maps every index to 0
-    idx = np.abs(np.arange(lo, hi)) % period
-    return np.where(idx >= n, period - idx, idx)
-
-
 class Adam:
     """Adam (Kingma & Ba, 2015) on one parameter array of ``size`` (an int
     or a shape), updated in place."""

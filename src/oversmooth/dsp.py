@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import ContractError, reflect_indices
+from .core import ContractError
 
 DEFAULT_SAMPLE_RATE = 22050
 DEFAULT_FRAME = 1024
@@ -130,12 +130,10 @@ def stft_magnitude(
         raise ContractError("clip must contain at least one sample")
     n_frames = -(-n // hop)
     half = frame_size // 2
-    padded = x[reflect_indices(n, -half, n + half + frame_size)]
-    window = _hann(frame_size)
-    frames = np.stack(
-        [padded[t * hop : t * hop + frame_size] for t in range(n_frames)]
-    )
-    return np.abs(np.fft.rfft(frames * window, axis=1))
+    padded = np.pad(x, (half, half + frame_size), mode="reflect")
+    frames = np.lib.stride_tricks.sliding_window_view(padded, frame_size)
+    return np.abs(np.fft.rfft(frames[: n_frames * hop : hop] * _hann(frame_size),
+                              axis=1))
 
 
 def hz_to_mel(hz):

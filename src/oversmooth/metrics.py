@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ContractError, as_grid, reflect_indices
+from .core import ContractError, as_grid
 
 # 3x3 Laplacian mask; rows sum to zero so constant grids respond with zero.
 LAPLACIAN_MASK = np.array(
@@ -81,10 +81,8 @@ def _window_means(planes: np.ndarray, k1: np.ndarray) -> np.ndarray:
     """
     _, t, f = planes.shape
     pad = len(k1) // 2
-    rows = reflect_indices(t, -pad, t + pad)
-    cols = reflect_indices(f, -pad, f + pad)
     out = np.empty_like(planes)
-    padded = planes.take(rows, axis=1).take(cols, axis=2)
+    padded = np.pad(planes, ((0, 0), (pad, pad), (pad, pad)), mode="reflect")
     for plane, mean in zip(padded, out):
         along_t = k1[0] * plane[:t]
         for i in range(1, len(k1)):

@@ -12,7 +12,6 @@ from __future__ import annotations
 import base64
 import struct
 import zlib
-from xml.sax.saxutils import escape
 
 import numpy as np
 
@@ -74,6 +73,11 @@ def _fmt(x: float) -> str:
     return f"{x:.6g}"
 
 
+def _escape(text: str) -> str:
+    # XML character data: "&" goes first so the entities are not re-escaped.
+    return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
+
+
 def _header(title: str) -> list[str]:
     return [
         '<?xml version="1.0" encoding="UTF-8"?>',
@@ -81,7 +85,7 @@ def _header(title: str) -> list[str]:
         f'height="{HEIGHT}" viewBox="0 0 {WIDTH} {HEIGHT}">',
         f'<rect width="{WIDTH}" height="{HEIGHT}" fill="white"/>',
         f'<text x="{WIDTH / 2}" y="24" text-anchor="middle" '
-        f'font-family="sans-serif" font-size="15">{escape(title)}</text>',
+        f'font-family="sans-serif" font-size="15">{_escape(title)}</text>',
     ]
 
 
@@ -100,11 +104,11 @@ def _axes(xlabel: str, ylabel: str, x_lo, x_hi, y_lo, y_hi) -> list[str]:
         f'height="{PLOT_H}" fill="none" stroke="black"/>',
         f'<text x="{MARGIN_L + PLOT_W / 2}" y="{HEIGHT - 16}" '
         f'text-anchor="middle" font-family="sans-serif" font-size="12">'
-        f"{escape(xlabel)}</text>",
+        f"{_escape(xlabel)}</text>",
         f'<text x="18" y="{MARGIN_T + PLOT_H / 2}" text-anchor="middle" '
         f'font-family="sans-serif" font-size="12" '
         f'transform="rotate(-90 18 {MARGIN_T + PLOT_H / 2})">'
-        f"{escape(ylabel)}</text>",
+        f"{_escape(ylabel)}</text>",
     ]
     for i in range(5):
         frac = i / 4
@@ -135,7 +139,7 @@ def _legend(entries: list[tuple[str, str]]) -> list[str]:
         )
         parts.append(
             f'<text x="{x + 14}" y="{y + 9}" font-family="sans-serif" '
-            f'font-size="10">{escape(label)}</text>'
+            f'font-size="10">{_escape(label)}</text>'
         )
     return parts
 
@@ -229,7 +233,7 @@ def bar_chart(labels, values, title: str, ylabel: str) -> str:
         parts.append(
             f'<text x="{_fmt(MARGIN_L + (i + 0.5) * width)}" '
             f'y="{MARGIN_T + PLOT_H + 30}" text-anchor="middle" '
-            f'font-family="sans-serif" font-size="10">{escape(label)}</text>'
+            f'font-family="sans-serif" font-size="10">{_escape(label)}</text>'
         )
     parts += _legend(legend) + _footer()
     return "\n".join(parts) + "\n"

@@ -25,6 +25,14 @@ def wav_bytes(samples_i16, rate=22050, channels=1, bits=16, audio_format=1):
     )
 
 
+def reflect_indices(n, lo, hi):
+    """Indices lo..hi-1 reflected into [0, n) without repeating edges, the
+    index-array rule the front end padded with before it used np.pad."""
+    period = max(2 * (n - 1), 1)  # n == 1 maps every index to 0
+    idx = np.abs(np.arange(lo, hi)) % period
+    return np.where(idx >= n, period - idx, idx)
+
+
 def write_alignment(align, path) -> None:
     """Write ``align`` as the TSV that ``core.read_alignment`` parses."""
     lines = [f"{e.label}\t{e.start}\t{e.end}" for e in align.entries]

@@ -1,6 +1,10 @@
 import json
+import os
 import re
+import subprocess
+import sys
 import xml.etree.ElementTree as ET
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -243,6 +247,7 @@ class TestCmdDist:
         (["--bins", "3", "--out", "{tmp}"], "is a directory"),
         # argparse reads a value such as -1,3 as an option unless told not to
         (["--bins", "-1,3"], "bin -1"),
+        (["--bins", "-x"], "--bins takes integers"),
     ])
     def test_malformed_input_exits_2_with_one_error_line(self, tmp_path, capsys,
                                                           flags, named):
@@ -688,3 +693,19 @@ def test_unwritable_report_exits_2_before_any_work(tmp_path, capsys, out,
     assert captured.out == "" and len(lines) == 1, lines
     assert lines[0].startswith("error: --out ") and named in lines[0]
     assert not (tmp_path / "corpus").exists()
+
+
+def test_import_loads_no_network_stack():
+    # Run fresh, so that only the modules this import adds are counted and a
+    # site hook that preloads any of them does not count against it.
+    code = ("import json, sys; before = set(sys.modules); import oversmooth.cli; "
+            "print(json.dumps(sorted(set(sys.modules) - before)))")
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    added = set(json.loads(out))
+    assert "oversmooth.cli" in added
+    assert not added & {"http.client", "ssl", "email.parser", "urllib.request",
+                        "socket"}

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import wav_bytes
+from conftest import reflect_indices, wav_bytes
 from oversmooth.core import ContractError
 from oversmooth import dsp
 
@@ -100,6 +100,22 @@ class TestStft:
         assert np.allclose(
             dsp.stft_magnitude(clip), dsp.stft_magnitude(flipped), atol=1e-12
         )
+
+    @pytest.mark.parametrize("frame,hop", [(1024, 256), (256, 64), (256, 300)])
+    @pytest.mark.parametrize("n", [1, 2, 3, 100, 600])
+    def test_padding_matches_the_index_rule(self, n, frame, hop):
+        # Clips shorter than half a frame reflect more than once.
+        x = np.random.default_rng(n).uniform(-1.0, 1.0, n)
+        mag = dsp.stft_magnitude(dsp.AudioClip(x, 22050), frame, hop)
+        n_frames = -(-n // hop)
+        padded = x[reflect_indices(n, -(frame // 2), n + frame // 2 + frame)]
+        frames = np.stack([padded[t * hop : t * hop + frame]
+                           for t in range(n_frames)])
+        expected = np.abs(np.fft.rfft(frames * dsp._hann(frame), axis=1))
+        assert mag.shape == (n_frames, frame // 2 + 1)
+        assert np.array_equal(mag[0], expected[0])
+        assert np.array_equal(mag[-1], expected[-1])
+        assert np.array_equal(mag, expected)
 
     def test_bad_hop(self):
         with pytest.raises(ContractError):

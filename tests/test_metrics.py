@@ -3,8 +3,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import reflect_indices
 from oversmooth.core import ContractError
 from oversmooth.metrics import (
+    SSIM_C1,
+    SSIM_C2,
     SsimConfig,
     laplacian_response,
     ssim,
@@ -52,6 +55,36 @@ def ssim_map_2d_window(a, b, cfg):
     c1, c2 = 0.01**2, 0.03**2
     luminance = (2.0 * mu_a * mu_b + c1) / (mu_a**2 + mu_b**2 + c1)
     structure = (2.0 * cov + c2) / (var_a + var_b + c2)
+    return luminance * structure
+
+
+def ssim_map_index_rule(a, b, w):
+    """ssim_map with every window mean padded by the index-array reflect rule
+    (one take per axis), in the separable sums' order."""
+    lo, hi = min(a.min(), b.min()), max(a.max(), b.max())
+    span = hi - lo if hi > lo else 1.0
+    a, b = (a - lo) / span, (b - lo) / span
+    t, f = a.shape
+    k = 1.0 / w
+    rows = reflect_indices(t, -(w // 2), t + w // 2)
+    cols = reflect_indices(f, -(w // 2), f + w // 2)
+
+    def window_mean(x):
+        plane = x.take(rows, axis=0).take(cols, axis=1)
+        along_t = k * plane[:t]
+        for i in range(1, w):
+            along_t += k * plane[i:i + t]
+        mean = along_t[:, :f] * k
+        for i in range(1, w):
+            mean += k * along_t[:, i:i + f]
+        return mean
+
+    mu_a, mu_b, sq_a, sq_b, ab = map(window_mean, [a, b, a * a, b * b, a * b])
+    var_a = sq_a - mu_a * mu_a
+    var_b = sq_b - mu_b * mu_b
+    cov = ab - mu_a * mu_b
+    luminance = (2.0 * mu_a * mu_b + SSIM_C1) / (mu_a**2 + mu_b**2 + SSIM_C1)
+    structure = (2.0 * cov + SSIM_C2) / (var_a + var_b + SSIM_C2)
     return luminance * structure
 
 
@@ -155,6 +188,14 @@ class TestSsim:
     def test_even_window_rejected(self):
         with pytest.raises(ContractError):
             SsimConfig(window=10)
+
+    @pytest.mark.parametrize("shape", [(1, 4), (2, 2), (3, 3), (4, 13)])
+    def test_grids_below_the_window_pad_by_the_index_rule(self, shape):
+        # Window 11 reaches past both edges of every axis here, several
+        # times over on the short ones.
+        rng = np.random.default_rng(sum(shape))
+        a, b = rng.normal(size=shape), rng.normal(size=shape)
+        assert np.array_equal(ssim_map(a, b), ssim_map_index_rule(a, b, 11))
 
     def test_small_grid_behavior(self):
         # Grids smaller than the window still work via mirrored indices.

@@ -7,7 +7,8 @@ import pytest
 from conftest import heatmap_pixels
 from oversmooth.core import ContractError
 from oversmooth.svgplot import (MARGIN_L, MARGIN_T, NON_FINITE_COLOR, PLOT_H,
-                                PLOT_W, RAMP, heatmap, ramp_colors)
+                                PLOT_W, RAMP, bar_chart, heatmap, line_plot,
+                                ramp_colors)
 
 SVG = "{http://www.w3.org/2000/svg}"
 
@@ -132,3 +133,20 @@ def test_ramp_colors_round_channel_ties_half_to_even():
                     ties.append(x)
     assert len(ties) > 500
     assert ramp_colors(ties) == [scalar_ramp_color(x) for x in ties]
+
+
+MARKUP = "a&b <c> \"d\" 'e' &amp;"
+ESCAPED = "a&amp;b &lt;c&gt; \"d\" 'e' &amp;amp;"
+
+
+@pytest.mark.parametrize("plot", [
+    lambda t: line_plot([(t, [0, 1], [0, 1])], t, t, t),
+    lambda t: heatmap(np.eye(3), t, t, t),
+    lambda t: bar_chart([t], [1.0], t, t),
+])
+def test_text_escapes_markup_and_leaves_quotes(plot):
+    svg = plot(MARKUP)
+    texts = [el.text for el in ET.fromstring(svg).iter(f"{SVG}text")]
+    assert texts.count(MARKUP) >= 3  # title, a label, and a legend or axis
+    assert svg.count(f">{ESCAPED}</text>") == texts.count(MARKUP)
+    assert MARKUP not in svg
