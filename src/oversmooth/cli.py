@@ -60,7 +60,12 @@ def _emit(text: str, out: str | None) -> None:
 def _seed_of(args) -> int:
     if args.seed is not None:
         return args.seed
-    return int(os.environ.get("OVERSMOOTH_SEED", "0"))
+    value = os.environ.get("OVERSMOOTH_SEED", "0")
+    try:
+        return int(value)
+    except ValueError:
+        raise ContractError(
+            f"OVERSMOOTH_SEED must be an integer, got {value!r}") from None
 
 
 def _read_json(path):
@@ -300,19 +305,25 @@ def cmd_toylab(args) -> int:
     return 0
 
 
-def _load_flow_corpus(manifest_path):
+def _load_flow_corpus(manifest_path, n_cond=None):
+    """The manifest's grids with one-hot condition inputs of width ``n_cond``
+    (by default one more than the largest condition id in the manifest)."""
     doc = _checked(_read_json(manifest_path), f"manifest {manifest_path}",
                    ("samples",))
     base = Path(manifest_path).parent
     grids, cond_ids = [], []
     for i, entry in enumerate(_checked(doc["samples"], "manifest samples")):
         _checked(entry, f"manifest sample {i}", ("mel", "condition"))
+        if n_cond is not None and entry["condition"] >= n_cond:
+            raise ContractError(f"manifest sample {i}: condition "
+                                f"{entry['condition']} is out of the model's "
+                                f"range [0, {n_cond})")
         grids.append(read_mel(base / entry["mel"]).values)
         cond_ids.append(entry["condition"])
     shapes = {g.shape for g in grids}
     if len(shapes) != 1:
         raise ContractError(f"corpus grids must share one shape, got {shapes}")
-    n_cond = max(cond_ids) + 1
+    n_cond = max(cond_ids) + 1 if n_cond is None else n_cond
     targets = np.stack(grids)
     t = targets.shape[1]
     conds = np.zeros((len(grids), t, n_cond))
@@ -380,16 +391,11 @@ def cmd_flow(args) -> int:
         )
     else:  # nll
         model = flow.load_model(args.ckpt)
-        batch, n_cond = _load_flow_corpus(args.manifest)
+        batch, _ = _load_flow_corpus(args.manifest, model.cond_dim)
         if batch.targets.shape[2] != model.channels:
             raise ContractError(
                 f"corpus has {batch.targets.shape[2]} channels, model expects "
                 f"{model.channels}"
-            )
-        if n_cond != model.cond_dim:
-            raise ContractError(
-                f"corpus has {n_cond} conditions, model expects "
-                f"{model.cond_dim}"
             )
         value = flow.nll(model, batch)
         _emit(
@@ -508,10 +514,7 @@ def main(argv=None) -> int:
             if args.action == "sample" and not args.out_mel:
                 raise ContractError("flow sample requires --out-mel")
         return args.func(args)
-    except ContractError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except FileNotFoundError as exc:
+    except (ContractError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # internal errors keep a distinct exit code

@@ -5,24 +5,25 @@ plus Gaussian noise, so a strategy that averages across modes produces a
 recognizably blurred output. Strategies differ in what they can express:
 
 * ``mse`` / ``mae``: one grid per condition (mean / median) - blurred.
-* ``conditioned``: one grid per (condition, mode id); the mode id plays the
-  role of auxiliary "variance" information that collapses the multimodality.
 * ``ar``: rows generated left-to-right from a quantized previous-row context,
   a chain-rule factorization of the joint.
 * ``lm``: an independent per-cell Laplace mixture - multimodal marginals but
   no coordination between cells.
-* ``flow`` / ``cond_flow``: a conditional normalizing flow over whole grids.
-* ``cond_lm``: per-(condition, mode) mixtures - both simplification and a
-  multimodal model.
+* ``flow``: a conditional normalizing flow over whole grids.
 * ``gan``: an adversarial demo with random-window critics; it runs and is
   reported, but no convergence claim is attached to it.
+
+Three come in pairs without and with mode conditioning: ``mse`` /
+``conditioned``, ``lm`` / ``cond_lm`` and ``flow`` / ``cond_flow``. The
+second of each pair also takes each training grid's mode id, auxiliary
+"variance" information that collapses the multimodality, and draws a grid's
+mode by its training share. It scores held-out grids, whose mode ids it is
+not given, under the mixture over the condition's modes weighted by those
+shares.
 
 The experiment report replaces listener scores with objective proxies
 (sharpness via the Laplacian-response variance, held-out NLL where a model
 defines one, per-cell dip, and mode coherence) and says so in its header.
-A mode-conditioned density (``cond_lm``, ``cond_flow``) scores held-out
-grids, whose mode ids it is not given, under the mixture over the
-condition's modes weighted by their shares of the training samples.
 """
 
 from __future__ import annotations
@@ -176,10 +177,7 @@ def default_coherence_tol(cond: ConditionSpec) -> float:
     """0.4 x the smallest pairwise prototype RMS gap of the condition."""
     protos = cond.prototypes
     if len(protos) < 2:
-        raise ContractError(
-            "coherence tolerance is underdetermined for a single prototype; "
-            "pass tol explicitly"
-        )
+        raise ContractError("mode coherence needs at least two prototypes")
     gaps = [
         np.sqrt(np.mean((protos[i] - protos[j]) ** 2))
         for i in range(len(protos))
@@ -227,35 +225,27 @@ class _Strategy:
         return float(np.mean(totals))
 
 
-class PointwiseStrategy(_Strategy):
-    """Per-condition, per-cell minimizer of MAE (median) or MSE (mean)."""
-
-    def __init__(self, corpus: ToyCorpus, loss: str = "mse"):
-        if loss not in ("mse", "mae"):
-            raise ContractError(f"unknown pointwise loss {loss!r}")
-        self.loss = loss
-        self.table = {ci: np.mean(stack, axis=0) if loss == "mse"
-                      else np.median(stack, axis=0)
-                      for ci, stack in enumerate(corpus.stacks)}
-
-    def generate(self, condition: int, count: int, rng: SeededRng) -> np.ndarray:
-        return np.repeat(self.table[condition][None], count, axis=0)
-
-
-class _PerModeStrategy(_Strategy):
+class _FittedStrategy(_Strategy):
     """One model per (condition, mode id), fitted by ``fit(condition, mode,
-    samples)``; generation picks each grid's mode by its training share and
-    takes the grid from the subclass's ``_draw(model, rng, count)``. The mode
-    id is the extra condition input that removes the one-to-many ambiguity."""
+    samples)`` and drawn by ``_draw(model, rng, count)``. Without ``by_mode``
+    a condition has one model, mode 0, fitted on all its samples. With it,
+    the mode id is the extra condition input that removes the one-to-many
+    ambiguity: each mode gets a model, and generation picks each grid's mode
+    by its training share."""
 
-    def __init__(self, corpus: ToyCorpus, fit, min_count: int):
+    def __init__(self, corpus: ToyCorpus, fit, by_mode: bool = False,
+                 min_count: int = 0):
+        self.by_mode = by_mode
         self.models, self.weights = {}, {}
         for ci in range(len(corpus.spec.conditions)):
-            parts, self.weights[ci] = _mode_split(corpus, ci, min_count)
+            parts, self.weights[ci] = (_mode_split(corpus, ci, min_count) if by_mode
+                                       else ([corpus.stack(ci)], np.ones(1)))
             for v, part in enumerate(parts):
                 self.models[(ci, v)] = fit(ci, v, part)
 
     def generate(self, condition: int, count: int, rng: SeededRng) -> np.ndarray:
+        if not self.by_mode:
+            return self._draw(self.models[(condition, 0)], rng, count)
         picks = rng.categorical(self.weights[condition], count)
         draws = np.stack([
             self._draw(self.models[(condition, v)], rng.substream(v), count)
@@ -263,17 +253,28 @@ class _PerModeStrategy(_Strategy):
         ])
         return draws[picks, np.arange(count)]
 
+    @staticmethod
+    def _draw(grid, rng, count):
+        """The draw of a table model: ``count`` copies of its grid."""
+        return np.repeat(grid[None], count, axis=0)
 
-class ConditionedStrategy(_PerModeStrategy):
+
+class PointwiseStrategy(_FittedStrategy):
+    """Per-condition, per-cell minimizer of MAE (median) or MSE (mean)."""
+
+    def __init__(self, corpus: ToyCorpus, loss: str = "mse"):
+        if loss not in ("mse", "mae"):
+            raise ContractError(f"unknown pointwise loss {loss!r}")
+        average = np.mean if loss == "mse" else np.median
+        super().__init__(corpus, lambda ci, v, stack: average(stack, axis=0))
+
+
+class ConditionedStrategy(_FittedStrategy):
     """MSE fit per (condition, mode id): the mode's mean grid."""
 
     def __init__(self, corpus: ToyCorpus):
         super().__init__(corpus, lambda ci, v, part: part.mean(axis=0),
-                         min_count=1)
-
-    @staticmethod
-    def _draw(mean, rng, count):
-        return np.repeat(mean[None], count, axis=0)
+                         by_mode=True, min_count=1)
 
 
 def _row_context(rows: np.ndarray):
@@ -285,90 +286,49 @@ def _row_context(rows: np.ndarray):
     return first * 2 + second
 
 
-class ArStrategy(_Strategy):
+class ArStrategy(_FittedStrategy):
     """Row-autoregressive table predictor (time-axis chain rule analog).
 
     Teacher-forced fit: the mean next row per (condition, previous-row
     context). Generation samples a starting-row cluster by its empirical
-    frequency, then rolls the table forward deterministically.
+    frequency, then rolls the table forward deterministically. A model is
+    (mean starting rows, their frequencies, context -> mean next row).
     """
 
     def __init__(self, corpus: ToyCorpus):
         self.rows = corpus.spec.grid_shape[0]
-        self.start = {}  # (condition, ctx) -> (mean row0, freq)
-        self.table = {}  # (condition, ctx) -> mean next row
-        for ci, cond in enumerate(corpus.spec.conditions):
-            stack = corpus.stack(ci)
-            modes = corpus.modes(ci)
-            ctx = _row_context(stack)  # (n, rows)
-            self._check_distinguishable(cond, ctx[:, 0], modes, ci)
-            starts = {}
-            for c in np.unique(ctx[:, 0]):
-                sel = stack[ctx[:, 0] == c]
-                starts[int(c)] = (sel[:, 0].mean(axis=0), len(sel) / len(stack))
-            self.start[ci] = starts
+
+        def fit(ci, v, stack):
+            ctx, modes = _row_context(stack), corpus.modes(ci)  # ctx: (n, rows)
+            seen = np.unique(modes)
+            majority = {int(np.bincount(ctx[modes == m, 0]).argmax()) for m in seen}
+            if len(majority) < len(seen):
+                raise IndistinguishableModes(
+                    f"condition {ci}: modes share a starting-row context")
+            sels = [stack[ctx[:, 0] == c] for c in np.unique(ctx[:, 0])]
+            freqs = np.array([len(sel) / len(stack) for sel in sels])
             prev, nxt = ctx[:, :-1], stack[:, 1:]
-            for c in np.unique(prev):
-                self.table[(ci, int(c))] = nxt[prev == c].mean(axis=0)
+            return (np.stack([sel[:, 0].mean(axis=0) for sel in sels]),
+                    freqs / freqs.sum(),
+                    {int(c): nxt[prev == c].mean(axis=0) for c in np.unique(prev)})
 
-    @staticmethod
-    def _check_distinguishable(cond, ctx0, modes, ci):
-        majority = {}
-        for v in range(len(cond.prototypes)):
-            ctxs = ctx0[modes == v]
-            if len(ctxs) == 0:
-                continue
-            majority[v] = int(np.bincount(ctxs).argmax())
-        if len(set(majority.values())) < len(majority):
-            raise IndistinguishableModes(
-                f"condition {ci}: modes share a starting-row context"
-            )
+        super().__init__(corpus, fit)
 
-    def generate(self, condition: int, count: int, rng: SeededRng) -> np.ndarray:
-        starts = self.start[condition]
-        ctxs = sorted(starts)
-        freqs = np.array([starts[c][1] for c in ctxs])
-        picks = rng.categorical(freqs / freqs.sum(), count)
-        first = np.stack([starts[c][0] for c in ctxs])[picks]
-        grids = np.empty((count, self.rows, first.shape[1]))
-        grids[:, 0] = first
+    def _draw(self, model, rng, count):
+        first_rows, freqs, table = model
+        grids = np.empty((count, self.rows, first_rows.shape[1]))
+        grids[:, 0] = first_rows[rng.categorical(freqs, count)]
         for r in range(1, self.rows):
             grids[:, r] = grids[:, r - 1]  # unseen context: hold the row
             ctx = _row_context(grids[:, r - 1])
             for c in np.unique(ctx):
-                key = (condition, int(c))
-                if key in self.table:
-                    grids[ctx == c, r] = self.table[key]
+                if int(c) in table:
+                    grids[ctx == c, r] = table[int(c)]
         return grids
 
 
-class LmStrategy(_Strategy):
-    """Independent per-cell Laplace mixture per condition."""
-
-    def __init__(self, corpus: ToyCorpus, seed: int = 0):
-        self.fields, self.weights = {}, {}
-        for ci in range(len(corpus.spec.conditions)):
-            self.fields[ci] = probloss.fit_lm(corpus.stack(ci), k=2, steps=150,
-                                              restarts=1, seed=seed + ci)
-            self.weights[ci] = np.ones(1)
-
-    def generate(self, condition: int, count: int, rng: SeededRng) -> np.ndarray:
-        return probloss.lm_sample_stack(self.fields[condition], rng, count)
-
-    def log_likelihood(self, condition, mode, stack):
-        return probloss.lm_log_density(self.fields[condition], stack).sum(axis=(1, 2))
-
-
-class CondLmStrategy(_PerModeStrategy):
-    """Laplace mixture per (condition, mode id): both categories combined."""
-
-    def __init__(self, corpus: ToyCorpus, seed: int = 0):
-        super().__init__(
-            corpus,
-            lambda ci, v, part: probloss.fit_lm(part, k=2, steps=100, restarts=1,
-                                                seed=seed + 31 * ci + v),
-            min_count=2,
-        )
+class _MixtureStrategy(_FittedStrategy):
+    """Per-cell Laplace mixture models, drawn and scored by ``probloss``."""
 
     @staticmethod
     def _draw(field, rng, count):
@@ -377,6 +337,26 @@ class CondLmStrategy(_PerModeStrategy):
     def log_likelihood(self, condition, mode, stack):
         field = self.models[(condition, mode)]
         return probloss.lm_log_density(field, stack).sum(axis=(1, 2))
+
+
+class LmStrategy(_MixtureStrategy):
+    """Independent per-cell Laplace mixture per condition."""
+
+    def __init__(self, corpus: ToyCorpus, seed: int = 0):
+        super().__init__(corpus, lambda ci, v, stack: probloss.fit_lm(
+            stack, k=2, steps=150, restarts=1, seed=seed + ci))
+
+
+class CondLmStrategy(_MixtureStrategy):
+    """Laplace mixture per (condition, mode id): both categories combined."""
+
+    def __init__(self, corpus: ToyCorpus, seed: int = 0):
+        super().__init__(
+            corpus,
+            lambda ci, v, part: probloss.fit_lm(part, k=2, steps=100, restarts=1,
+                                                seed=seed + 31 * ci + v),
+            by_mode=True, min_count=2,
+        )
 
 
 class FlowStrategy(_Strategy):
@@ -492,7 +472,7 @@ class GanDemoStrategy(_Strategy):
             )
 
     def generate(self, condition: int, count: int, rng: SeededRng) -> np.ndarray:
-        return np.repeat(self.table[condition][None], count, axis=0)
+        return _FittedStrategy._draw(self.table[condition], rng, count)
 
 
 def _generator_grad(discs, clips, offsets, shape):
@@ -594,8 +574,7 @@ def _metrics_for(stacks, spec: ToyCorpusSpec, tol_by_cond, nll) -> StrategyMetri
 
 
 def run_experiment(spec: ToyCorpusSpec, strategies, seed: int,
-                   n_generate: int = 200, n_heldout: int = 200,
-                   tol: float | None = None) -> ExperimentReport:
+                   n_generate: int = 200, n_heldout: int = 200) -> ExperimentReport:
     """Train every strategy on one corpus and score generated samples.
 
     Reported per strategy: mean sharpness (Var_L) of generated grids,
@@ -617,11 +596,14 @@ def run_experiment(spec: ToyCorpusSpec, strategies, seed: int,
         raise ContractError(
             f"unknown strategies {unknown}; valid: {sorted(_BUILDERS)}"
         )
+    for ci, cond in enumerate(spec.conditions):
+        if len(cond.prototypes) < 2:
+            raise ContractError(f"condition {ci} has one prototype; mode "
+                                "coherence needs at least two")
     corpus = make_corpus(spec)
     root = SeededRng(seed, stream=0x455850)
     heldout = _sample_corpus(spec, root.substream(_STREAM_HELDOUT), n_heldout)
-    tol_by_cond = [tol if tol is not None else default_coherence_tol(cond)
-                   for cond in spec.conditions]
+    tol_by_cond = [default_coherence_tol(cond) for cond in spec.conditions]
 
     rows = {"gt": _metrics_for(heldout.stacks, spec, tol_by_cond, None)}
     for si, name in enumerate(strategies):

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from conftest import heatmap_pixels, wav_bytes, write_alignment
-from oversmooth import cli, density
+from oversmooth import cli, density, flow
 from oversmooth.core import (
     Alignment,
     AlignmentEntry,
@@ -329,6 +329,36 @@ class TestCmdToylab:
         explicit = capsys.readouterr().out
         assert with_env == explicit
 
+    @pytest.mark.parametrize("value", ["abc", "1.5", ""])
+    def test_env_seed_not_an_integer_exits_2(self, tmp_path, capsys,
+                                             monkeypatch, value):
+        monkeypatch.setenv("OVERSMOOTH_SEED", value)
+        assert run(["make-corpus", str(tmp_path / "c"), "--samples", "2"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("error: OVERSMOOTH_SEED must be an integer, "
+                                f"got {value!r}\n")
+        assert not (tmp_path / "c").exists()
+
+    def test_spec_condition_with_one_prototype_exits_2(self, tmp_path, capsys):
+        doc = {
+            "conditions": [
+                {"prototypes": [[[-1.0] * 4] * 4, [[1.0] * 4] * 4],
+                 "weights": [0.5, 0.5]},
+                {"prototypes": [[[1.0] * 4] * 4], "weights": [1.0]},
+            ],
+            "noise": 0.05,
+            "samples_per_condition": 20,
+        }
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps(doc))
+        assert run(["toylab", "--spec", str(spec_path), "--strategies", "mse",
+                    "--seed", "2"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("error: condition 1 has one prototype; mode "
+                                "coherence needs at least two\n")
+
     def test_custom_spec_json(self, tmp_path, capsys):
         doc = {
             "conditions": [
@@ -521,6 +551,36 @@ class TestCmdFlow:
         bad_manifest.write_text(json.dumps({"samples": entries}))
         assert run(["flow", "nll", "--manifest", str(bad_manifest),
                     "--ckpt", str(ckpt)]) == 2
+
+    def test_nll_of_a_manifest_holding_some_conditions(self, tmp_path, capsys):
+        manifest = self.build_corpus(tmp_path, samples=6)
+        ckpt = tmp_path / "model.flw"
+        assert run(["flow", "train", "--manifest", str(manifest),
+                    "--ckpt", str(ckpt), "--steps", "20", "--seed", "5",
+                    "--out", str(tmp_path / "t.json")]) == 0
+        model = flow.load_model(ckpt)
+        assert model.cond_dim == 4
+        entries = [e for e in json.loads(manifest.read_text())["samples"]
+                   if e["condition"] < 3]
+        subset = manifest.parent / "subset.json"
+        subset.write_text(json.dumps({"samples": entries}))
+        assert run(["flow", "nll", "--manifest", str(subset),
+                    "--ckpt", str(ckpt), "--out", str(tmp_path / "n.json")]) == 0
+        scored = json.loads((tmp_path / "n.json").read_text())["results"]["nll"]
+        targets = np.stack([read_mel(manifest.parent / e["mel"]).values
+                            for e in entries])
+        conds = np.zeros(targets.shape[:2] + (4,))
+        conds[np.arange(len(entries)), :, [e["condition"] for e in entries]] = 1.0
+        assert scored == flow.nll(model, flow.ConditionedBatch(targets, conds))
+
+        entries[1]["condition"] = 4
+        subset.write_text(json.dumps({"samples": entries}))
+        assert run(["flow", "nll", "--manifest", str(subset),
+                    "--ckpt", str(ckpt)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("error: manifest sample 1: condition 4 is out "
+                                "of the model's range [0, 4)\n")
 
     def test_condition_out_of_range_exits_2(self, tmp_path):
         manifest = self.build_corpus(tmp_path)

@@ -144,23 +144,24 @@ class TestPointwise:
         corpus = make_corpus(canonical_spec(seed=1, samples_per_condition=50))
         strategy = PointwiseStrategy(corpus, "mse")
         stack = corpus.stack(0)
-        assert np.allclose(strategy.table[0], stack.mean(axis=0), atol=1e-9)
+        assert np.allclose(strategy.models[(0, 0)], stack.mean(axis=0), atol=1e-9)
 
     def test_mae_fit_is_cell_median(self):
         corpus = make_corpus(canonical_spec(seed=2, samples_per_condition=51))
         strategy = PointwiseStrategy(corpus, "mae")
         stack = corpus.stack(0)
-        assert np.allclose(strategy.table[0], np.median(stack, axis=0), atol=1e-9)
+        assert np.allclose(strategy.models[(0, 0)], np.median(stack, axis=0),
+                           atol=1e-9)
 
     def test_balanced_scalar_mse_averages_modes(self):
         corpus = make_corpus(scalar_spec(n=200_000, seed=11))
         strategy = PointwiseStrategy(corpus, "mse")
-        assert abs(strategy.table[0][0, 0]) < 0.01
+        assert abs(strategy.models[(0, 0)][0, 0]) < 0.01
 
     def test_skewed_scalar_mae_tracks_heavy_mode(self):
         corpus = make_corpus(scalar_spec(weights=(0.8, 0.2), n=2000, seed=12))
         strategy = PointwiseStrategy(corpus, "mae")
-        assert abs(strategy.table[0][0, 0] + 1.0) < 0.05
+        assert abs(strategy.models[(0, 0)][0, 0] + 1.0) < 0.05
 
     def test_single_mode_recovers_prototype(self):
         proto = np.array([[0.7]])
@@ -168,7 +169,7 @@ class TestPointwise:
             (ConditionSpec((proto,), (1.0,)),), 0.05, 400, 13
         )
         strategy = PointwiseStrategy(make_corpus(spec), "mse")
-        assert abs(strategy.table[0][0, 0] - 0.7) <= 3 * 0.05 / np.sqrt(400)
+        assert abs(strategy.models[(0, 0)][0, 0] - 0.7) <= 3 * 0.05 / np.sqrt(400)
 
 
 class TestConditioned:
@@ -204,12 +205,13 @@ class TestConditioned:
 
 
 def teacher_forced_mse(strategy: ArStrategy, corpus) -> float:
-    """Mean per-cell one-step error of ``strategy``'s table on held-in data."""
+    """Mean per-cell one-step error of ``strategy``'s tables on held-in data."""
     errs = []
     for ci in range(len(corpus.spec.conditions)):
+        *_, table = strategy.models[(ci, 0)]
         for g in corpus.stack(ci):
             for r in range(1, strategy.rows):
-                pred = strategy.table.get((ci, _row_context(g[r - 1])), g[r - 1])
+                pred = table.get(_row_context(g[r - 1]), g[r - 1])
                 errs.append(np.mean((pred - g[r]) ** 2))
     return float(np.mean(errs))
 
@@ -304,7 +306,7 @@ class TestLmStrategy:
                                              n_conditions=2))
         strategy = LmStrategy(corpus, seed=3)
         oracle = np.mean([
-            -probloss.lm_log_density(strategy.fields[ci], heldout.stack(ci))
+            -probloss.lm_log_density(strategy.models[(ci, 0)], heldout.stack(ci))
             .sum(axis=(1, 2)).mean()
             for ci in range(2)
         ])
@@ -521,3 +523,186 @@ class TestCorpusFiles:
                 assert np.array_equal(mel.values, grid.astype(np.float32))
         assert next(entries, None) is None
         assert doc["samples"][-1]["mel"] == "sample_00073.mel"
+
+
+# ---------------------------------------------------------------------------
+# Reference strategies: each class's own fit and generate, as they were
+# before one fitted-strategy base held every model. The shared base must
+# reproduce them bit for bit.
+# ---------------------------------------------------------------------------
+
+
+class RefStrategy:
+    log_likelihood = None
+
+    def heldout_nll(self, corpus):
+        if self.log_likelihood is None:
+            return None
+        totals = []
+        for ci, weights in self.weights.items():
+            terms = [np.log(w) + self.log_likelihood(ci, v, corpus.stack(ci))
+                     for v, w in enumerate(weights) if w > 0]
+            totals.append(-probloss.log_sum_exp(terms)[0].mean())
+        return float(np.mean(totals))
+
+
+class RefPointwise(RefStrategy):
+    def __init__(self, corpus, loss):
+        self.table = {ci: np.mean(stack, axis=0) if loss == "mse"
+                      else np.median(stack, axis=0)
+                      for ci, stack in enumerate(corpus.stacks)}
+
+    def generate(self, condition, count, rng):
+        return np.repeat(self.table[condition][None], count, axis=0)
+
+
+class RefPerMode(RefStrategy):
+    def __init__(self, corpus, fit, min_count):
+        self.models, self.weights = {}, {}
+        for ci in range(len(corpus.spec.conditions)):
+            parts, self.weights[ci] = toylab._mode_split(corpus, ci, min_count)
+            for v, part in enumerate(parts):
+                self.models[(ci, v)] = fit(ci, v, part)
+
+    def generate(self, condition, count, rng):
+        picks = rng.categorical(self.weights[condition], count)
+        draws = np.stack([
+            self._draw(self.models[(condition, v)], rng.substream(v), count)
+            for v in range(len(self.weights[condition]))
+        ])
+        return draws[picks, np.arange(count)]
+
+
+class RefConditioned(RefPerMode):
+    def __init__(self, corpus):
+        super().__init__(corpus, lambda ci, v, part: part.mean(axis=0), 1)
+
+    @staticmethod
+    def _draw(mean, rng, count):
+        return np.repeat(mean[None], count, axis=0)
+
+
+class RefAr(RefStrategy):
+    def __init__(self, corpus):
+        self.rows = corpus.spec.grid_shape[0]
+        self.start, self.table = {}, {}
+        for ci in range(len(corpus.spec.conditions)):
+            stack = corpus.stack(ci)
+            ctx = _row_context(stack)
+            starts = {}
+            for c in np.unique(ctx[:, 0]):
+                sel = stack[ctx[:, 0] == c]
+                starts[int(c)] = (sel[:, 0].mean(axis=0), len(sel) / len(stack))
+            self.start[ci] = starts
+            prev, nxt = ctx[:, :-1], stack[:, 1:]
+            for c in np.unique(prev):
+                self.table[(ci, int(c))] = nxt[prev == c].mean(axis=0)
+
+    def generate(self, condition, count, rng):
+        starts = self.start[condition]
+        ctxs = sorted(starts)
+        freqs = np.array([starts[c][1] for c in ctxs])
+        picks = rng.categorical(freqs / freqs.sum(), count)
+        first = np.stack([starts[c][0] for c in ctxs])[picks]
+        grids = np.empty((count, self.rows, first.shape[1]))
+        grids[:, 0] = first
+        for r in range(1, self.rows):
+            grids[:, r] = grids[:, r - 1]
+            ctx = _row_context(grids[:, r - 1])
+            for c in np.unique(ctx):
+                key = (condition, int(c))
+                if key in self.table:
+                    grids[ctx == c, r] = self.table[key]
+        return grids
+
+
+class RefLm(RefStrategy):
+    def __init__(self, corpus, seed):
+        self.fields, self.weights = {}, {}
+        for ci in range(len(corpus.spec.conditions)):
+            self.fields[ci] = probloss.fit_lm(corpus.stack(ci), k=2, steps=150,
+                                              restarts=1, seed=seed + ci)
+            self.weights[ci] = np.ones(1)
+
+    def generate(self, condition, count, rng):
+        return probloss.lm_sample_stack(self.fields[condition], rng, count)
+
+    def log_likelihood(self, condition, mode, stack):
+        return probloss.lm_log_density(self.fields[condition], stack).sum(axis=(1, 2))
+
+
+class RefCondLm(RefPerMode):
+    def __init__(self, corpus, seed):
+        super().__init__(
+            corpus,
+            lambda ci, v, part: probloss.fit_lm(part, k=2, steps=100, restarts=1,
+                                                seed=seed + 31 * ci + v),
+            2,
+        )
+
+    @staticmethod
+    def _draw(field, rng, count):
+        return probloss.lm_sample_stack(field, rng, count)
+
+    def log_likelihood(self, condition, mode, stack):
+        field = self.models[(condition, mode)]
+        return probloss.lm_log_density(field, stack).sum(axis=(1, 2))
+
+
+def three_mode_10x8_spec(seed):
+    """Two conditions of 10x8 grids: three modes with uneven weights, whose
+    starting rows have three different contexts, then two of them."""
+    rng = np.random.default_rng(40)
+    protos = []
+    for first in ([1, 1], [1, -1], [-1, 1]):
+        proto = np.sign(rng.normal(size=(10, 8)))
+        proto[0, :4], proto[0, 4:] = first
+        protos.append(proto)
+    return ToyCorpusSpec((ConditionSpec(tuple(protos), (0.6, 0.3, 0.1)),
+                          ConditionSpec(tuple(protos[1:]), (0.25, 0.75))),
+                         0.08, 150, seed)
+
+
+REFERENCES = {  # name -> (strategy, its reference), each built from (corpus, seed)
+    "mse": (lambda c, s: PointwiseStrategy(c, "mse"),
+            lambda c, s: RefPointwise(c, "mse")),
+    "mae": (lambda c, s: PointwiseStrategy(c, "mae"),
+            lambda c, s: RefPointwise(c, "mae")),
+    "conditioned": (lambda c, s: ConditionedStrategy(c),
+                    lambda c, s: RefConditioned(c)),
+    "ar": (lambda c, s: ArStrategy(c), lambda c, s: RefAr(c)),
+    "lm": (lambda c, s: LmStrategy(c, seed=s), RefLm),
+    "cond_lm": (lambda c, s: CondLmStrategy(c, seed=s), RefCondLm),
+}
+
+
+class TestAgainstReferenceStrategies:
+    @pytest.mark.parametrize("name", list(REFERENCES))
+    @pytest.mark.parametrize("spec", [canonical_spec(seed=3),
+                                      three_mode_10x8_spec(11)],
+                             ids=["canonical", "three_modes_10x8"])
+    def test_generate_and_heldout_nll_are_bit_identical(self, spec, name):
+        build, reference = REFERENCES[name]
+        corpus = make_corpus(spec)
+        heldout = make_corpus(ToyCorpusSpec(spec.conditions, spec.noise, 60,
+                                            spec.seed + 1))
+        new, ref = build(corpus, 5), reference(corpus, 5)
+        for ci in range(len(spec.conditions)):
+            assert np.array_equal(new.generate(ci, 50, SeededRng(7).substream(ci)),
+                                  ref.generate(ci, 50, SeededRng(7).substream(ci)))
+        assert new.heldout_nll(heldout) == ref.heldout_nll(heldout)
+
+
+def test_every_built_strategy_class_defines_its_own_init(monkeypatch):
+    # Tracing tools time a strategy's fit by wrapping the __init__ found in
+    # the class's own namespace, so an inherited __init__ cannot be traced.
+    built, base = [], toylab._Strategy
+    for attr, value in list(vars(toylab).items()):
+        if isinstance(value, type) and issubclass(value, base):
+            monkeypatch.setattr(toylab, attr,
+                                lambda *a, cls=value, **kw: built.append(cls))
+    for build in toylab._BUILDERS.values():
+        build(None, 0)
+    assert len(built) == len(toylab._BUILDERS)
+    for cls in built:
+        assert "__init__" in vars(cls), cls.__name__
