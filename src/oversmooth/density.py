@@ -2,9 +2,11 @@
 statistic for multimodality.
 
 The dip statistic follows the classical greatest-convex-minorant /
-least-concave-majorant computation on the sorted sample. Values respect the
-theoretical bounds 1/(2n) <= dip <= 1/4; larger values are stronger evidence
-of multimodality.
+least-concave-majorant computation on the sorted sample. The majorant is
+computed as the minorant of the mirrored sample -x[::-1]: mirroring flips the
+sign of both factors of every hull comparison, so each stays exact. Values
+respect the theoretical bounds 1/(2n) <= dip <= 1/4; larger values are
+stronger evidence of multimodality.
 """
 
 from __future__ import annotations
@@ -121,9 +123,8 @@ def kde1d(samples, bandwidth: float | None = None, grid=None) -> Density1D:
     return Density1D(g, _gauss_sum(g, x, h) / len(x), h)
 
 
-def kde2d(pairs, bandwidths: tuple[float, float] | None = None,
-          grid_points: int = 128) -> Density2D:
-    """Product-Gaussian-kernel density estimate of an (n, 2) sample."""
+def kde2d(pairs, bandwidths: tuple[float, float] | None = None) -> Density2D:
+    """Product-Gaussian KDE of an (n, 2) sample on a 128 x 128 grid."""
     p = np.asarray(pairs, dtype=np.float64)
     if p.ndim != 2 or p.shape[1] != 2 or p.shape[0] < 1:
         raise ContractError("pairs must be a non-empty (n, 2) array")
@@ -132,8 +133,8 @@ def kde2d(pairs, bandwidths: tuple[float, float] | None = None,
     xs, ys = p[:, 0], p[:, 1]
     given_x, given_y = (None, None) if bandwidths is None else bandwidths
     hx, hy = _bandwidth(xs, given_x), _bandwidth(ys, given_y)
-    gx = _auto_grid(xs, hx, grid_points)
-    gy = _auto_grid(ys, hy, grid_points)
+    gx = _auto_grid(xs, hx, 128)
+    gy = _auto_grid(ys, hy, 128)
     values = np.zeros((len(gx), len(gy)))
     norm = 1.0 / (2.0 * np.pi * hx * hy)
     for start in range(0, len(p), 1024):
@@ -174,16 +175,6 @@ def pooled_phoneme_values(corpus, phoneme: str, bin_index: int) -> np.ndarray:
     return np.concatenate([block[:, bin_index] for block in blocks])
 
 
-def phoneme_marginal(corpus, phoneme: str, bin_index: int,
-                     bandwidth: float | None = None) -> Density1D:
-    """KDE of all values at one frequency bin over a phoneme's frames.
-
-    ``corpus`` is an iterable of (Spectrogram, Alignment) pairs; values are
-    pooled across every span of ``phoneme`` in every utterance.
-    """
-    return kde1d(pooled_phoneme_values(corpus, phoneme, bin_index), bandwidth)
-
-
 def phoneme_joint(corpus, phoneme: str, axis,
                   bandwidths: tuple[float, float] | None = None) -> Density2D:
     """Joint KDE of two grid positions conditioned on a phoneme.
@@ -210,13 +201,38 @@ def phoneme_joint(corpus, phoneme: str, axis,
     return kde2d(pairs, bandwidths)
 
 
-def _dip_sorted(x: np.ndarray) -> float:
-    """Dip of a sorted sample with n >= 4 and x[0] != x[-1].
+def _minorant_links(x: list) -> list:
+    """links[j]: start of the ECDF's greatest-convex-minorant segment ending at j."""
+    links = [0] * len(x)
+    for j in range(1, len(x)):
+        a = j - 1
+        while a:
+            b = links[a]
+            if (x[j] - x[a]) * (a - b) < (x[a] - x[b]) * (j - a):
+                break
+            a = b
+        links[j] = a
+    return links
 
-    Returns the raw sup-distance (already divided by 2n). Iteratively fits
-    the greatest convex minorant and least concave majorant of the empirical
-    CDF over a shrinking modal interval.
-    """
+
+def _ecdf_gap(x: list, hull: list, upper: bool) -> float:
+    """Largest deviation, in samples, of the ECDF above (``upper``) or below
+    the segments of an ascending hull; 0.0 when the hull is one vertex."""
+    gap = 1.0 if len(hull) > 1 else 0.0
+    for jb, je in zip(hull, hull[1:]):
+        if je - jb > 1 and x[je] != x[jb]:
+            c = (je - jb) / (x[je] - x[jb])
+            for jj in range(jb, je + 1):
+                d = (x[jj] - x[jb]) * c
+                t = d - (jj - jb - 1) if upper else (jj - jb + 1) - d
+                if gap < t:
+                    gap = t
+    return gap
+
+
+def _dip_sorted(x: np.ndarray) -> float:
+    """Raw dip, already divided by 2n, of a sorted sample with n >= 4 and
+    x[0] != x[-1]: both hulls are refitted over a shrinking modal interval."""
     # Plain Python floats and lists: the loops index one element at a time,
     # which numpy scalars make several times slower, with the same values.
     x = x.tolist()
@@ -224,44 +240,20 @@ def _dip_sorted(x: np.ndarray) -> float:
     low, high = 0, n - 1
     d_best = 0.0
 
-    # mn[j]: start of the convex-minorant segment ending at j.
-    mn = [0] * n
-    for j in range(1, n):
-        mn[j] = j - 1
-        while True:
-            mnj = mn[j]
-            mnmnj = mn[mnj]
-            if mnj == 0 or (x[j] - x[mnj]) * (mnj - mnmnj) < (x[mnj] - x[mnmnj]) * (j - mnj):
-                break
-            mn[j] = mnmnj
+    mn = _minorant_links(x)
     # mj[k]: end of the concave-majorant segment starting at k.
-    mj = [0] * n
-    mj[n - 1] = n - 1
-    for k in range(n - 2, -1, -1):
-        mj[k] = k + 1
-        while True:
-            mjk = mj[k]
-            mjmjk = mj[mjk]
-            if mjk == n - 1 or (x[k] - x[mjk]) * (mjk - mjmjk) < (x[mjk] - x[mjmjk]) * (k - mjk):
-                break
-            mj[k] = mjmjk
+    mj = [n - 1 - v for v in reversed(_minorant_links([-v for v in reversed(x)]))]
 
-    gcm = [0] * n
-    lcm = [0] * n
     while True:
-        gcm[0] = high
-        i = 0
-        while gcm[i] > low:
-            gcm[i + 1] = mn[gcm[i]]
-            i += 1
-        ig = l_gcm = i
+        gcm = [high]
+        while gcm[-1] > low:
+            gcm.append(mn[gcm[-1]])
+        ig = l_gcm = len(gcm) - 1
         ix = ig - 1
-        lcm[0] = low
-        i = 0
-        while lcm[i] < high:
-            lcm[i + 1] = mj[lcm[i]]
-            i += 1
-        ih = l_lcm = i
+        lcm = [low]
+        while lcm[-1] < high:
+            lcm.append(mj[lcm[-1]])
+        ih = l_lcm = len(lcm) - 1
         iv = 1
 
         d = 0.0
@@ -299,33 +291,8 @@ def _dip_sorted(x: np.ndarray) -> float:
         if d < d_best:
             break
 
-        # Largest deviation of the ECDF from each hull segment.
-        dip_l = 0.0
-        for j in range(ig, l_gcm):
-            max_t = 1.0
-            jb, je = gcm[j + 1], gcm[j]
-            if je - jb > 1 and x[je] != x[jb]:
-                c = (je - jb) / (x[je] - x[jb])
-                for jj in range(jb, je + 1):
-                    t = (jj - jb + 1) - (x[jj] - x[jb]) * c
-                    if max_t < t:
-                        max_t = t
-            if dip_l < max_t:
-                dip_l = max_t
-        dip_u = 0.0
-        for j in range(ih, l_lcm):
-            max_t = 1.0
-            jb, je = lcm[j], lcm[j + 1]
-            if je - jb > 1 and x[je] != x[jb]:
-                c = (je - jb) / (x[je] - x[jb])
-                for jj in range(jb, je + 1):
-                    t = (x[jj] - x[jb]) * c - (jj - jb - 1)
-                    if max_t < t:
-                        max_t = t
-            if dip_u < max_t:
-                dip_u = max_t
-
-        d_best = max(d_best, dip_l, dip_u)
+        d_best = max(d_best, _ecdf_gap(x, gcm[ig:][::-1], False),
+                     _ecdf_gap(x, lcm[ih:], True))
         if low == gcm[ig] and high == lcm[ih]:
             break
         low = gcm[ig]

@@ -174,16 +174,20 @@ def mode_coherence(samples, prototypes, tol: float) -> float:
 
 
 def default_coherence_tol(cond: ConditionSpec) -> float:
-    """0.4 x the smallest pairwise prototype RMS gap of the condition."""
+    """0.4 x min(the smallest pairwise prototype RMS gap, 2 x the RMS distance
+    from the weighted mean grid sum_v w_v p_v to its nearest prototype).
+
+    A prototype that lies within noise of the weighted mean, the grid a
+    pointwise-loss model generates, cannot be told apart from the mean.
+    """
     protos = cond.prototypes
     if len(protos) < 2:
         raise ContractError("mode coherence needs at least two prototypes")
-    gaps = [
-        np.sqrt(np.mean((protos[i] - protos[j]) ** 2))
-        for i in range(len(protos))
-        for j in range(i + 1, len(protos))
-    ]
-    return 0.4 * float(min(gaps))
+    mean = sum(w * p for w, p in zip(cond.weights, protos))
+    gaps = [np.sqrt(np.mean((p - q) ** 2))
+            for i, p in enumerate(protos) for q in protos[i + 1:]]
+    to_mean = [np.sqrt(np.mean((mean - p) ** 2)) for p in protos]
+    return 0.4 * float(min(min(gaps), 2.0 * min(to_mean)))
 
 
 # ---------------------------------------------------------------------------
@@ -596,6 +600,9 @@ def run_experiment(spec: ToyCorpusSpec, strategies, seed: int,
         raise ContractError(
             f"unknown strategies {unknown}; valid: {sorted(_BUILDERS)}"
         )
+    repeated = sorted({s for s in strategies if strategies.count(s) > 1})
+    if repeated:
+        raise ContractError(f"strategies named more than once: {repeated}")
     for ci, cond in enumerate(spec.conditions):
         if len(cond.prototypes) < 2:
             raise ContractError(f"condition {ci} has one prototype; mode "

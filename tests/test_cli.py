@@ -195,7 +195,8 @@ class TestCmdDist:
         capsys.readouterr()
         corpus = cli._load_corpus(manifest)
         for f in (3, 4):
-            d1 = density.phoneme_marginal(corpus, "R", f, bandwidth)
+            d1 = density.kde1d(density.pooled_phoneme_values(corpus, "R", f),
+                               bandwidth)
             assert read_lines(tmp_path / f"d_marginal_R_{f}.csv") == csv_by_rows(
                 "grid,density", zip(d1.grid.tolist(), d1.values.tolist()))
         d2 = density.phoneme_joint(corpus, "R", density.TimePair(3, 1),
@@ -301,6 +302,17 @@ class TestCmdToylab:
         assert run(["toylab", "--strategies", "bogus", "--seed", "1"]) == 2
         err = capsys.readouterr().err
         assert "mse" in err and "flow" in err
+
+    @pytest.mark.parametrize("strategies, named", [
+        ("mse,mse", "['mse']"),
+        ("lm,mse,lm,mse,ar", "['lm', 'mse']"),
+    ])
+    def test_strategy_named_twice_exits_2(self, capsys, strategies, named):
+        assert run(["toylab", "--strategies", strategies, "--seed", "1",
+                    "--generate", "10", "--heldout", "10"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: strategies named more than once: {named}\n"
 
     def test_byte_identical_reruns_with_artifacts(self, tmp_path):
         args = ["toylab", "--strategies", "mse,conditioned", "--seed", "9",

@@ -17,11 +17,11 @@ from oversmooth.density import (
     NoPairs,
     PhonemeAbsent,
     TimePair,
+    _dip_sorted,
     dip_statistic,
     kde1d,
     kde2d,
     phoneme_joint,
-    phoneme_marginal,
     pooled_phoneme_values,
     silverman_bandwidth,
 )
@@ -177,9 +177,11 @@ class TestPooledPhonemeValues:
 
 
 class TestPhonemeMarginal:
+    """The marginal ``dist`` writes: ``kde1d`` of the pooled bin values."""
+
     def test_constant_peaks_at_value(self):
         corpus = corpus_from_columns(np.full(50, 2.5))
-        density = phoneme_marginal(corpus, "R", 2, bandwidth=0.3)
+        density = kde1d(pooled_phoneme_values(corpus, "R", 2), bandwidth=0.3)
         peak = density.grid[np.argmax(density.values)]
         assert abs(peak - 2.5) < 0.05
 
@@ -188,7 +190,7 @@ class TestPhonemeMarginal:
         column = np.concatenate([
             rng.normal(-1.0, 0.1, size=200), rng.normal(1.0, 0.1, size=200)
         ])
-        density = phoneme_marginal(corpus_from_columns(column), "R", 2)
+        density = kde1d(pooled_phoneme_values(corpus_from_columns(column), "R", 2))
         v = density.values
         local_max = (v[1:-1] > v[:-2]) & (v[1:-1] > v[2:]) & (v[1:-1] > 0.3 * v.max())
         peaks = density.grid[1:-1][local_max]
@@ -197,17 +199,17 @@ class TestPhonemeMarginal:
 
     def test_absent_phoneme(self):
         with pytest.raises(PhonemeAbsent):
-            phoneme_marginal(corpus_from_columns(np.ones(10)), "ZZ", 2)
+            pooled_phoneme_values(corpus_from_columns(np.ones(10)), "ZZ", 2)
 
     def test_bin_out_of_range(self):
         with pytest.raises(BinOutOfRange):
-            phoneme_marginal(corpus_from_columns(np.ones(10)), "R", 9)
+            pooled_phoneme_values(corpus_from_columns(np.ones(10)), "R", 9)
 
     def test_pools_across_utterances(self):
         corpus = corpus_from_columns(np.full(30, -1.0)) + corpus_from_columns(
             np.full(30, 1.0)
         )
-        density = phoneme_marginal(corpus, "R", 2, bandwidth=0.2)
+        density = kde1d(pooled_phoneme_values(corpus, "R", 2), bandwidth=0.2)
         assert trapezoid(density.values, density.grid) == pytest.approx(1.0, abs=0.02)
 
 
@@ -302,6 +304,147 @@ def dip_two_point_oracle():
     return best
 
 
+def reference_dip_sorted(x):
+    """The hull iteration with the majorant's link and ECDF-gap loops spelled
+    out beside the minorant's: the oracle that ``density._dip_sorted`` must
+    equal bit for bit."""
+    # Plain Python floats and lists: the loops index one element at a time,
+    # which numpy scalars make several times slower, with the same values.
+    x = x.tolist()
+    n = len(x)
+    low, high = 0, n - 1
+    d_best = 0.0
+
+    # mn[j]: start of the convex-minorant segment ending at j.
+    mn = [0] * n
+    for j in range(1, n):
+        mn[j] = j - 1
+        while True:
+            mnj = mn[j]
+            mnmnj = mn[mnj]
+            if mnj == 0 or (x[j] - x[mnj]) * (mnj - mnmnj) < (x[mnj] - x[mnmnj]) * (j - mnj):
+                break
+            mn[j] = mnmnj
+    # mj[k]: end of the concave-majorant segment starting at k.
+    mj = [0] * n
+    mj[n - 1] = n - 1
+    for k in range(n - 2, -1, -1):
+        mj[k] = k + 1
+        while True:
+            mjk = mj[k]
+            mjmjk = mj[mjk]
+            if mjk == n - 1 or (x[k] - x[mjk]) * (mjk - mjmjk) < (x[mjk] - x[mjmjk]) * (k - mjk):
+                break
+            mj[k] = mjmjk
+
+    gcm = [0] * n
+    lcm = [0] * n
+    while True:
+        gcm[0] = high
+        i = 0
+        while gcm[i] > low:
+            gcm[i + 1] = mn[gcm[i]]
+            i += 1
+        ig = l_gcm = i
+        ix = ig - 1
+        lcm[0] = low
+        i = 0
+        while lcm[i] < high:
+            lcm[i + 1] = mj[lcm[i]]
+            i += 1
+        ih = l_lcm = i
+        iv = 1
+
+        d = 0.0
+        if l_gcm != 1 or l_lcm != 1:
+            # Largest distance between the two hulls.
+            while True:
+                gcmix = gcm[ix]
+                lcmiv = lcm[iv]
+                if gcmix > lcmiv:
+                    gcmi1 = gcm[ix + 1]
+                    dx = (lcmiv - gcmi1 + 1) - (x[lcmiv] - x[gcmi1]) * (
+                        gcmix - gcmi1
+                    ) / (x[gcmix] - x[gcmi1])
+                    iv += 1
+                    if dx >= d:
+                        d = dx
+                        ig = ix + 1
+                        ih = iv - 1
+                else:
+                    lcmiv1 = lcm[iv - 1]
+                    dx = (x[gcmix] - x[lcmiv1]) * (lcmiv - lcmiv1) / (
+                        x[lcmiv] - x[lcmiv1]
+                    ) - (gcmix - lcmiv1 - 1)
+                    ix -= 1
+                    if dx >= d:
+                        d = dx
+                        ig = ix + 1
+                        ih = iv
+                if ix < 0:
+                    ix = 0
+                if iv > l_lcm:
+                    iv = l_lcm
+                if gcm[ix] == lcm[iv]:
+                    break
+        if d < d_best:
+            break
+
+        # Largest deviation of the ECDF from each hull segment.
+        dip_l = 0.0
+        for j in range(ig, l_gcm):
+            max_t = 1.0
+            jb, je = gcm[j + 1], gcm[j]
+            if je - jb > 1 and x[je] != x[jb]:
+                c = (je - jb) / (x[je] - x[jb])
+                for jj in range(jb, je + 1):
+                    t = (jj - jb + 1) - (x[jj] - x[jb]) * c
+                    if max_t < t:
+                        max_t = t
+            if dip_l < max_t:
+                dip_l = max_t
+        dip_u = 0.0
+        for j in range(ih, l_lcm):
+            max_t = 1.0
+            jb, je = lcm[j], lcm[j + 1]
+            if je - jb > 1 and x[je] != x[jb]:
+                c = (je - jb) / (x[je] - x[jb])
+                for jj in range(jb, je + 1):
+                    t = (x[jj] - x[jb]) * c - (jj - jb - 1)
+                    if max_t < t:
+                        max_t = t
+            if dip_u < max_t:
+                dip_u = max_t
+
+        d_best = max(d_best, dip_l, dip_u)
+        if low == gcm[ig] and high == lcm[ih]:
+            break
+        low = gcm[ig]
+        high = lcm[ih]
+    return d_best / (2.0 * n)
+
+
+def dip_oracle_samples():
+    """Seeded sorted samples with n = 4..300 of five kinds (uniform, normal,
+    rounded to quarters, rounded to integers, two-mode), 400 of each, plus two
+    normal samples of n = 5,000 and evenly spaced ones, whose two hulls are
+    one segment each; only samples with x[0] != x[-1] qualify."""
+    rng = np.random.default_rng(20260)
+    kinds = (
+        lambda n: rng.uniform(size=n),
+        lambda n: rng.normal(size=n),
+        lambda n: np.round(rng.normal(size=n) * 4) / 4,
+        lambda n: np.round(rng.normal(size=n) * 1.5),
+        lambda n: np.concatenate([rng.normal(-2, 1, n // 2),
+                                  rng.normal(2, 1, n - n // 2)]),
+    )
+    samples = [np.sort(kind(int(rng.integers(4, 301))))
+               for _ in range(400) for kind in kinds]
+    samples += [np.sort(rng.normal(size=5000)) for _ in range(2)]
+    samples += [np.arange(n, dtype=np.float64) / 4 for n in (4, 5, 17, 300)]
+    return [x for x in samples if x[0] != x[-1]]
+
+
 class TestDipStatistic:
     def test_two_points_quarter(self):
         assert dip_statistic([0.0, 1.0]).dip == pytest.approx(0.25, abs=1e-9)
@@ -377,3 +520,18 @@ class TestDipStatistic:
         # rewrite of the hull loops must reproduce them bit for bit.
         assert dip_statistic(sample()).dip == expected
 
+    def test_equals_the_reference_hull_iteration(self):
+        samples = dip_oracle_samples()
+        assert len(samples) >= 2000
+        for x in samples:
+            assert _dip_sorted(x) == reference_dip_sorted(x), (len(x), x[:4])
+
+    def test_reflection_leaves_the_dip(self):
+        rng = SeededRng(118)
+        gaps = []
+        for i in range(3000):
+            x = rng.normal(size=4 + i % 297)
+            if i % 3 == 1:
+                x = np.round(x * 3)
+            gaps.append(abs(dip_statistic(x).dip - dip_statistic(-x).dip))
+        assert max(gaps) <= 1e-15

@@ -60,6 +60,15 @@ def three_mode_spec():
                           ConditionSpec(protos[1:], (0.25, 0.75))), 0.1, 37, 9)
 
 
+def uneven_spec(weights, seed=0):
+    """One condition of random +-1 10x8 prototypes with uneven ``weights``
+    and noise 0.05. At 1,000 samples the drawn mode shares stay near the
+    weights, which the default tolerance is computed from."""
+    rng = np.random.default_rng(seed)
+    protos = tuple(np.sign(rng.normal(size=(10, 8))) for _ in weights)
+    return ToyCorpusSpec((ConditionSpec(protos, weights),), 0.05, 1000, seed)
+
+
 class TestMakeCorpus:
     def test_deterministic(self):
         a = make_corpus(scalar_spec(seed=3))
@@ -277,6 +286,31 @@ class TestModeCoherence:
     def test_default_tol_needs_two_prototypes(self):
         with pytest.raises(ContractError):
             default_coherence_tol(ConditionSpec((np.ones((2, 2)),), (1.0,)))
+
+    def test_default_tol_of_balanced_modes_is_the_gap_rule(self):
+        cond = canonical_spec(seed=0).conditions[0]
+        a, b = cond.prototypes
+        gap = np.sqrt(np.mean((a - b) ** 2))
+        assert default_coherence_tol(cond) == 0.4 * float(gap) == 0.5656854249492381
+
+    @pytest.mark.parametrize("weights", [(0.6, 0.3, 0.1), (0.25, 0.75),
+                                         (0.9, 0.1)])
+    def test_mean_grid_of_uneven_modes_is_incoherent(self, weights):
+        spec = uneven_spec(weights)
+        cond = spec.conditions[0]
+        protos = np.stack(cond.prototypes)
+        rms = np.sqrt(np.mean((protos[:, None] - protos[None]) ** 2, axis=(2, 3)))
+        mean = np.tensordot(cond.weights, protos, axes=1)
+        to_mean = np.sqrt(np.mean((protos - mean) ** 2, axis=(1, 2)))
+        smallest_gap = rms[np.triu_indices(len(protos), 1)].min()
+        tol = default_coherence_tol(cond)
+        assert tol == pytest.approx(0.8 * to_mean.min(), rel=1e-12)
+        assert tol < 0.4 * smallest_gap
+        report = run_experiment(spec, ["mse", "conditioned"], 3,
+                                n_generate=50, n_heldout=50)
+        assert report.rows["mse"].coherence == 0.0
+        assert report.rows["gt"].coherence == 1.0
+        assert report.rows["conditioned"].coherence == 1.0
 
 
 class TestLmStrategy:
