@@ -110,6 +110,13 @@ def _hann(n: int) -> np.ndarray:
     return 0.5 * (1.0 - np.cos(2.0 * np.pi * np.arange(n) / n))
 
 
+def _check_frame_size(frame_size: int) -> None:
+    """An FFT frame must be a positive power of two."""
+    if frame_size <= 0 or frame_size & (frame_size - 1):
+        raise ContractError(f"frame size must be a positive power of two, got "
+                            f"{frame_size}")
+
+
 def stft_magnitude(
     clip: AudioClip, frame_size: int = DEFAULT_FRAME, hop: int = DEFAULT_HOP
 ) -> np.ndarray:
@@ -118,10 +125,7 @@ def stft_magnitude(
     Frame t is centered at sample t*hop; the frame count is
     ceil(len(samples) / hop). Output shape is (T, frame_size // 2 + 1).
     """
-    if frame_size <= 0:
-        raise ContractError("frame_size must be positive")
-    if frame_size & (frame_size - 1):
-        raise ContractError("frame_size must be a power of two")
+    _check_frame_size(frame_size)
     if hop <= 0:
         raise ContractError("hop must be positive")
     x = clip.samples
@@ -151,6 +155,7 @@ def mel_filterbank(
 ) -> MelFilterbank:
     """Build unnormalized triangular filters, equally spaced on the mel scale
     from 0 Hz to the Nyquist frequency."""
+    _check_frame_size(n_fft)
     if n_mels < 1:
         raise ContractError("n_mels must be at least 1")
     edges_hz = mel_to_hz(np.linspace(hz_to_mel(0.0), hz_to_mel(sample_rate / 2.0),

@@ -7,10 +7,10 @@ with the untouched channels plus a per-frame condition vector.
 
 Direction conventions, fixed once:
 
-* analysis (data -> latent, the training direction) applies steps in list
-  order; within a step: ``h = scale * h + bias``, then ``h = h @ inv(mix).T``,
-  then the second half of channels is normalized as
-  ``z_b = (h_b - shift) * exp(-ell)``.
+* analysis (data -> latent, the training direction) applies steps 0 to
+  K - 1 in turn; within step k: ``h = scale[k] * h + bias[k]``, then
+  ``h = h @ inv(mix[k]).T``, then the second half of channels is normalized
+  as ``z_b = (h_b - shift) * exp(-ell)``.
 * synthesis (latent -> data, :func:`forward`) is the exact inverse, steps in
   reverse order.
 
@@ -25,12 +25,12 @@ are exact negatives of each other.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .core import (Adam, ContractError, SeededRng, flat_views, read_binary,
-                   write_binary)
+from .core import Adam, ContractError, SeededRng, read_binary, write_binary
 
 FLW_MAGIC = b"FLW2"
 LOG_2PI = np.log(2.0 * np.pi)
@@ -48,34 +48,6 @@ class FlowDivergence(ContractError):
     """Training produced a non-finite likelihood."""
 
 
-@dataclass
-class CouplingNet:
-    """Two-layer tanh perceptron: (h_a ++ cond) -> (raw log-scale, shift).
-
-    With frame context the net maps each frame independently; with grid
-    context it sees every frame of the conditioning half at once (the
-    desk-scale stand-in for a coupling network with a temporal receptive
-    field), which fixes the frame count. Its weights are stored in the order
-    the flow computes them, channel-major: ``w1`` columns hold every frame
-    of h_a's channel 0, then of channel 1, ..., then of each condition
-    channel; ``w2``/``b2`` rows every frame of each raw log-scale channel,
-    then of each shift channel.
-    """
-
-    w1: np.ndarray  # (hidden, in_dim)
-    b1: np.ndarray  # (hidden,)
-    w2: np.ndarray  # (out_dim, hidden)
-    b2: np.ndarray  # (out_dim,)
-
-
-@dataclass
-class FlowStep:
-    scale: np.ndarray  # (c,), actnorm, data side
-    bias: np.ndarray  # (c,)
-    mix: np.ndarray  # (c, c), synthesis sense
-    net: CouplingNet
-
-
 def _net_dims(channels: int, cond_dim: int, context: str, frames: int):
     c_a = (channels + 1) // 2
     c_b = channels - c_a
@@ -88,16 +60,58 @@ def _net_dims(channels: int, cond_dim: int, context: str, frames: int):
     raise ContractError(f"unknown coupling context {context!r}")
 
 
-@dataclass
+def _step_layout(n_steps: int, channels: int, cond_dim: int, hidden: int,
+                 context: str, frames: int) -> dict:
+    """One step's parameters of an ``n_steps``-step flow, name -> shape, in
+    the checkpoint payload's order.
+
+    The coupling net is a two-layer tanh perceptron, (h_a ++ cond) -> (raw
+    log-scale, shift). With frame context it maps each frame independently;
+    with grid context it sees every frame of the conditioning half at once
+    (the desk-scale stand-in for a coupling network with a temporal
+    receptive field), which fixes the frame count. Its weights are stored in
+    the order the flow computes them, channel-major: ``w1`` columns hold
+    every frame of h_a's channel 0, then of channel 1, ..., then of each
+    condition channel; ``w2``/``b2`` rows every frame of each raw log-scale
+    channel, then of each shift channel.
+    """
+    if n_steps < 1:
+        raise ContractError(f"a flow needs at least one step, got {n_steps}")
+    in_dim, out_dim = _net_dims(channels, cond_dim, context, frames)
+    return {"scale": (channels,), "bias": (channels,),  # actnorm, data side
+            "mix": (channels, channels),  # synthesis sense
+            "w1": (hidden, in_dim), "b1": (hidden,),  # coupling net
+            "w2": (out_dim, hidden), "b2": (out_dim,)}
+
+
+@dataclass(eq=False)
 class FlowModel:
-    steps: list[FlowStep]
-    params: np.ndarray  # every parameter, in the checkpoint payload's order
+    """K flow steps with every parameter in one vector, ``params``, laid out
+    step after step as :func:`_step_layout` lists them (the checkpoint
+    payload's order). Each name of that layout is also an attribute, a
+    (K, ...) view of ``params`` whose row k is step k's array:
+    ``model.mix[k]`` is step k's c x c mix, ``model.scale`` all K actnorm
+    scales. Updating ``params`` or a view in place updates the model. A new
+    model's parameters are all zero."""
+
     channels: int
     cond_dim: int
+    n_steps: int
     hidden: int
-    initialized: bool = False
     context: str = "frame"
     frames: int = 0  # fixed frame count for grid context; 0 = flexible
+    initialized: bool = False
+
+    def __post_init__(self):
+        layout = _step_layout(self.n_steps, self.channels, self.cond_dim,
+                              self.hidden, self.context, self.frames)
+        sizes = [math.prod(shape) for shape in layout.values()]
+        self.params = np.zeros(self.n_steps * sum(sizes))
+        rows, start = self.params.reshape(self.n_steps, sum(sizes)), 0
+        for (name, shape), size in zip(layout.items(), sizes):
+            view = rows[:, start : start + size].reshape(self.n_steps, *shape)
+            setattr(self, name, view)
+            start += size
 
     @property
     def split(self) -> tuple[int, int]:
@@ -110,41 +124,13 @@ class FlowModel:
         frame count (a whole grid) with grid context."""
         return self.frames if self.context == "grid" else 1
 
-    def stacked(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Stacked (K, c) scales, (K, c) biases and (K, c, c) mixes: views of ``params``."""
-        k, c, grid = len(self.steps), self.channels, self.context == "grid"
-        size = _checkpoint_floats((k, c, self.cond_dim, self.hidden, 0, grid, self.frames))
-        if self.params.size != size:
-            raise ContractError(f"{k} steps need {size} parameters, not {self.params.size}")
-        blocks = self.params.reshape(k, -1)
-        mixes = blocks[:, 2 * c : c * (c + 2)].reshape(k, c, c)
-        return blocks[:, :c], blocks[:, c : 2 * c], mixes
-
-    @classmethod
-    def zeros(cls, channels: int, cond_dim: int, n_steps: int, hidden: int,
-              context: str = "frame", frames: int = 0) -> "FlowModel":
-        """All parameters zero, in one vector ``params`` laid out per step as
-        scale, bias, mix, w1, b1, w2, b2; every step's arrays are views into
-        it, so updating ``params`` in place updates the model."""
-        if n_steps < 1:
-            raise ContractError(f"a flow needs at least one step, got {n_steps}")
-        in_dim, out_dim = _net_dims(channels, cond_dim, context, frames)
-        shapes = [(channels,), (channels,), (channels, channels),
-                  (hidden, in_dim), (hidden,), (out_dim, hidden), (out_dim,)]
-        params, views = flat_views(shapes * n_steps)
-        steps = [FlowStep(*views[i : i + 3], CouplingNet(*views[i + 3 : i + 7]))
-                 for i in range(0, len(views), len(shapes))]
-        return cls(steps, params, channels, cond_dim, hidden, context=context,
-                   frames=frames)
-
     @classmethod
     def identity(cls, channels: int, cond_dim: int, n_steps: int = 1,
                  hidden: int = 16, context: str = "frame",
                  frames: int = 0) -> "FlowModel":
         """All-identity steps; usable without data-dependent init."""
-        model = cls.zeros(channels, cond_dim, n_steps, hidden, context, frames)
-        scales, _, mixes = model.stacked()
-        scales[...], mixes[...] = 1.0, np.eye(channels)
+        model = cls(channels, cond_dim, n_steps, hidden, context, frames)
+        model.scale[...], model.mix[...] = 1.0, np.eye(channels)
         model.initialized = True
         return model
 
@@ -160,17 +146,17 @@ class FlowModel:
         """
         if channels < 2:
             raise ContractError("need at least 2 channels for coupling splits")
-        model = cls.zeros(channels, cond_dim, n_steps, hidden, context, frames)
-        for step in model.steps:
+        model = cls(channels, cond_dim, n_steps, hidden, context, frames)
+        model.scale[...] = 1.0
+        for k in range(n_steps):
             gaussian = rng.normal(size=(channels, channels))
             q, r = np.linalg.qr(gaussian)
             q = q * np.sign(np.diag(r))  # unique rotation-ish factor
             if np.linalg.det(q) < 0:
                 q[:, 0] = -q[:, 0]  # keep det = +1
-            step.scale[...] = 1.0
-            step.mix[...] = q
-            step.net.w1[...] = weight_scale * rng.normal(size=step.net.w1.shape)
-            step.net.w2[...] = weight_scale * rng.normal(size=step.net.w2.shape)
+            model.mix[k] = q
+            model.w1[k] = weight_scale * rng.normal(size=model.w1.shape[1:])
+            model.w2[k] = weight_scale * rng.normal(size=model.w2.shape[1:])
         return model
 
 
@@ -230,17 +216,17 @@ class FlowWorkspace:
     """
 
     def __init__(self, model: FlowModel, n: int, t: int, depth: int = 0):
-        depth, c, n_t = depth or len(model.steps), model.channels, t * n
-        (hidden, in_dim), cols = model.steps[0].net.w1.shape, n_t // model.column_frames
+        depth, c, n_t = depth or model.n_steps, model.channels, t * n
+        (_, hidden, in_dim), cols = model.w1.shape, n_t // model.column_frames
         self.h, self.g = np.empty((depth + 1, c, n_t)), np.empty((2, c, n_t))
         self.netin = np.empty((depth, in_dim, cols))
         self.a_rows = model.split[0] * model.column_frames  # netin rows holding h_a
         self.hid, self.d_pre = np.empty((depth, hidden, cols)), np.empty((hidden, cols))
         self.th, self.exp_neg = np.empty((2, depth, model.split[1], n_t))
         self.folded, self.inv_mixes = np.empty((depth, c, c)), None  # set by analysis
-        self.out = np.empty((len(model.steps[0].net.w2), cols))  # or its gradient
-        self.grads = None if depth < len(model.steps) else FlowModel.zeros(
-            c, model.cond_dim, len(model.steps), hidden, model.context, model.frames)
+        self.out = np.empty((model.w2.shape[1], cols))  # or its gradient
+        # the gradient: a model of the same architecture, all zero
+        self.grads = None if depth < model.n_steps else replace(model)
 
     def load(self, model: FlowModel, grids: np.ndarray, conds: np.ndarray):
         """(n, T, c) grids into ``h[0]``, (n, T, d) conditions into every
@@ -257,8 +243,9 @@ def _samples_first(h: np.ndarray, t: int, n: int) -> np.ndarray:
     return np.ascontiguousarray(h.reshape(len(h), t, n).transpose(2, 1, 0))
 
 
-def _coupling_raw(net: CouplingNet, ws: FlowWorkspace, slot: int, h_a: np.ndarray):
-    """Coupling net on channel-first h_a in workspace slot ``slot``:
+def _coupling_raw(model: FlowModel, k: int, ws: FlowWorkspace, slot: int,
+                  h_a: np.ndarray):
+    """Step k's coupling net on channel-first h_a in workspace slot ``slot``:
     returns (tanh(raw), shift), channel-first like ``h_a``.
 
     The log-scale is ell = 2 * tanh(raw). ``netin`` and ``hidden`` hold one
@@ -266,21 +253,26 @@ def _coupling_raw(net: CouplingNet, ws: FlowWorkspace, slot: int, h_a: np.ndarra
     """
     netin, hid = ws.netin[slot], ws.hid[slot]
     netin[: ws.a_rows] = h_a.reshape(ws.a_rows, netin.shape[1])
-    np.matmul(net.w1, netin, out=hid)
-    hid += net.b1[:, None]
-    np.matmul(net.w2, np.tanh(hid, out=hid), out=ws.out)
-    ws.out += net.b2[:, None]
+    np.matmul(model.w1[k], netin, out=hid)
+    hid += model.b1[k, :, None]
+    np.matmul(model.w2[k], np.tanh(hid, out=hid), out=ws.out)
+    ws.out += model.b2[k, :, None]
     raw = ws.out.reshape(2, ws.th.shape[1], h_a.shape[1])
     return np.tanh(raw[0], out=ws.th[slot]), raw[1]
 
 
 def _logdet_const(model: FlowModel, t: int) -> float:
-    """The analysis log-determinant of every actnorm and mix, for T frames."""
-    scales, _, mixes = model.stacked()
-    sign, mix_logdets = np.linalg.slogdet(mixes)
+    """The analysis log-determinant of every actnorm and mix, for T frames;
+    a step that is not invertible is an error."""
+    zero_scale = np.nonzero((model.scale == 0).any(axis=1))[0]
+    if len(zero_scale):
+        raise ContractError(f"actnorm scale of step {zero_scale[0]} has a zero "
+                            "entry: the flow is not invertible")
+    sign, mix_logdets = np.linalg.slogdet(model.mix)
     if np.any(sign == 0):
-        raise ContractError("channel-mix matrix is singular")
-    return t * (np.log(np.abs(scales)).sum() - mix_logdets.sum())
+        raise ContractError(f"channel-mix matrix of step "
+                            f"{np.nonzero(sign == 0)[0][0]} is singular")
+    return t * (np.log(np.abs(model.scale)).sum() - mix_logdets.sum())
 
 
 def _analysis(model: FlowModel, grids: np.ndarray, conds: np.ndarray,
@@ -299,8 +291,8 @@ def _analysis(model: FlowModel, grids: np.ndarray, conds: np.ndarray,
     ws = ws or FlowWorkspace(model, n, t, depth=1)
     ws.load(model, grids, conds)
     logdet = np.full(n, _logdet_const(model, t))
-    ws.inv_mixes = np.linalg.inv(model.stacked()[2])
-    for k, (step, inv_mix) in enumerate(zip(model.steps, ws.inv_mixes)):
+    ws.inv_mixes = np.linalg.inv(model.mix)
+    for k, inv_mix in enumerate(ws.inv_mixes):
         h0, h = ws.h[k % len(ws.h)], ws.h[(k + 1) % len(ws.h)]
         if init:
             std = h0.std(axis=1)
@@ -309,17 +301,17 @@ def _analysis(model: FlowModel, grids: np.ndarray, conds: np.ndarray,
                     f"zero-variance channels {np.nonzero(std < 1e-12)[0].tolist()} "
                     "in init batch"
                 )
-            step.scale[...] = 1.0 / std
-            step.bias[...] = -h0.mean(axis=1) / std
+            model.scale[k] = 1.0 / std
+            model.bias[k] = -h0.mean(axis=1) / std
         slot = k % len(ws.netin)
-        np.matmul(np.multiply(inv_mix, step.scale, out=ws.folded[slot]), h0, out=h)
-        h += (inv_mix @ step.bias)[:, None]
-        th, shift = _coupling_raw(step.net, ws, slot, h[:c_a])
+        np.matmul(np.multiply(inv_mix, model.scale[k], out=ws.folded[slot]), h0, out=h)
+        h += (inv_mix @ model.bias[k])[:, None]
+        th, shift = _coupling_raw(model, k, ws, slot, h[:c_a])
         exp_neg = np.multiply(th, -2.0, out=ws.exp_neg[slot])
         h[c_a:] -= shift  # becomes z_b
         h[c_a:] *= np.exp(exp_neg, out=exp_neg)
         logdet -= 2.0 * th.reshape(len(th) * t, n).sum(axis=0)
-    return ws.h[len(model.steps) % len(ws.h)], logdet
+    return ws.h[model.n_steps % len(ws.h)], logdet
 
 
 def _synthesis(model: FlowModel, latents: np.ndarray, conds: np.ndarray):
@@ -330,15 +322,15 @@ def _synthesis(model: FlowModel, latents: np.ndarray, conds: np.ndarray):
     ws.load(model, latents, conds)
     logdet = np.full(n, -_logdet_const(model, t))
     h, h_next = ws.h
-    for step in reversed(model.steps):
-        th, shift = _coupling_raw(step.net, ws, 0, h[:c_a])
+    for k in reversed(range(model.n_steps)):
+        th, shift = _coupling_raw(model, k, ws, 0, h[:c_a])
         exp_pos = np.multiply(th, 2.0, out=ws.exp_neg[0])
         h[c_a:] *= np.exp(exp_pos, out=exp_pos)
         h[c_a:] += shift
         logdet += 2.0 * th.reshape(len(th) * t, n).sum(axis=0)
-        np.matmul(step.mix, h, out=h_next)
-        h_next -= step.bias[:, None]
-        h_next /= step.scale[:, None]
+        np.matmul(model.mix[k], h, out=h_next)
+        h_next -= model.bias[k, :, None]
+        h_next /= model.scale[k, :, None]
         h, h_next = h_next, h
     return _samples_first(h, t, n), logdet
 
@@ -471,9 +463,8 @@ def nll_and_grads(model: FlowModel, batch: ConditionedBatch, *,
     d_out = ws.out  # the net output's gradient: d_raw rows, then -d_hb rows
     d_raw, neg_d_hb = d_out.reshape(2, len(ws.th[0]), z.shape[1])
     g_a, g_b, d_ha, d_hb = g[:c_a], g[c_a:], g2[:c_a], g2[c_a:]
-    (scales, biases, _), (g_scale, g_bias, g_mix) = model.stacked(), ws.grads.stacked()
-    for k in reversed(range(len(model.steps))):
-        step, grads = model.steps[k], ws.grads.steps[k]
+    grads = ws.grads
+    for k in reversed(range(model.n_steps)):
         hid, th = ws.hid[k], ws.th[k]  # read last here, so overwritten below
         np.multiply(g_b, ws.exp_neg[k], out=d_hb)
         np.negative(g_b, out=d_raw)  # d_ell: z path plus the direct +ell/n term
@@ -482,26 +473,27 @@ def nll_and_grads(model: FlowModel, batch: ConditionedBatch, *,
         d_raw *= 2.0
         d_raw *= np.subtract(1.0, np.square(th, out=th), out=th)
         np.negative(d_hb, out=neg_d_hb)
-        np.matmul(d_out, hid.T, out=grads.net.w2)
-        np.sum(d_out, axis=1, out=grads.net.b2)
-        d_pre = np.matmul(step.net.w2.T, d_out, out=ws.d_pre)
+        np.matmul(d_out, hid.T, out=grads.w2[k])
+        np.sum(d_out, axis=1, out=grads.b2[k])
+        d_pre = np.matmul(model.w2[k].T, d_out, out=ws.d_pre)
         d_pre *= np.subtract(1.0, np.square(hid, out=hid), out=hid)
-        np.matmul(d_pre, ws.netin[k].T, out=grads.net.w1)
-        np.sum(d_pre, axis=1, out=grads.net.b1)
-        np.matmul(step.net.w1[:, : ws.a_rows].T, d_pre, out=d_ha.reshape(ws.a_rows, -1))
+        np.matmul(d_pre, ws.netin[k].T, out=grads.w1[k])
+        np.sum(d_pre, axis=1, out=grads.b1[k])
+        np.matmul(model.w1[k, :, : ws.a_rows].T, d_pre, out=d_ha.reshape(ws.a_rows, -1))
         d_ha += g_a
 
         # Folded actnorm and mix, h2 = inv_mix (h0 * scale + bias): g2 h0^T and g2's
         # row sums, kept in the mix and scale gradients, give all their gradients below.
-        np.matmul(g2, ws.h[k].T, out=grads.mix)
-        np.sum(g2, axis=1, out=grads.scale)
+        np.matmul(g2, ws.h[k].T, out=grads.mix[k])
+        np.sum(g2, axis=1, out=grads.scale[k])
         np.matmul(ws.folded[k].T, g2, out=g)
     inv_mixes, inv_t = ws.inv_mixes, ws.inv_mixes.transpose(0, 2, 1)
-    np.matmul(g_scale[:, None], inv_mixes, out=g_bias[:, None])
-    d_inv = g_mix * scales[:, None] + g_scale[:, :, None] * biases[:, None]
-    np.subtract((inv_mixes * g_mix).sum(axis=1), t / scales, out=g_scale)
-    g_mix[...] = -inv_t @ d_inv @ inv_t + t * inv_t
-    return value, ws.grads.params
+    np.matmul(grads.scale[:, None], inv_mixes, out=grads.bias[:, None])
+    d_inv = (grads.mix * model.scale[:, None]
+             + grads.scale[:, :, None] * model.bias[:, None])
+    np.subtract((inv_mixes * grads.mix).sum(axis=1), t / model.scale, out=grads.scale)
+    grads.mix[...] = -inv_t @ d_inv @ inv_t + t * inv_t
+    return value, grads.params
 
 
 @dataclass
@@ -562,27 +554,23 @@ def train_flow(model: FlowModel, batch: ConditionedBatch, steps: int = 500,
 
 def save_model(model: FlowModel, path) -> None:
     """Checkpoint: magic FLW2; u32 K, c, cond_dim, hidden, initialized,
-    grid_context, frames; then :attr:`FlowModel.params` (each step's scale,
-    bias, mix, w1, b1, w2, b2) as little-endian float32."""
-    model.stacked()  # a steps list that no longer matches params is an error
-    header = (len(model.steps), model.channels, model.cond_dim, model.hidden,
+    grid_context, frames; then :attr:`FlowModel.params` (step 0's scale,
+    bias, mix, w1, b1, w2, b2, then step 1's, ...) as little-endian float32."""
+    header = (model.n_steps, model.channels, model.cond_dim, model.hidden,
               int(model.initialized), int(model.context == "grid"), model.frames)
     write_binary(path, FLW_MAGIC, header, model.params)
 
 
 def _checkpoint_floats(header) -> int:
     k, c, cond_dim, hidden, _, grid_ctx, frames = header
-    if k < 1:
-        raise ContractError("a flow needs at least one step, got 0")
-    in_dim, out_dim = _net_dims(c, cond_dim, "grid" if grid_ctx else "frame", frames)
-    return k * (2 * c + c * c + hidden * (in_dim + 1 + out_dim) + out_dim)
+    layout = _step_layout(k, c, cond_dim, hidden, "grid" if grid_ctx else "frame", frames)
+    return k * sum(map(math.prod, layout.values()))
 
 
 def load_model(path) -> FlowModel:
     header, payload = read_binary(path, FLW_MAGIC, 7, _checkpoint_floats)
     k, c, cond_dim, hidden, inited, grid_ctx, frames = header
-    model = FlowModel.zeros(c, cond_dim, k, hidden,
-                            "grid" if grid_ctx else "frame", frames)
+    model = FlowModel(c, cond_dim, k, hidden, "grid" if grid_ctx else "frame", frames)
     model.params[...] = payload
     model.initialized = bool(inited)
     return model

@@ -127,18 +127,15 @@ def _tap_index(c_in: int, h: int, w: int) -> np.ndarray:
 
 def discriminator_score(disc: TinyDiscriminator, clip: np.ndarray) -> float:
     """Deterministic scalar score for one clip (frames x bins)."""
-    score, _ = discriminator_score_and_grads(disc, clip, want_grads=False)
-    return score
+    return discriminator_score_and_grads(disc, clip)[0]
 
 
-def discriminator_score_and_grads(disc: TinyDiscriminator, clip: np.ndarray,
-                                  want_grads: bool = True):
+def discriminator_score_and_grads(disc: TinyDiscriminator, clip: np.ndarray):
     """Score plus gradients w.r.t. every parameter and the clip itself.
 
-    Returns ``(score, grads)`` where grads is None when not requested,
-    otherwise a dict with ``conv_w``, ``conv_b``, ``out_w``, ``out_b``, and
-    ``clip`` entries, plus ``params``: the parameter gradients as one vector
-    laid out like ``disc.params``.
+    Returns ``(score, grads)`` where grads is a dict with ``conv_w``,
+    ``conv_b``, ``out_w``, ``out_b``, and ``clip`` entries, plus ``params``:
+    the parameter gradients as one vector laid out like ``disc.params``.
     """
     clip = np.asarray(clip, dtype=np.float64)
     if clip.ndim != 2:
@@ -159,9 +156,6 @@ def discriminator_score_and_grads(disc: TinyDiscriminator, clip: np.ndarray,
         shape = (len(w), (shape[1] + 1) // 2, (shape[2] + 1) // 2)
     pooled = x.mean(axis=1)
     score = float(disc.out_w @ pooled + disc.out_b)
-    if not want_grads:
-        return score, None
-
     grads = {"conv_w": [], "conv_b": [], "out_w": pooled.copy(), "out_b": 1.0}
     d_x = np.broadcast_to(disc.out_w[:, None] / x.shape[1], x.shape)
     for w, idx, cols, pre, size in reversed(caches):

@@ -74,6 +74,19 @@ class TestCmdMel:
         assert lines[0].startswith("error: floor must be finite and above 0")
         assert not mel.exists()
 
+    @pytest.mark.parametrize("frame", ["0", "3", "-4"])
+    def test_bad_frame_exits_2_naming_frame_size(self, tmp_path, capsys, frame):
+        wav = tmp_path / "a.wav"
+        make_wav(wav)
+        mel = tmp_path / "a.mel"
+        assert run(["mel", str(wav), str(mel), f"--frame={frame}"]) == 2
+        captured = capsys.readouterr()
+        lines = captured.err.splitlines()
+        assert captured.out == "" and len(lines) == 1, lines
+        assert lines[0] == ("error: frame size must be a positive power of two, "
+                            f"got {frame}")
+        assert not mel.exists()
+
 
 class TestCmdMetrics:
     def test_single_input_var_l_only(self, tmp_path, capsys):
@@ -529,6 +542,19 @@ class TestCmdFlow:
                         "--out", str(tmp_path / "s.json")]) == 0
         assert mel_a.read_bytes() == mel_b.read_bytes()
 
+    def test_zero_width_coupling_net_cycle(self, tmp_path):
+        manifest = self.build_corpus(tmp_path, samples=8)
+        ckpt = tmp_path / "model.flw"
+        assert run(["flow", "train", "--manifest", str(manifest),
+                    "--ckpt", str(ckpt), "--steps", "20", "--hidden", "0",
+                    "--seed", "5", "--out", str(tmp_path / "train.json")]) == 0
+        assert run(["flow", "sample", "--ckpt", str(ckpt), "--seed", "6",
+                    "--out-mel", str(tmp_path / "s.mel"),
+                    "--out", str(tmp_path / "s.json")]) == 0
+        assert read_mel(tmp_path / "s.mel").values.shape == (8, 8)
+        assert run(["flow", "nll", "--manifest", str(manifest),
+                    "--ckpt", str(ckpt), "--out", str(tmp_path / "n.json")]) == 0
+
     def test_train_writes_the_curve_csv(self, tmp_path):
         manifest = self.build_corpus(tmp_path, samples=8)
         ckpt = tmp_path / "model.flw"
@@ -662,6 +688,27 @@ class TestCmdFlow:
         captured = capsys.readouterr()
         assert str(ckpt) in captured.err and "internal error" not in captured.err
         assert captured.out == "" and not (tmp_path / "x.mel").exists()
+
+    @pytest.mark.parametrize("action", ["nll", "sample"])
+    def test_zero_actnorm_scale_exits_2(self, tmp_path, capsys, action):
+        manifest = self.build_corpus(tmp_path, samples=4)
+        ckpt = tmp_path / "m.flw"
+        assert run(["flow", "train", "--manifest", str(manifest),
+                    "--ckpt", str(ckpt), "--steps", "2", "--seed", "1"]) == 0
+        data = bytearray(ckpt.read_bytes())
+        data[4 + 4 * 7 : 4 + 4 * 8] = bytes(4)  # step 0's first actnorm scale
+        ckpt.write_bytes(bytes(data))
+        capsys.readouterr()
+        args = {"nll": ["--manifest", str(manifest)],
+                "sample": ["--out-mel", str(tmp_path / "x.mel")]}[action]
+        report = tmp_path / "r.json"
+        assert run(["flow", action, "--ckpt", str(ckpt), "--out", str(report)]
+                   + args) == 2
+        captured = capsys.readouterr()
+        lines = captured.err.splitlines()
+        assert captured.out == "" and len(lines) == 1, lines
+        assert lines[0].startswith("error: actnorm scale of step 0")
+        assert not report.exists() and not (tmp_path / "x.mel").exists()
 
     @pytest.mark.parametrize("flag,value", [
         ("--flow-steps", "0"),

@@ -33,6 +33,9 @@ from oversmooth.flow import (
 )
 
 LOG_2PI = np.log(2 * np.pi)
+# Each step's parameters, in the checkpoint payload's order: (K, ...) views
+# of FlowModel.params.
+LAYOUT = ("scale", "bias", "mix", "w1", "b1", "w2", "b2")
 
 
 def random_model(seed, channels=4, cond_dim=2, n_steps=8, hidden=16,
@@ -71,7 +74,7 @@ class TestIdentityModel:
 class TestChannelMixStep:
     def make_doubling_model(self, channels=4):
         model = FlowModel.identity(channels, 1, n_steps=1)
-        model.steps[0].mix[...] = 2.0 * np.eye(channels)
+        model.mix[0] = 2.0 * np.eye(channels)
         return model
 
     def test_forward_logdet(self):
@@ -101,11 +104,22 @@ class TestChannelMixStep:
 
     def test_singular_mix_is_a_contract_error(self):
         model = FlowModel.identity(4, 1, n_steps=2)
-        model.steps[1].mix[...] = 0.0
+        model.mix[1] = 0.0
         z, cond = np.zeros((3, 4)), np.zeros((3, 1))
         for direction in (forward, inverse):
-            with pytest.raises(ContractError, match="singular"):
+            with pytest.raises(ContractError, match="step 1 is singular"):
                 direction(model, z, cond)
+
+    def test_zero_actnorm_scale_is_a_contract_error(self):
+        model = FlowModel.identity(4, 1, n_steps=3)
+        model.scale[2, 1] = 0.0
+        z, cond = np.zeros((3, 4)), np.zeros((3, 1))
+        batch = ConditionedBatch(z[None], cond[None])
+        calls = (lambda: forward(model, z, cond), lambda: inverse(model, z, cond),
+                 lambda: nll(model, batch))
+        for call in calls:  # a warning would fail the test too
+            with pytest.raises(ContractError, match="scale of step 2 has a zero"):
+                call()
 
 
 class TestActnormInit:
@@ -115,8 +129,8 @@ class TestActnormInit:
         data = (data - data.reshape(-1, 3).mean(0)) / data.reshape(-1, 3).std(0)
         model = FlowModel.random(rng, 3, 1, n_steps=1, weight_scale=0.0)
         actnorm_init(model, ConditionedBatch(data, np.zeros((4000, 6, 1))))
-        assert np.allclose(model.steps[0].scale, 1.0, atol=1e-6)
-        assert np.allclose(model.steps[0].bias, 0.0, atol=1e-6)
+        assert np.allclose(model.scale[0], 1.0, atol=1e-6)
+        assert np.allclose(model.bias[0], 0.0, atol=1e-6)
 
     @pytest.mark.parametrize("context", ["frame", "grid"])
     def test_shifted_batch_standardizes(self, context):
@@ -126,9 +140,9 @@ class TestActnormInit:
                                  context=context,
                                  frames=4 if context == "grid" else 0)
         actnorm_init(model, ConditionedBatch(data, np.zeros((5000, 4, 1))))
-        assert np.allclose(model.steps[0].scale, 0.5, atol=0.02)
-        assert np.allclose(model.steps[0].bias, -2.5, atol=0.1)
-        normalized = model.steps[0].scale * data + model.steps[0].bias
+        assert np.allclose(model.scale[0], 0.5, atol=0.02)
+        assert np.allclose(model.bias[0], -2.5, atol=0.1)
+        normalized = model.scale[0] * data + model.bias[0]
         flat = normalized.reshape(-1, 2)
         assert np.all(np.abs(flat.mean(axis=0)) < 1e-5)
         assert np.all(np.abs(flat.std(axis=0) - 1.0) < 1e-3)
@@ -160,11 +174,12 @@ class TestGridContextWeightOrder:
         t, c, d, hidden = 4, 4, 2, 5
         model = FlowModel.random(rng, c, d, n_steps=1, hidden=hidden,
                                  weight_scale=0.5, context="grid", frames=t)
-        step, net = model.steps[0], model.steps[0].net
-        step.scale[...] = rng.uniform(0.5, 2.0, size=c)
-        step.bias[...] = rng.normal(size=c)
-        net.b1[...] = rng.normal(size=hidden)
-        net.b2[...] = rng.normal(size=4 * t)
+        scale, bias, mix, w1, b1, w2, b2 = (getattr(model, name)[0]
+                                            for name in LAYOUT)
+        scale[...] = rng.uniform(0.5, 2.0, size=c)
+        bias[...] = rng.normal(size=c)
+        b1[...] = rng.normal(size=hidden)
+        b2[...] = rng.normal(size=4 * t)
         model.initialized = True
         y, cond = rng.normal(size=(t, c)), rng.normal(size=(t, d))
 
@@ -172,15 +187,15 @@ class TestGridContextWeightOrder:
         # channel 0, then of channel 1, then of each condition channel; its
         # output is every frame of each raw log-scale channel, then of each
         # shift channel.
-        h = (step.scale * y + step.bias) @ np.linalg.inv(step.mix).T
+        h = (scale * y + bias) @ np.linalg.inv(mix).T
         h_a, h_b = h[:, :2], h[:, 2:]
         x = np.concatenate([h_a.T.ravel(), cond.T.ravel()])
-        out = net.w2 @ np.tanh(net.w1 @ x + net.b1) + net.b2
+        out = w2 @ np.tanh(w1 @ x + b1) + b2
         ell = 2.0 * np.tanh(out[:2 * t].reshape(2, t).T)
         shift = out[2 * t:].reshape(2, t).T
         expected_z = np.concatenate([h_a, (h_b - shift) * np.exp(-ell)], axis=1)
-        expected_logdet = (t * (np.log(step.scale).sum()
-                                - np.linalg.slogdet(step.mix)[1]) - ell.sum())
+        expected_logdet = (t * (np.log(scale).sum()
+                                - np.linalg.slogdet(mix)[1]) - ell.sum())
 
         z, logdet = inverse(model, y, cond)
         assert np.allclose(z, expected_z, rtol=1e-12, atol=1e-12)
@@ -232,7 +247,7 @@ class TestNll:
         rng = SeededRng(14)
         batch = ConditionedBatch(rng.normal(size=(8, 6, 4)),
                                  rng.normal(size=(8, 6, 2)))
-        longer = FlowModel.zeros(4, 2, 5, 16)  # one params vector for 5 steps
+        longer = FlowModel(4, 2, 5, 16)  # one params vector for 5 steps
         longer.params[...] = np.concatenate(
             [model.params, FlowModel.identity(4, 2, n_steps=1, hidden=16).params])
         longer.initialized = True
@@ -415,8 +430,9 @@ def per_step_nll_and_grads(model, batch, *, workspace=None):
     d_out = ws.out
     d_raw, neg_d_hb = d_out.reshape(2, len(ws.th[0]), z.shape[1])
     g_a, g_b, d_ha, d_hb = g[:c_a], g[c_a:], g2[:c_a], g2[c_a:]
-    for k in reversed(range(len(model.steps))):
-        step, grads, inv_mix = model.steps[k], ws.grads.steps[k], ws.inv_mixes[k]
+    grads = ws.grads
+    for k in reversed(range(model.n_steps)):
+        inv_mix, scale, bias = ws.inv_mixes[k], model.scale[k], model.bias[k]
         hid, th = ws.hid[k], ws.th[k]
         np.multiply(g_b, ws.exp_neg[k], out=d_hb)
         np.negative(g_b, out=d_raw)
@@ -425,20 +441,20 @@ def per_step_nll_and_grads(model, batch, *, workspace=None):
         d_raw *= 2.0
         d_raw *= np.subtract(1.0, np.square(th, out=th), out=th)
         np.negative(d_hb, out=neg_d_hb)
-        np.matmul(d_out, hid.T, out=grads.net.w2)
-        np.sum(d_out, axis=1, out=grads.net.b2)
-        d_pre = np.matmul(step.net.w2.T, d_out, out=ws.d_pre)
+        np.matmul(d_out, hid.T, out=grads.w2[k])
+        np.sum(d_out, axis=1, out=grads.b2[k])
+        d_pre = np.matmul(model.w2[k].T, d_out, out=ws.d_pre)
         d_pre *= np.subtract(1.0, np.square(hid, out=hid), out=hid)
-        np.matmul(d_pre, ws.netin[k].T, out=grads.net.w1)
-        np.sum(d_pre, axis=1, out=grads.net.b1)
-        np.matmul(step.net.w1[:, : ws.a_rows].T, d_pre, out=d_ha.reshape(ws.a_rows, -1))
+        np.matmul(d_pre, ws.netin[k].T, out=grads.w1[k])
+        np.sum(d_pre, axis=1, out=grads.b1[k])
+        np.matmul(model.w1[k, :, : ws.a_rows].T, d_pre, out=d_ha.reshape(ws.a_rows, -1))
         d_ha += g_a
         m0 = g2 @ ws.h[k].T
         s2 = g2.sum(axis=1)
-        d_inv = m0 * step.scale + np.outer(s2, step.bias)
-        grads.mix[...] = -inv_mix.T @ d_inv @ inv_mix.T + t * inv_mix.T
-        grads.scale[...] = (inv_mix * m0).sum(axis=0) - t / step.scale
-        np.matmul(s2, inv_mix, out=grads.bias)
+        d_inv = m0 * scale + np.outer(s2, bias)
+        grads.mix[k] = -inv_mix.T @ d_inv @ inv_mix.T + t * inv_mix.T
+        grads.scale[k] = (inv_mix * m0).sum(axis=0) - t / scale
+        np.matmul(s2, inv_mix, out=grads.bias[k])
         np.matmul(ws.folded[k].T, g2, out=g)
     return value, ws.grads.params
 
@@ -538,45 +554,31 @@ class TestWorkspace:
 
 
 def step_arrays(model):
-    """Every step's arrays, in the checkpoint payload's order."""
-    return [arr for s in model.steps
-            for arr in (s.scale, s.bias, s.mix, s.net.w1, s.net.b1, s.net.w2,
-                        s.net.b2)]
+    """Every step's arrays, row k of each (K, ...) view, in the checkpoint
+    payload's order."""
+    return [getattr(model, name)[k] for k in range(model.n_steps)
+            for name in LAYOUT]
 
 
 class TestParamsVector:
     @pytest.mark.parametrize("context", ["frame", "grid"])
     def test_every_step_array_is_a_view_of_params(self, context, tmp_path):
-        model = random_model(42, context=context)
-        save_model(model, tmp_path / "m.flw")
-        identity = FlowModel.identity(4, 2, n_steps=3, context=context,
-                                      frames=6 if context == "grid" else 0)
-        for m in (model, identity, load_model(tmp_path / "m.flw")):
-            arrays = step_arrays(m)
-            assert all(np.shares_memory(a, m.params) for a in arrays)
-            assert np.array_equal(np.concatenate([a.ravel() for a in arrays]),
-                                  m.params)
-
-    @pytest.mark.parametrize("context", ["frame", "grid"])
-    def test_stacked_views_are_the_step_arrays(self, context):
-        model = random_model(47, channels=5, n_steps=3, context=context)
-        for stack, name in zip(model.stacked(), ("scale", "bias", "mix")):
-            assert np.shares_memory(stack, model.params)
-            assert np.array_equal(stack, [getattr(s, name) for s in model.steps])
-
-    def test_steps_that_no_longer_match_params_are_rejected(self, tmp_path):
-        model = random_model(48, n_steps=4)
-        size = model.params.size
-        model.steps.append(FlowModel.identity(4, 2, n_steps=1).steps[0])
-        rng = SeededRng(49)
-        batch = ConditionedBatch(rng.normal(size=(8, 6, 4)),
-                                 rng.normal(size=(8, 6, 2)))
-        message = f"5 steps need {size // 4 * 5} parameters, not {size}"
-        with pytest.raises(ContractError, match=message):
+        # Odd channel counts and a zero-width coupling net (empty w1, b1
+        # and w2 views, ``flow train --hidden 0``) included.
+        frames = 6 if context == "grid" else 0
+        for channels, hidden in [(4, 16), (5, 16), (4, 0), (5, 0)]:
+            model = random_model(42, channels=channels, n_steps=3, hidden=hidden,
+                                 context=context)
             save_model(model, tmp_path / "m.flw")
-        assert not (tmp_path / "m.flw").exists()
-        with pytest.raises(ContractError, match=message):
-            nll(model, batch)
+            identity = FlowModel.identity(channels, 2, n_steps=3, hidden=hidden,
+                                          context=context, frames=frames)
+            for m in (model, identity, load_model(tmp_path / "m.flw")):
+                views = [getattr(m, name) for name in LAYOUT]
+                assert [len(v) for v in views] == [3] * len(LAYOUT)
+                assert all(v.size == 0 or np.shares_memory(v, m.params)
+                           for v in views)
+                assert np.array_equal(
+                    np.concatenate([a.ravel() for a in step_arrays(m)]), m.params)
 
     def test_checkpoint_payload_is_params_as_float32(self, tmp_path):
         model = random_model(43, n_steps=3)
@@ -608,7 +610,7 @@ class TestCheckpoint:
         assert back.channels == model.channels
         assert back.cond_dim == model.cond_dim
         assert back.initialized
-        assert len(back.steps) == 3
+        assert back.n_steps == 3
         rng = SeededRng(37)
         z = rng.normal(size=(6, 4)).astype(np.float32).astype(np.float64)
         cond = rng.normal(size=(6, 2)).astype(np.float32).astype(np.float64)
@@ -668,7 +670,7 @@ class TestCheckpoint:
 
     def test_zero_step_model_rejected(self):
         with pytest.raises(ContractError, match="at least one step"):
-            FlowModel.zeros(4, 2, 0, 16)
+            FlowModel(4, 2, 0, 16)
 
     @settings(max_examples=25, deadline=None)
     @given(channels=st.integers(2, 5), cond_dim=st.integers(0, 3),
