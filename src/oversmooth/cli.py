@@ -1,9 +1,13 @@
 """Command-line surface.
 
-Every command writes a canonical JSON report (sorted keys, stable float
-repr) to stdout or ``--out``, so re-running with identical inputs and seeds
-is byte-identical. Diagnostics go to stderr. Exit codes: 0 success, 2
-usage/contract error, 1 internal error. ``OVERSMOOTH_SEED`` provides the
+Every command returns a canonical JSON report (sorted keys, stable float
+repr) and the text of its side files (SVGs, CSVs, markdown), so re-running
+with identical inputs and seeds is byte-identical. :func:`main` checks every
+output path before the command runs, then writes the side files and the
+report (to ``--out`` or stdout) after it; MEL1 files, checkpoints and corpus
+directories are written by their own writers inside the command. Diagnostics
+go to stderr. Exit codes: 0 success, 2 usage/contract error (a bad flag,
+input or output path), 1 internal error. ``OVERSMOOTH_SEED`` provides the
 seed when a command's ``--seed`` flag is omitted.
 """
 
@@ -48,13 +52,6 @@ def _report(command: str, inputs: dict, parameters: dict, results: dict) -> str:
         "version": __version__,
     }
     return json.dumps(doc, sort_keys=True, indent=2) + "\n"
-
-
-def _emit(text: str, out: str | None) -> None:
-    if out:
-        Path(out).write_text(text, encoding="utf-8")
-    else:
-        sys.stdout.write(text)
 
 
 def _seed_of(args) -> int:
@@ -122,6 +119,22 @@ def _at_least(flag: str, value, floor) -> None:
         raise ContractError(f"{flag} must be at least {floor}, got {value}")
 
 
+def _check_output(name: str, path: str, kind: str) -> None:
+    """A ContractError naming ``name`` unless ``path`` can be written as
+    ``kind``: a "file" or the "prefix" of file names, whose directory must
+    exist, or a "dir", made with its parents, whose nearest existing
+    ancestor must be a directory."""
+    parent = Path(os.path.dirname(path))
+    if kind == "dir":
+        parent = next(a for a in (Path(path), *Path(path).parents) if a.exists())
+    if not parent.exists():
+        raise ContractError(f"{name} {path}: directory {parent} does not exist")
+    if not parent.is_dir():
+        raise ContractError(f"{name} {path}: {parent} is not a directory")
+    if kind == "file" and Path(path).is_dir():
+        raise ContractError(f"{name} {path} is a directory")
+
+
 def _reprs(values) -> list:
     """``repr`` of each number of ``values``, flattened in C order."""
     return list(map(repr, np.asarray(values).ravel().tolist()))
@@ -137,7 +150,7 @@ def _csv(header: str, *columns) -> str:
 # ---------------------------------------------------------------------------
 
 
-def cmd_mel(args) -> int:
+def cmd_mel(args):
     clip = dsp.read_wav(args.wav)
     if clip.sample_rate != dsp.DEFAULT_SAMPLE_RATE:
         raise ContractError(
@@ -148,48 +161,33 @@ def cmd_mel(args) -> int:
     values = dsp.mel_spectrogram(clip, fb, args.frame, args.hop, args.floor)
     spec = Spectrogram(values)
     write_mel(spec, args.out_mel)
-    _emit(
-        _report(
-            "mel",
-            {"wav": args.wav},
-            {"frame": args.frame, "hop": args.hop, "bins": args.bins,
-             "floor": args.floor},
-            {"frames": spec.frames, "bins": spec.bins,
-             "mel": str(args.out_mel)},
-        ),
-        args.out,
-    )
-    return 0
+    return _report(
+        "mel",
+        {"wav": args.wav},
+        {"frame": args.frame, "hop": args.hop, "bins": args.bins,
+         "floor": args.floor},
+        {"frames": spec.frames, "bins": spec.bins, "mel": str(args.out_mel)},
+    ), {}
 
 
-def cmd_metrics(args) -> int:
+def cmd_metrics(args):
     spec_a = read_mel(args.mel_a)
     results: dict = {"var_l": metrics.var_laplacian(spec_a)}
     inputs = {"mel_a": args.mel_a}
-    cfg = metrics.SsimConfig(window=args.window)
+    files = {}
     if args.mel_b:
-        spec_b = read_mel(args.mel_b)
-        if spec_b.values.shape != spec_a.values.shape:
-            raise ContractError(
-                f"shape mismatch: {spec_a.values.shape} vs {spec_b.values.shape}"
-            )
-        ssim_cells = metrics.ssim_map(spec_a, spec_b, cfg)
+        ssim_cells = metrics.ssim_map(spec_a, read_mel(args.mel_b),
+                                      metrics.SsimConfig(window=args.window))
         results["ssim"] = float(np.mean(ssim_cells))  # == metrics.ssim
         inputs["mel_b"] = args.mel_b
     if args.svg:
-        response = np.abs(metrics.laplacian_response(spec_a))
-        Path(f"{args.svg}_laplacian.svg").write_text(
-            svgplot.heatmap(response, "absolute Laplacian response",
-                            "bin", "frame"),
-            encoding="utf-8",
-        )
+        files[f"{args.svg}_laplacian.svg"] = svgplot.heatmap(
+            np.abs(metrics.laplacian_response(spec_a)),
+            "absolute Laplacian response", "bin", "frame")
         if args.mel_b:
-            Path(f"{args.svg}_ssim.svg").write_text(
-                svgplot.heatmap(ssim_cells, "SSIM map", "bin", "frame"),
-                encoding="utf-8",
-            )
-    _emit(_report("metrics", inputs, {"window": args.window}, results), args.out)
-    return 0
+            files[f"{args.svg}_ssim.svg"] = svgplot.heatmap(
+                ssim_cells, "SSIM map", "bin", "frame")
+    return _report("metrics", inputs, {"window": args.window}, results), files
 
 
 def _load_corpus(manifest_path):
@@ -204,7 +202,7 @@ def _load_corpus(manifest_path):
     return corpus
 
 
-def cmd_dist(args) -> int:
+def cmd_dist(args):
     corpus = _load_corpus(args.manifest)
     prefix = args.out_prefix or "dist"
     results: dict = {"dip": {}}
@@ -212,8 +210,6 @@ def cmd_dist(args) -> int:
         bins = [int(b) for b in args.bins.split(",")] if args.bins else []
     except ValueError:
         raise ContractError(f"--bins takes integers, got {args.bins!r}") from None
-    # Files are written only once every density is computed, so a run
-    # rejected for its input or flags leaves no partial output.
     files = {}
     for f in bins:
         values = density.pooled_phoneme_values(corpus, args.ph, f)
@@ -252,22 +248,16 @@ def cmd_dist(args) -> int:
             "second value", "first value")
         results["joint"] = {"kind": kind, "first": first, "second": second,
                             "csv": csv}
-    for path, text in files.items():
-        Path(path).write_text(text, encoding="utf-8")
-    _emit(
-        _report(
-            "dist",
-            {"manifest": args.manifest},
-            {"ph": args.ph, "bins": bins, "joint": args.joint,
-             "bandwidth": args.bandwidth},
-            results,
-        ),
-        args.out,
-    )
-    return 0
+    return _report(
+        "dist",
+        {"manifest": args.manifest},
+        {"ph": args.ph, "bins": bins, "joint": args.joint,
+         "bandwidth": args.bandwidth},
+        results,
+    ), files
 
 
-def cmd_toylab(args) -> int:
+def cmd_toylab(args):
     _at_least("--generate", args.generate, 2)
     _at_least("--heldout", args.heldout, 2)
     seed = _seed_of(args)
@@ -292,17 +282,14 @@ def cmd_toylab(args) -> int:
         spec, strategies, seed, n_generate=args.generate,
         n_heldout=args.heldout,
     )
+    files = {}
     if args.out_prefix:
-        Path(f"{args.out_prefix}.md").write_text(report.to_markdown(),
-                                                 encoding="utf-8")
         names = sorted(report.rows)
-        Path(f"{args.out_prefix}_var_l.svg").write_text(
-            svgplot.bar_chart(names, [report.rows[n].var_l for n in names],
-                              "sharpness by strategy", "Var_L"),
-            encoding="utf-8",
-        )
-    _emit(report.to_json(), args.out)
-    return 0
+        files[f"{args.out_prefix}.md"] = report.to_markdown()
+        files[f"{args.out_prefix}_var_l.svg"] = svgplot.bar_chart(
+            names, [report.rows[n].var_l for n in names],
+            "sharpness by strategy", "Var_L")
+    return report.to_json(), files
 
 
 def _load_flow_corpus(manifest_path, n_cond=None):
@@ -331,7 +318,7 @@ def _load_flow_corpus(manifest_path, n_cond=None):
     return flow.ConditionedBatch(targets, conds), n_cond
 
 
-def cmd_flow(args) -> int:
+def cmd_flow(args):
     seed = _seed_of(args)
     if args.action == "train":
         _at_least("--flow-steps", args.flow_steps, 1)
@@ -354,21 +341,15 @@ def cmd_flow(args) -> int:
                                 f"the step-0 NLL {first!r}; nothing was saved")
         flow.save_model(result.model, args.ckpt)
         steps, nlls = zip(*result.curve)
-        Path(f"{args.ckpt}.curve.csv").write_text(
-            _csv("step,nll", _reprs(steps), _reprs(nlls)), encoding="utf-8")
-        _emit(
-            _report(
-                "flow-train",
-                {"manifest": args.manifest},
-                {"steps": args.steps, "step_size": args.step_size,
-                 "flow_steps": args.flow_steps, "hidden": args.hidden,
-                 "seed": seed},
-                {"final_nll": result.curve[-1][1], "ckpt": str(args.ckpt),
-                 "conditions": n_cond},
-            ),
-            args.out,
-        )
-    elif args.action == "sample":
+        return _report(
+            "flow-train",
+            {"manifest": args.manifest},
+            {"steps": args.steps, "step_size": args.step_size,
+             "flow_steps": args.flow_steps, "hidden": args.hidden, "seed": seed},
+            {"final_nll": final, "ckpt": str(args.ckpt), "conditions": n_cond},
+        ), {f"{args.ckpt}.curve.csv": _csv("step,nll", _reprs(steps),
+                                            _reprs(nlls))}
+    if args.action == "sample":
         _at_least("--frames", args.frames, 1)
         model = flow.load_model(args.ckpt)
         if not 0 <= args.condition < model.cond_dim:
@@ -379,46 +360,28 @@ def cmd_flow(args) -> int:
         rng = SeededRng(seed, stream=0x53414D50)
         grid = flow.sample(model, cond, rng, args.temperature)
         write_mel(Spectrogram(grid), args.out_mel)
-        _emit(
-            _report(
-                "flow-sample",
-                {"ckpt": args.ckpt},
-                {"condition": args.condition, "frames": args.frames,
-                 "temperature": args.temperature, "seed": seed},
-                {"mel": str(args.out_mel)},
-            ),
-            args.out,
-        )
-    else:  # nll
-        model = flow.load_model(args.ckpt)
-        batch, _ = _load_flow_corpus(args.manifest, model.cond_dim)
-        if batch.targets.shape[2] != model.channels:
-            raise ContractError(
-                f"corpus has {batch.targets.shape[2]} channels, model expects "
-                f"{model.channels}"
-            )
-        value = flow.nll(model, batch)
-        _emit(
-            _report("flow-nll", {"ckpt": args.ckpt, "manifest": args.manifest},
-                    {}, {"nll": value}),
-            args.out,
-        )
-    return 0
+        return _report(
+            "flow-sample",
+            {"ckpt": args.ckpt},
+            {"condition": args.condition, "frames": args.frames,
+             "temperature": args.temperature, "seed": seed},
+            {"mel": str(args.out_mel)},
+        ), {}
+    model = flow.load_model(args.ckpt)  # nll
+    batch, _ = _load_flow_corpus(args.manifest, model.cond_dim)
+    return _report("flow-nll", {"ckpt": args.ckpt, "manifest": args.manifest},
+                   {}, {"nll": flow.nll(model, batch)}), {}
 
 
-def cmd_make_corpus(args) -> int:
+def cmd_make_corpus(args):
     seed = _seed_of(args)
     spec = toylab.canonical_spec(seed=seed,
                                  samples_per_condition=args.samples)
     corpus = toylab.make_corpus(spec)
     manifest = toylab.corpus_to_files(corpus, args.out_dir)
-    _emit(
-        _report("make-corpus", {}, {"seed": seed, "samples": args.samples},
-                {"manifest": str(manifest),
-                 "n_samples": sum(map(len, corpus.stacks))}),
-        args.out,
-    )
-    return 0
+    return _report("make-corpus", {}, {"seed": seed, "samples": args.samples},
+                   {"manifest": str(manifest),
+                    "n_samples": sum(map(len, corpus.stacks))}), {}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -438,7 +401,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--bins", type=int, default=dsp.DEFAULT_BINS)
     p.add_argument("--floor", type=float, default=dsp.DEFAULT_FLOOR)
     p.add_argument("--out")
-    p.set_defaults(func=cmd_mel)
+    p.set_defaults(func=cmd_mel, outputs={"out_mel": "file"})
 
     p = sub.add_parser("metrics", help="Var_L (and SSIM given two files)")
     p.add_argument("mel_a")
@@ -446,7 +409,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--window", type=int, default=11)
     p.add_argument("--svg", help="prefix for heatmap SVGs")
     p.add_argument("--out")
-    p.set_defaults(func=cmd_metrics)
+    p.set_defaults(func=cmd_metrics, outputs={"--svg": "prefix"})
 
     p = sub.add_parser("dist", help="per-phoneme marginal/joint densities")
     # "--bins -1,3" and "--bins -x" are values for cmd_dist to check, not options.
@@ -459,7 +422,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--bandwidth", type=float)
     p.add_argument("--out-prefix")
     p.add_argument("--out")
-    p.set_defaults(func=cmd_dist)
+    p.set_defaults(func=cmd_dist, outputs={"--out-prefix": "prefix"})
 
     p = sub.add_parser("toylab", help="synthetic over-smoothing experiment")
     p.add_argument("--spec", help="JSON corpus spec (default: the canonical "
@@ -470,7 +433,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--heldout", type=int, default=200)
     p.add_argument("--out-prefix")
     p.add_argument("--out")
-    p.set_defaults(func=cmd_toylab)
+    p.set_defaults(func=cmd_toylab, outputs={"--out-prefix": "prefix"})
 
     p = sub.add_parser("flow", help="train / sample / score a flow model")
     p.add_argument("action", choices=["train", "sample", "nll"])
@@ -486,7 +449,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out-mel")
     p.add_argument("--seed", type=int)
     p.add_argument("--out")
-    p.set_defaults(func=cmd_flow)
+    p.set_defaults(func=cmd_flow, outputs={"--out-mel": "file"})
 
     p = sub.add_parser("make-corpus", help="write the canonical toy corpus "
                                            "as MEL1 files plus a manifest")
@@ -494,27 +457,36 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--samples", type=int, default=100)
     p.add_argument("--seed", type=int)
     p.add_argument("--out")
-    p.set_defaults(func=cmd_make_corpus)
+    p.set_defaults(func=cmd_make_corpus, outputs={"out_dir": "dir"})
     return parser
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        # Checked before any work, so a report that cannot be written does
-        # not leave a command's other output files behind.
-        if args.out and not Path(args.out).parent.is_dir():
-            raise ContractError(f"--out {args.out}: directory "
-                                f"{Path(args.out).parent} does not exist")
-        if args.out and Path(args.out).is_dir():
-            raise ContractError(f"--out {args.out} is a directory")
+        # Every output path is checked before any work, so that no run
+        # fails on an output after its work or leaves part of its output.
+        outputs = {"--out": "file", **args.outputs}
+        if args.command == "flow" and args.action == "train":
+            outputs["--ckpt"] = "file"
+        for name, kind in outputs.items():
+            path = getattr(args, name.lstrip("-").replace("-", "_"))
+            if path:
+                _check_output(name, path, kind)
         if args.command == "flow":
             if args.action in ("train", "nll") and not args.manifest:
                 raise ContractError(f"flow {args.action} requires --manifest")
             if args.action == "sample" and not args.out_mel:
                 raise ContractError("flow sample requires --out-mel")
-        return args.func(args)
-    except (ContractError, FileNotFoundError) as exc:
+        report, files = args.func(args)
+        for path, text in files.items():
+            Path(path).write_text(text, encoding="utf-8")
+        if args.out:
+            Path(args.out).write_text(report, encoding="utf-8")
+        else:
+            sys.stdout.write(report)
+        return 0
+    except (ContractError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # internal errors keep a distinct exit code

@@ -13,7 +13,6 @@ whole package:
 
 from __future__ import annotations
 
-import math
 import struct
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -205,18 +204,6 @@ class Adam:
         np.sqrt(np.divide(v, 1 - self.beta2**self.t, out=den), out=den)
         den += self.eps
         theta -= np.divide(tmp, den, out=tmp)
-
-
-def flat_views(shapes):
-    """A zero float64 vector and, for each shape in ``shapes``, a view of
-    the next slice of it with that shape."""
-    sizes = [math.prod(shape) for shape in shapes]
-    flat = np.zeros(sum(sizes))
-    views, pos = [], 0
-    for shape, size in zip(shapes, sizes):
-        views.append(flat[pos : pos + size].reshape(shape))
-        pos += size
-    return flat, views
 
 
 def write_binary(path, magic: bytes, header, values) -> None:

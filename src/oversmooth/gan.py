@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ContractError, SeededRng, Spectrogram, flat_views
+from .core import ContractError, SeededRng, Spectrogram
 
 LEAKY_SLOPE = 0.2
 MIN_CLIP_SIDE = 8  # receptive footprint of the three stride-2 stages
@@ -99,10 +99,13 @@ class TinyDiscriminator:
     @classmethod
     def random(cls, rng: SeededRng, weight_scale: float = 0.1) -> "TinyDiscriminator":
         c_ins = (1,) + _STAGE_CHANNELS[:-1]
-        params, views = flat_views(
-            [(c_out, c_in, 3, 3) for c_out, c_in in zip(_STAGE_CHANNELS, c_ins)]
-            + [(c_out,) for c_out in _STAGE_CHANNELS]
-            + [(_STAGE_CHANNELS[-1],), ()])
+        shapes = ([(c_out, c_in, 3, 3) for c_out, c_in in zip(_STAGE_CHANNELS, c_ins)]
+                  + [(c_out,) for c_out in _STAGE_CHANNELS]
+                  + [(_STAGE_CHANNELS[-1],), ()])
+        sizes = [int(np.prod(shape)) for shape in shapes]
+        params = np.zeros(sum(sizes))
+        views = [part.reshape(shape) for part, shape
+                 in zip(np.split(params, np.cumsum(sizes)[:-1]), shapes)]
         conv_w, conv_b, (out_w, out_b) = views[:3], views[3:6], views[6:]
         for w in conv_w + [out_w]:
             w[...] = weight_scale * rng.normal(size=w.shape)

@@ -268,8 +268,8 @@ def _rprop_step(value, grad, sign, delta, shrink=0.5, grow=1.2,
     value -= np.multiply(sign, delta, out=agree)
 
 
-def fit_lm(samples, k: int, steps: int = 400, step_size: float = 0.02,
-           seed: int = 0, restarts: int = 5) -> LaplaceMixtureField:
+def fit_lm(samples, k: int, steps: int = 400, seed: int = 0,
+           restarts: int = 5) -> LaplaceMixtureField:
     """Fit a K-component mixture field to per-cell sample sets.
 
     ``samples`` is an (n, T, F) stack: n observed grids, each cell fitted
@@ -285,7 +285,7 @@ def fit_lm(samples, k: int, steps: int = 400, step_size: float = 0.02,
     n, t, f = data.shape
     if n < k:
         raise ContractError(f"need at least K={k} samples per cell, got {n}")
-    if k < 1 or steps < 1 or step_size <= 0 or restarts < 1:
+    if k < 1 or steps < 1 or restarts < 1:
         raise ContractError("bad fitting hyperparameters")
 
     mad = np.median(np.abs(data - np.median(data, axis=0)), axis=0)  # (T, F)
@@ -310,7 +310,7 @@ def fit_lm(samples, k: int, steps: int = 400, step_size: float = 0.02,
         theta[1] = mu0 + 0.01 * beta0[..., None] * rng.normal(size=(t, f, k))
         theta[2] = _inv_softplus(np.maximum(beta0 - BETA_FLOOR, 1e-6))[..., None]
         params = UnconstrainedMixtureParams(*theta)
-        delta, sign = np.full((3, t, f, k), step_size), np.zeros((3, t, f, k))
+        delta, sign = np.full((3, t, f, k), 0.02), np.zeros((3, t, f, k))
         for _ in range(steps):
             lm_nll_grad(params, data, workspace=ws)
             _rprop_step(theta, ws.grad, sign, delta)

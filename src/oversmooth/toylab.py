@@ -371,8 +371,8 @@ class FlowStrategy(_Strategy):
     """
 
     def __init__(self, corpus: ToyCorpus, n_steps: int = 6, hidden: int = 16,
-                 train_steps: int = 450, step_size: float = 4e-3,
-                 restarts: int = 3, seed: int = 0, condition_on_mode: bool = False):
+                 train_steps: int = 450, restarts: int = 3, seed: int = 0,
+                 condition_on_mode: bool = False):
         self.n_conditions = len(corpus.spec.conditions)
         self.condition_on_mode = condition_on_mode
         h, w = corpus.spec.grid_shape
@@ -398,7 +398,7 @@ class FlowStrategy(_Strategy):
             )
             flowmod.actnorm_init(model, batch)
             result = flowmod.train_flow(
-                model, batch, steps=train_steps, step_size=step_size,
+                model, batch, steps=train_steps, step_size=4e-3,
                 seed=seed + 1000 + r,
             )
             final = result.curve[-1][1]
@@ -435,8 +435,7 @@ class GanDemoStrategy(_Strategy):
     random-window critics. Runs deterministically; no convergence is claimed
     or gated, which is exactly the point the loss surface makes."""
 
-    def __init__(self, corpus: ToyCorpus, steps: int = 150,
-                 step_size: float = 5e-3, seed: int = 0):
+    def __init__(self, corpus: ToyCorpus, steps: int = 150, seed: int = 0):
         rng = SeededRng(seed, stream=0x47414E)
         self.windows = ganmod.WindowSpec()
         self.discs = [ganmod.TinyDiscriminator.random(rng.substream(i))
@@ -446,8 +445,8 @@ class GanDemoStrategy(_Strategy):
         self.history = []
 
         # Alternating sign-free Adam on critics and table entries.
-        adam_d = [Adam(d.params.size, step_size) for d in self.discs]
-        adam_g = {ci: Adam(self.table[ci].shape, step_size) for ci in self.table}
+        adam_d = [Adam(d.params.size, 5e-3) for d in self.discs]
+        adam_g = {ci: Adam(self.table[ci].shape, 5e-3) for ci in self.table}
         for it in range(steps):
             ci = int(rng.integers(0, len(self.table)))
             real = corpus.stack(ci)[int(rng.integers(0, len(corpus.stack(ci))))]

@@ -10,10 +10,11 @@ import numpy as np
 import pytest
 
 from conftest import heatmap_pixels, wav_bytes, write_alignment
-from oversmooth import cli, density, flow
+from oversmooth import cli, density, flow, toylab
 from oversmooth.core import (
     Alignment,
     AlignmentEntry,
+    SeededRng,
     Spectrogram,
     read_mel,
     write_mel,
@@ -106,11 +107,15 @@ class TestCmdMetrics:
         report = json.loads(capsys.readouterr().out)
         assert report["results"]["ssim"] == 1.0
 
-    def test_shape_mismatch_exits_2(self, tmp_path):
+    def test_shape_mismatch_exits_2(self, tmp_path, capsys):
         a, b = tmp_path / "a.mel", tmp_path / "b.mel"
         write_mel(Spectrogram(np.zeros((8, 8))), a)
         write_mel(Spectrogram(np.zeros((8, 9))), b)
         assert run(["metrics", str(a), str(b)]) == 2
+        captured = capsys.readouterr()
+        lines = captured.err.splitlines()
+        assert captured.out == "" and len(lines) == 1, lines
+        assert "(8, 8)" in lines[0] and "(8, 9)" in lines[0]
 
     def test_svg_outputs_valid_xml(self, tmp_path, capsys):
         a = tmp_path / "a.mel"
@@ -571,7 +576,7 @@ class TestCmdFlow:
         assert all(repr(float(v)) == v and np.isfinite(float(v)) for _, v in rows)
         assert rows[-1][1] == repr(final_nll)
 
-    def test_channel_mismatch_exits_2(self, tmp_path):
+    def test_channel_mismatch_exits_2(self, tmp_path, capsys):
         manifest = self.build_corpus(tmp_path)
         ckpt = tmp_path / "model.flw"
         assert run(["flow", "train", "--manifest", str(manifest),
@@ -587,8 +592,13 @@ class TestCmdFlow:
             entries.append({"mel": mel.name, "condition": 0, "mode": 0})
         bad_manifest = other_dir / "manifest.json"
         bad_manifest.write_text(json.dumps({"samples": entries}))
+        capsys.readouterr()
         assert run(["flow", "nll", "--manifest", str(bad_manifest),
                     "--ckpt", str(ckpt)]) == 2
+        captured = capsys.readouterr()
+        lines = captured.err.splitlines()
+        assert captured.out == "" and len(lines) == 1, lines
+        assert "6 channels" in lines[0] and "expects 8" in lines[0]
 
     def test_nll_of_a_manifest_holding_some_conditions(self, tmp_path, capsys):
         manifest = self.build_corpus(tmp_path, samples=6)
@@ -812,6 +822,90 @@ def test_unwritable_report_exits_2_before_any_work(tmp_path, capsys, out,
     assert captured.out == "" and len(lines) == 1, lines
     assert lines[0].startswith("error: --out ") and named in lines[0]
     assert not (tmp_path / "corpus").exists()
+
+
+@pytest.fixture
+def cli_inputs(tmp_path, capsys):
+    """One valid input of each kind under ``tmp_path/in``, with a file
+    ``F`` and a directory ``D`` beside it; maps names to path strings."""
+    base = tmp_path / "in"
+    base.mkdir()
+    make_wav(base / "a.wav")
+    write_mel(Spectrogram(np.random.default_rng(0).normal(size=(12, 10))),
+              base / "a.mel")
+    assert run(["make-corpus", str(base / "corpus"), "--samples", "2"]) == 0
+    ckpt = base / "m.flw"
+    flow.save_model(flow.FlowModel.random(SeededRng(0), 8, 4, n_steps=1), ckpt)
+    (tmp_path / "F").write_text("")
+    (tmp_path / "D").mkdir()
+    capsys.readouterr()
+    return {"wav": base / "a.wav", "mel": base / "a.mel", "ckpt": ckpt,
+            "dist": build_dist_fixture(base),
+            "corpus": base / "corpus" / "manifest.json",
+            "F": tmp_path / "F", "D": tmp_path / "D"}
+
+
+def tree(path):
+    return sorted(p.relative_to(path) for p in path.rglob("*"))
+
+
+OUTPUTS = [  # (name, its kind, the command with "{}" for the output path)
+    ("--out", "file", ["metrics", "{mel}", "--out", "{}"]),
+    ("out_mel", "file", ["mel", "{wav}", "{}"]),
+    ("--out-mel", "file", ["flow", "sample", "--ckpt", "{ckpt}",
+                           "--out-mel", "{}"]),
+    ("--ckpt", "file", ["flow", "train", "--manifest", "{corpus}",
+                        "--ckpt", "{}"]),
+    ("--svg", "prefix", ["metrics", "{mel}", "{mel}", "--svg", "{}"]),
+    ("--out-prefix", "prefix", ["dist", "--manifest", "{dist}", "--ph", "R",
+                                "--bins", "3", "--out-prefix", "{}"]),
+    ("--out-prefix", "prefix", ["toylab", "--strategies", "mse",
+                                "--out-prefix", "{}"]),
+    ("out_dir", "dir", ["make-corpus", "{}", "--samples", "2"]),
+]
+CASES = {  # what an output path of each kind must not be, and an example
+    "file": {"in a missing directory": "missing/x", "under a file": "F/x",
+             "a directory": "D"},
+    "prefix": {"in a missing directory": "missing/x", "under a file": "F/x"},
+    "dir": {"under a file": "F/x", "a file": "F"},
+}
+
+
+@pytest.mark.parametrize("name,argv,case,where", [
+    pytest.param(name, argv, case, where, id=f"{argv[0]} {name} {case}")
+    for name, kind, argv in OUTPUTS for case, where in CASES[kind].items()])
+def test_unwritable_output_exits_2_before_any_work(tmp_path, capsys, monkeypatch,
+                                                   cli_inputs, name, argv,
+                                                   case, where):
+    def no_work(*args, **kwargs):
+        raise AssertionError("the work ran")
+
+    monkeypatch.setattr(toylab, "run_experiment", no_work)
+    monkeypatch.setattr(flow, "train_flow", no_work)
+    path = str(tmp_path / where)
+    before = tree(tmp_path)
+    assert run([a.format(path, **cli_inputs) for a in argv]) == 2
+    captured = capsys.readouterr()
+    lines = captured.err.splitlines()
+    assert captured.out == "" and len(lines) == 1, lines
+    assert lines[0].startswith(f"error: {name} {path}")
+    assert tree(tmp_path) == before
+
+
+@pytest.mark.parametrize("argv,named", [
+    pytest.param(argv, named, id=" ".join(argv)) for argv, named in [
+        (["metrics", "{D}"], "{D}"),
+        (["metrics", "{F}/x.mel"], "{F}/x.mel"),
+        (["mel", "{D}", "{F}.mel"], "{D}"),
+        (["dist", "--manifest", "{D}", "--ph", "R"], "{D}"),
+        (["flow", "sample", "--ckpt", "{D}", "--out-mel", "{F}.mel"], "{D}"),
+    ]])
+def test_unreadable_input_exits_2(capsys, cli_inputs, argv, named):
+    assert run([a.format(**cli_inputs) for a in argv]) == 2
+    captured = capsys.readouterr()
+    lines = captured.err.splitlines()
+    assert captured.out == "" and len(lines) == 1, lines
+    assert lines[0].startswith("error: ") and named.format(**cli_inputs) in lines[0]
 
 
 def test_import_loads_no_network_stack():
