@@ -1,11 +1,12 @@
 """Command-line surface.
 
 Every command returns a canonical JSON report (sorted keys, stable float
-repr) and the text of its side files (SVGs, CSVs, markdown), so re-running
-with identical inputs and seeds is byte-identical. :func:`main` checks every
-output path before the command runs, then writes the side files and the
-report (to ``--out`` or stdout) after it; MEL1 files, checkpoints and corpus
-directories are written by their own writers inside the command. Diagnostics
+repr) and its side files: the text of each SVG, CSV and markdown file, or
+the writer of a checkpoint. Re-running with identical inputs and seeds is
+byte-identical. :func:`main` checks every output flag before the command
+runs and every side file's path after it, then writes the side files and the
+report (to ``--out`` or stdout); MEL1 files and corpus directories are
+written by their own writers inside the command. Diagnostics
 go to stderr. Exit codes: 0 success, 2 usage/contract error (a bad flag,
 input or output path), 1 internal error. ``OVERSMOOTH_SEED`` provides the
 seed when a command's ``--seed`` flag is omitted.
@@ -14,6 +15,7 @@ seed when a command's ``--seed`` flag is omitted.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import os
@@ -339,7 +341,6 @@ def cmd_flow(args):
         if not final <= first:  # also when final is NaN
             raise ContractError(f"training diverged: final NLL {final!r} is above "
                                 f"the step-0 NLL {first!r}; nothing was saved")
-        flow.save_model(result.model, args.ckpt)
         steps, nlls = zip(*result.curve)
         return _report(
             "flow-train",
@@ -347,8 +348,9 @@ def cmd_flow(args):
             {"steps": args.steps, "step_size": args.step_size,
              "flow_steps": args.flow_steps, "hidden": args.hidden, "seed": seed},
             {"final_nll": final, "ckpt": str(args.ckpt), "conditions": n_cond},
-        ), {f"{args.ckpt}.curve.csv": _csv("step,nll", _reprs(steps),
-                                            _reprs(nlls))}
+        ), {args.ckpt: functools.partial(flow.save_model, result.model),
+            f"{args.ckpt}.curve.csv": _csv("step,nll", _reprs(steps),
+                                           _reprs(nlls))}
     if args.action == "sample":
         _at_least("--frames", args.frames, 1)
         model = flow.load_model(args.ckpt)
@@ -464,8 +466,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        # Every output path is checked before any work, so that no run
-        # fails on an output after its work or leaves part of its output.
+        # Output flags are checked before any work and every side file's path
+        # before the first write, so that no run fails on a flag after its
+        # work or leaves part of its output.
         outputs = {"--out": "file", **args.outputs}
         if args.command == "flow" and args.action == "train":
             outputs["--ckpt"] = "file"
@@ -479,8 +482,13 @@ def main(argv=None) -> int:
             if args.action == "sample" and not args.out_mel:
                 raise ContractError("flow sample requires --out-mel")
         report, files = args.func(args)
-        for path, text in files.items():
-            Path(path).write_text(text, encoding="utf-8")
+        for path in files:
+            _check_output("output", path, "file")
+        for path, content in files.items():
+            if callable(content):
+                content(path)
+            else:
+                Path(path).write_text(content, encoding="utf-8")
         if args.out:
             Path(args.out).write_text(report, encoding="utf-8")
         else:

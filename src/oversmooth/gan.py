@@ -18,33 +18,21 @@ from .core import ContractError, SeededRng, Spectrogram
 
 LEAKY_SLOPE = 0.2
 MIN_CLIP_SIDE = 8  # receptive footprint of the three stride-2 stages
+WINDOW_LENGTHS = (32, 64, 128)  # frames; each clip is clamped to the grid
 _STAGE_CHANNELS = (4, 8, 16)
 
 
-@dataclass(frozen=True)
-class WindowSpec:
-    """Three window lengths in frames; each clip is clamped to the grid."""
-
-    lengths: tuple[int, int, int] = (32, 64, 128)
-
-    def __post_init__(self):
-        if len(self.lengths) != 3:
-            raise ContractError("exactly 3 window lengths are required")
-        if any(length < 1 for length in self.lengths):
-            raise ContractError("window lengths must be positive")
-
-
-def random_windows(spec, windows: WindowSpec, rng: SeededRng):
+def random_windows(spec, rng: SeededRng):
     """Clip the grid into 3 random windows along time, full bins retained.
 
-    Clip i has min(lengths[i], T) frames at an offset uniform over the valid
-    starts, so a fixed (seed, stream) reproduces the same offsets. Returns
-    (clips, offsets): the clips and the first frame of each.
+    Clip i has min(WINDOW_LENGTHS[i], T) frames at an offset uniform over
+    the valid starts, so a fixed (seed, stream) reproduces the same offsets.
+    Returns (clips, offsets): the clips and the first frame of each.
     """
     values = spec.values if isinstance(spec, Spectrogram) else np.asarray(spec)
     t = values.shape[0]
     clips, offsets = [], []
-    for length in windows.lengths:
+    for length in WINDOW_LENGTHS:
         size = min(length, t)
         offset = int(rng.integers(0, t - size + 1))
         clips.append(values[offset : offset + size].copy())
@@ -97,7 +85,7 @@ class TinyDiscriminator:
     params: np.ndarray
 
     @classmethod
-    def random(cls, rng: SeededRng, weight_scale: float = 0.1) -> "TinyDiscriminator":
+    def random(cls, rng: SeededRng) -> "TinyDiscriminator":
         c_ins = (1,) + _STAGE_CHANNELS[:-1]
         shapes = ([(c_out, c_in, 3, 3) for c_out, c_in in zip(_STAGE_CHANNELS, c_ins)]
                   + [(c_out,) for c_out in _STAGE_CHANNELS]
@@ -108,7 +96,7 @@ class TinyDiscriminator:
                  in zip(np.split(params, np.cumsum(sizes)[:-1]), shapes)]
         conv_w, conv_b, (out_w, out_b) = views[:3], views[3:6], views[6:]
         for w in conv_w + [out_w]:
-            w[...] = weight_scale * rng.normal(size=w.shape)
+            w[...] = 0.1 * rng.normal(size=w.shape)
         return cls(conv_w, conv_b, out_w, out_b, params)
 
 

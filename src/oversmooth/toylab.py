@@ -15,7 +15,8 @@ recognizably blurred output. Strategies differ in what they can express:
 
 Three come in pairs without and with mode conditioning: ``mse`` /
 ``conditioned``, ``lm`` / ``cond_lm`` and ``flow`` / ``cond_flow``. The
-second of each pair also takes each training grid's mode id, auxiliary
+second of each pair sets ``by_mode``, the one switch of mode conditioning
+for every pair: it also takes each training grid's mode id, auxiliary
 "variance" information that collapses the multimodality, and draws a grid's
 mode by its training share. It scores held-out grids, whose mode ids it is
 not given, under the mixture over the condition's modes weighted by those
@@ -210,11 +211,29 @@ def _mode_split(corpus: ToyCorpus, condition: int, min_count: int = 0):
 
 
 class _Strategy:
-    """A fitted strategy. One with a density sets ``weights`` (condition ->
-    the weight of each of its mode models) and defines ``log_likelihood``:
-    (condition, mode, stack) -> the log-density of each grid of ``stack``."""
+    """A fitted strategy. ``weights`` maps each condition to the weights of its
+    mode models: one, mode 0, without ``by_mode``; with it, one per mode id,
+    picked for each generated grid by its training share. A family draws by
+    ``_sample(condition, picks, count, rng)``; one with a density defines
+    ``log_likelihood``: (condition, mode, stack) -> the log-density of each
+    grid of ``stack``."""
 
     log_likelihood = None
+
+    def _mode_parts(self, corpus: ToyCorpus, by_mode: bool, min_count: int = 0):
+        """Set ``by_mode`` and ``weights``; return, per condition, the
+        samples of each of its models."""
+        self.by_mode, self.weights, parts = by_mode, {}, []
+        for ci in range(len(corpus.spec.conditions)):
+            split, self.weights[ci] = (_mode_split(corpus, ci, min_count) if by_mode
+                                       else ([corpus.stack(ci)], np.ones(1)))
+            parts.append(split)
+        return parts
+
+    def generate(self, condition: int, count: int, rng: SeededRng) -> np.ndarray:
+        picks = (rng.categorical(self.weights[condition], count) if self.by_mode
+                 else None)
+        return self._sample(condition, picks, count, rng)
 
     def heldout_nll(self, corpus: ToyCorpus):
         """Mean over conditions of the per-grid NLL under the condition's
@@ -231,26 +250,18 @@ class _Strategy:
 
 class _FittedStrategy(_Strategy):
     """One model per (condition, mode id), fitted by ``fit(condition, mode,
-    samples)`` and drawn by ``_draw(model, rng, count)``. Without ``by_mode``
-    a condition has one model, mode 0, fitted on all its samples. With it,
-    the mode id is the extra condition input that removes the one-to-many
-    ambiguity: each mode gets a model, and generation picks each grid's mode
-    by its training share."""
+    samples)`` and drawn by ``_draw(model, rng, count)``; with ``by_mode``,
+    mode v's model draws from ``rng.substream(v)``."""
 
     def __init__(self, corpus: ToyCorpus, fit, by_mode: bool = False,
                  min_count: int = 0):
-        self.by_mode = by_mode
-        self.models, self.weights = {}, {}
-        for ci in range(len(corpus.spec.conditions)):
-            parts, self.weights[ci] = (_mode_split(corpus, ci, min_count) if by_mode
-                                       else ([corpus.stack(ci)], np.ones(1)))
-            for v, part in enumerate(parts):
-                self.models[(ci, v)] = fit(ci, v, part)
+        self.models = {(ci, v): fit(ci, v, part) for ci, parts
+                       in enumerate(self._mode_parts(corpus, by_mode, min_count))
+                       for v, part in enumerate(parts)}
 
-    def generate(self, condition: int, count: int, rng: SeededRng) -> np.ndarray:
-        if not self.by_mode:
+    def _sample(self, condition, picks, count, rng):
+        if picks is None:
             return self._draw(self.models[(condition, 0)], rng, count)
-        picks = rng.categorical(self.weights[condition], count)
         draws = np.stack([
             self._draw(self.models[(condition, v)], rng.substream(v), count)
             for v in range(len(self.weights[condition]))
@@ -372,16 +383,14 @@ class FlowStrategy(_Strategy):
 
     def __init__(self, corpus: ToyCorpus, n_steps: int = 6, hidden: int = 16,
                  train_steps: int = 450, restarts: int = 3, seed: int = 0,
-                 condition_on_mode: bool = False):
+                 by_mode: bool = False):
         self.n_conditions = len(corpus.spec.conditions)
-        self.condition_on_mode = condition_on_mode
+        self._mode_parts(corpus, by_mode)
         h, w = corpus.spec.grid_shape
         self.frames, self.channels = w, h
         n_modes = max(len(c.prototypes) for c in corpus.spec.conditions)
-        self.cond_dim = self.n_conditions + (n_modes if condition_on_mode else 0)
+        self.cond_dim = self.n_conditions + (n_modes if by_mode else 0)
 
-        self.weights = {ci: _mode_split(corpus, ci)[1] if condition_on_mode
-                        else np.ones(1) for ci in range(self.n_conditions)}
         batch = flowmod.ConditionedBatch(
             np.concatenate([np.transpose(stack, (0, 2, 1))  # (n, frames, channels)
                             for stack in corpus.stacks]),
@@ -411,16 +420,13 @@ class FlowStrategy(_Strategy):
         condition and, with mode conditioning, each grid's mode."""
         conds = np.zeros((len(modes), self.frames, self.cond_dim))
         conds[:, :, condition] = 1.0
-        if self.condition_on_mode:
+        if self.by_mode:
             conds[np.arange(len(modes)), :, self.n_conditions + modes] = 1.0
         return conds
 
-    def generate(self, condition: int, count: int, rng: SeededRng) -> np.ndarray:
-        if self.condition_on_mode:
-            picks = rng.categorical(self.weights[condition], count)
-        else:
-            picks = np.zeros(count, dtype=int)
-        grids = flowmod.sample_batch(self.model, self._conds(condition, picks), rng)
+    def _sample(self, condition, picks, count, rng):
+        modes = np.zeros(count, dtype=int) if picks is None else picks
+        grids = flowmod.sample_batch(self.model, self._conds(condition, modes), rng)
         return np.transpose(grids, (0, 2, 1))  # back to (rows, cols)
 
     def log_likelihood(self, condition, mode, stack):
@@ -430,31 +436,27 @@ class FlowStrategy(_Strategy):
         return flowmod.log_likelihood(self.model, batch)
 
 
-class GanDemoStrategy(_Strategy):
-    """Adversarial demo: a per-condition table generator against three
+class GanDemoStrategy(_FittedStrategy):
+    """Adversarial demo: mean grids refined as table generators against three
     random-window critics. Runs deterministically; no convergence is claimed
     or gated, which is exactly the point the loss surface makes."""
 
     def __init__(self, corpus: ToyCorpus, steps: int = 150, seed: int = 0):
         rng = SeededRng(seed, stream=0x47414E)
-        self.windows = ganmod.WindowSpec()
         self.discs = [ganmod.TinyDiscriminator.random(rng.substream(i))
                       for i in range(3)]
-        self.table = {ci: stack.mean(axis=0)
-                      for ci, stack in enumerate(corpus.stacks)}
+        super().__init__(corpus, lambda ci, v, stack: stack.mean(axis=0))
         self.history = []
 
-        # Alternating sign-free Adam on critics and table entries.
+        # Alternating sign-free Adam on critics and mean grids.
         adam_d = [Adam(d.params.size, 5e-3) for d in self.discs]
-        adam_g = {ci: Adam(self.table[ci].shape, 5e-3) for ci in self.table}
+        adam_g = {key: Adam(grid.shape, 5e-3) for key, grid in self.models.items()}
         for it in range(steps):
-            ci = int(rng.integers(0, len(self.table)))
+            ci = int(rng.integers(0, len(corpus.stacks)))
             real = corpus.stack(ci)[int(rng.integers(0, len(corpus.stack(ci))))]
-            fake = self.table[ci]
-            real_clips, _ = ganmod.random_windows(real, self.windows,
-                                                  rng.substream(2 * it))
-            fake_clips, offsets = ganmod.random_windows(fake, self.windows,
-                                                        rng.substream(2 * it + 1))
+            fake = self.models[(ci, 0)]
+            real_clips, _ = ganmod.random_windows(real, rng.substream(2 * it))
+            fake_clips, offsets = ganmod.random_windows(fake, rng.substream(2 * it + 1))
             d_scores_r, d_scores_f = [], []
             for di, disc in enumerate(self.discs):
                 s_r, g_r = ganmod.discriminator_score_and_grads(disc, real_clips[di])
@@ -467,15 +469,12 @@ class GanDemoStrategy(_Strategy):
             # Generator step against refreshed critics.
             g_scores, g_grad = _generator_grad(self.discs, fake_clips, offsets,
                                                fake.shape)
-            adam_g[ci].step(self.table[ci], g_grad)
+            adam_g[(ci, 0)].step(fake, g_grad)
             self.history.append(
                 (it, ganmod.lsgan_d_loss([[s] for s in d_scores_r],
                                          [[s] for s in d_scores_f]),
                  ganmod.lsgan_g_loss([[s] for s in g_scores]))
             )
-
-    def generate(self, condition: int, count: int, rng: SeededRng) -> np.ndarray:
-        return _FittedStrategy._draw(self.table[condition], rng, count)
 
 
 def _generator_grad(discs, clips, offsets, shape):
@@ -504,7 +503,7 @@ _BUILDERS = {
     "flow": lambda corpus, seed: FlowStrategy(corpus, seed=seed),
     "cond_lm": lambda corpus, seed: CondLmStrategy(corpus, seed=seed),
     "cond_flow": lambda corpus, seed: FlowStrategy(corpus, seed=seed,
-                                                   condition_on_mode=True),
+                                                   by_mode=True),
     "gan": lambda corpus, seed: GanDemoStrategy(corpus, seed=seed),
 }
 

@@ -892,6 +892,35 @@ def test_unwritable_output_exits_2_before_any_work(tmp_path, capsys, monkeypatch
     assert tree(tmp_path) == before
 
 
+DERIVED = [  # (the command with "{}" for the output flag, the derived name)
+    (["metrics", "{mel}", "{mel}", "--svg", "{}"], "{}_ssim.svg"),
+    (["toylab", "--strategies", "mse", "--generate", "2", "--heldout", "2",
+      "--out-prefix", "{}"], "{}_var_l.svg"),
+    (["dist", "--manifest", "{dist}", "--ph", "R", "--bins", "3",
+      "--out-prefix", "{}"], "{}_marginal_R_3.svg"),
+    (["flow", "train", "--manifest", "{corpus}", "--ckpt", "{}", "--steps",
+      "2"], "{}.curve.csv"),
+]
+
+
+@pytest.mark.parametrize("argv,derived", [
+    pytest.param(argv, derived, id=argv[0]) for argv, derived in DERIVED])
+def test_derived_output_name_that_is_a_directory_writes_nothing(
+        tmp_path, capsys, cli_inputs, argv, derived):
+    # Each command writes several files under one output flag; the derived
+    # name that is a directory is written last, or after the checkpoint.
+    prefix = str(tmp_path / "p")
+    Path(derived.format(prefix)).mkdir()
+    before = tree(tmp_path)
+    argv = [a.format(prefix, **cli_inputs) for a in argv]
+    assert run(argv + ["--out", str(tmp_path / "r.json")]) == 2
+    captured = capsys.readouterr()
+    lines = captured.err.splitlines()
+    assert captured.out == "" and len(lines) == 1, lines
+    assert lines[0] == f"error: output {derived.format(prefix)} is a directory"
+    assert tree(tmp_path) == before
+
+
 @pytest.mark.parametrize("argv,named", [
     pytest.param(argv, named, id=" ".join(argv)) for argv, named in [
         (["metrics", "{D}"], "{D}"),

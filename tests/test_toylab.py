@@ -370,7 +370,7 @@ class TestFlowStrategy:
         heldout = make_corpus(canonical_spec(seed=21, samples_per_condition=25,
                                              n_conditions=2))
         strategy = FlowStrategy(corpus, train_steps=20, restarts=1, seed=6,
-                                condition_on_mode=True)
+                                by_mode=True)
         totals = []
         for ci in range(2):
             modes = corpus.modes(ci)
@@ -393,7 +393,7 @@ class TestFlowStrategy:
         spec = three_mode_spec()
         strategy = FlowStrategy(make_corpus(spec), n_steps=1, hidden=2,
                                 train_steps=0, restarts=1,
-                                condition_on_mode=on_mode)
+                                by_mode=on_mode)
         assert strategy.cond_dim == 2 + 3 * on_mode
         modes = np.array([2, 0, 1, 1])
         for ci in range(2):
@@ -410,7 +410,7 @@ class TestFlowStrategy:
         spec = canonical_spec(seed=22, samples_per_condition=40,
                               n_conditions=1)
         strategy = FlowStrategy(make_corpus(spec), train_steps=20, restarts=1,
-                                seed=7, condition_on_mode=True)
+                                seed=7, by_mode=True)
         gen = strategy.generate(0, 12, SeededRng(23))
         assert gen.shape == (12, 8, 8) and np.all(np.isfinite(gen))
         assert np.array_equal(gen, strategy.generate(0, 12, SeededRng(23)))
@@ -422,19 +422,20 @@ class TestGanDemo:
         corpus = make_corpus(spec)
         a = GanDemoStrategy(corpus, steps=30, seed=5)
         b = GanDemoStrategy(corpus, steps=30, seed=5)
-        for ci in a.table:
-            assert np.array_equal(a.table[ci], b.table[ci])
+        for key in a.models:
+            assert np.array_equal(a.models[key], b.models[key])
         assert all(np.isfinite(d) and np.isfinite(g) for _, d, g in a.history)
 
     def test_generator_gradient_on_a_tall_grid(self):
         # 40 rows: the 32-frame window starts at a random offset, so each
         # clip's gradient must land at its own offset in the table.
         rng = SeededRng(14)
-        discs = [gan.TinyDiscriminator.random(rng.substream(i), 0.3)
+        discs = [gan.TinyDiscriminator.random(rng.substream(i))
                  for i in range(3)]
+        for disc in discs:
+            disc.params *= 3.0
         table = rng.normal(size=(40, 8))
-        windows = gan.WindowSpec()
-        clips, offsets = gan.random_windows(table, windows, rng.substream(7))
+        clips, offsets = gan.random_windows(table, rng.substream(7))
         assert offsets[0] > 0 and [len(c) for c in clips] == [32, 40, 40]
 
         def loss(grid):
@@ -727,6 +728,83 @@ class TestAgainstReferenceStrategies:
         assert new.heldout_nll(heldout) == ref.heldout_nll(heldout)
 
 
+class RefFlow(RefStrategy):
+    """FlowStrategy's generate and scoring, as they were before one base drew
+    every strategy's modes, on a trained FlowStrategy's model."""
+
+    def __init__(self, corpus, model, condition_on_mode):
+        self.model, self.condition_on_mode = model, condition_on_mode
+        self.n_conditions = len(corpus.spec.conditions)
+        self.frames = corpus.spec.grid_shape[1]
+        n_modes = max(len(c.prototypes) for c in corpus.spec.conditions)
+        self.cond_dim = self.n_conditions + (n_modes if condition_on_mode else 0)
+        self.weights = {ci: toylab._mode_split(corpus, ci)[1] if condition_on_mode
+                        else np.ones(1) for ci in range(self.n_conditions)}
+
+    def _conds(self, condition, modes):
+        conds = np.zeros((len(modes), self.frames, self.cond_dim))
+        conds[:, :, condition] = 1.0
+        if self.condition_on_mode:
+            conds[np.arange(len(modes)), :, self.n_conditions + modes] = 1.0
+        return conds
+
+    def generate(self, condition, count, rng):
+        if self.condition_on_mode:
+            picks = rng.categorical(self.weights[condition], count)
+        else:
+            picks = np.zeros(count, dtype=int)
+        grids = flow.sample_batch(self.model, self._conds(condition, picks), rng)
+        return np.transpose(grids, (0, 2, 1))
+
+    def log_likelihood(self, condition, mode, stack):
+        batch = flow.ConditionedBatch(
+            np.transpose(stack, (0, 2, 1)),
+            self._conds(condition, np.full(len(stack), mode)))
+        return flow.log_likelihood(self.model, batch)
+
+
+class RefGan(RefStrategy):
+    """GanDemoStrategy's generate, as it was before the demo became a fitted
+    strategy, on a trained demo's tables."""
+
+    def __init__(self, table):
+        self.table = table
+
+    def generate(self, condition, count, rng):
+        return np.repeat(self.table[condition][None], count, axis=0)
+
+
+TRAINED_REFERENCES = {  # name -> (strategy from (corpus, seed), its reference
+    # from (corpus, the built strategy))
+    "flow": (lambda c, s: FlowStrategy(c, train_steps=4, restarts=1, seed=s),
+             lambda c, new: RefFlow(c, new.model, False)),
+    "cond_flow": (lambda c, s: FlowStrategy(c, train_steps=4, restarts=1, seed=s,
+                                            by_mode=True),
+                  lambda c, new: RefFlow(c, new.model, True)),
+    "gan": (lambda c, s: GanDemoStrategy(c, steps=30, seed=s),
+            lambda c, new: RefGan({ci: new.models[(ci, 0)]
+                                   for ci in range(len(c.spec.conditions))})),
+}
+
+
+class TestAgainstReferenceTrainedStrategies:
+    @pytest.mark.parametrize("name", list(TRAINED_REFERENCES))
+    @pytest.mark.parametrize("spec", [canonical_spec(seed=3),
+                                      three_mode_10x8_spec(11)],
+                             ids=["canonical", "three_modes_10x8"])
+    def test_generate_and_heldout_nll_are_bit_identical(self, spec, name):
+        build, reference = TRAINED_REFERENCES[name]
+        corpus = make_corpus(spec)
+        heldout = make_corpus(ToyCorpusSpec(spec.conditions, spec.noise, 60,
+                                            spec.seed + 1))
+        new = build(corpus, 5)
+        ref = reference(corpus, new)
+        for ci in range(len(spec.conditions)):
+            assert np.array_equal(new.generate(ci, 50, SeededRng(7).substream(ci)),
+                                  ref.generate(ci, 50, SeededRng(7).substream(ci)))
+        assert new.heldout_nll(heldout) == ref.heldout_nll(heldout)
+
+
 def test_every_built_strategy_class_defines_its_own_init(monkeypatch):
     # Tracing tools time a strategy's fit by wrapping the __init__ found in
     # the class's own namespace, so an inherited __init__ cannot be traced.
@@ -740,3 +818,20 @@ def test_every_built_strategy_class_defines_its_own_init(monkeypatch):
     assert len(built) == len(toylab._BUILDERS)
     for cls in built:
         assert "__init__" in vars(cls), cls.__name__
+
+
+def test_one_base_draws_and_weighs_every_mode_conditioned_strategy():
+    # Mode conditioning is one switch, ``by_mode``: only the base class
+    # generates, and each mode-conditioned strategy weighs the modes alike.
+    owners = [name for name, value in vars(toylab).items()
+              if isinstance(value, type) and "generate" in vars(value)]
+    assert owners == ["_Strategy"]
+    corpus = make_corpus(canonical_spec(seed=24, samples_per_condition=30,
+                                        n_conditions=2))
+    built = [ConditionedStrategy(corpus), CondLmStrategy(corpus, seed=1),
+             FlowStrategy(corpus, train_steps=0, restarts=1, by_mode=True)]
+    for strategy in built:
+        assert strategy.by_mode
+        assert strategy.weights.keys() == built[0].weights.keys()
+        for ci, weights in built[0].weights.items():
+            assert np.array_equal(strategy.weights[ci], weights)
