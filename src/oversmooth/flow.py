@@ -20,7 +20,9 @@ synthesis sense: a step whose matrix is 2I doubles values on the way from
 latent to data. The coupling log-scale ``ell`` is squashed to (-2, 2) with
 2*tanh so round trips stay well conditioned. All log-determinants are those
 of the actual maps; :func:`forward` and :func:`inverse` report values that
-are exact negatives of each other.
+are exact negatives of each other. Every bias is a column of an augmented
+matrix that multiplies a constant ones row (:class:`FlowWorkspace`), so its
+gradient comes out of the weight's gradient matmul.
 """
 
 from __future__ import annotations
@@ -211,31 +213,40 @@ class FlowWorkspace:
     broadcast along rows and a grid's coupling input is a reshape of h_a.
     ``h[s]`` is step s's input; ``netin``, ``hid``, ``th`` (tanh of the raw
     log-scale) and ``exp_neg`` are kept per step for the backward pass (the
-    default depth) or reused by every step (``depth`` 1). A full-depth
+    default depth) or reused by every step (``depth`` 1). ``h``, ``netin``
+    and ``hid`` end in a ones row that no pass writes, the bias column's
+    input for every step's ``w1a`` = [w1 | b1], ``w2a`` = [w2 | b2] and
+    ``folded`` = [inv(mix) diag(scale) | inv(mix) bias], (K, ...) arrays
+    that :func:`nll_and_grads` overwrites with their gradients. A full-depth
     workspace's ``grads.params`` is the gradient vector.
     """
 
     def __init__(self, model: FlowModel, n: int, t: int, depth: int = 0):
         depth, c, n_t = depth or model.n_steps, model.channels, t * n
-        (_, hidden, in_dim), cols = model.w1.shape, n_t // model.column_frames
-        self.h, self.g = np.empty((depth + 1, c, n_t)), np.empty((2, c, n_t))
-        self.netin = np.empty((depth, in_dim, cols))
+        (k, hidden, in_dim), cols = model.w1.shape, n_t // model.column_frames
+        self.h, self.g = np.empty((depth + 1, c + 1, n_t)), np.empty((2, c, n_t))
+        self.netin = np.empty((depth, in_dim + 1, cols))
         self.a_rows = model.split[0] * model.column_frames  # netin rows holding h_a
-        self.hid, self.d_pre = np.empty((depth, hidden, cols)), np.empty((hidden, cols))
+        self.hid, self.d_pre = np.empty((depth, hidden + 1, cols)), np.empty((hidden, cols))
+        self.h[:, -1] = self.netin[:, -1] = self.hid[:, -1] = 1.0
         self.th, self.exp_neg = np.empty((2, depth, model.split[1], n_t))
-        self.folded, self.inv_mixes = np.empty((depth, c, c)), None  # set by analysis
         self.out = np.empty((model.w2.shape[1], cols))  # or its gradient
+        self.w1a = np.empty((k, hidden, in_dim + 1))
+        self.w2a = np.empty((k, len(self.out), hidden + 1))
+        self.folded, self.inv_mixes = np.empty((k, c, c + 1)), None  # set by analysis
         # the gradient: a model of the same architecture, all zero
         self.grads = None if depth < model.n_steps else replace(model)
 
     def load(self, model: FlowModel, grids: np.ndarray, conds: np.ndarray):
         """(n, T, c) grids into ``h[0]``, (n, T, d) conditions into every
-        ``netin``'s condition rows."""
+        ``netin``'s condition rows, and every step's ``w1a`` and ``w2a``."""
         n, t = grids.shape[:2]
-        self.h[0].reshape(model.channels, t, n)[...] = grids.transpose(2, 1, 0)
-        cond_rows = self.netin[0, self.a_rows :]
+        self.h[0, :-1].reshape(model.channels, t, n)[...] = grids.transpose(2, 1, 0)
+        cond_rows = self.netin[0, self.a_rows : -1]
         cond_rows.reshape(model.cond_dim, t, n)[...] = conds.transpose(2, 1, 0)
-        self.netin[1:, self.a_rows :] = cond_rows
+        self.netin[1:, self.a_rows : -1] = cond_rows
+        np.concatenate((model.w1, model.b1[..., None]), axis=2, out=self.w1a)
+        np.concatenate((model.w2, model.b2[..., None]), axis=2, out=self.w2a)
 
 
 def _samples_first(h: np.ndarray, t: int, n: int) -> np.ndarray:
@@ -243,8 +254,7 @@ def _samples_first(h: np.ndarray, t: int, n: int) -> np.ndarray:
     return np.ascontiguousarray(h.reshape(len(h), t, n).transpose(2, 1, 0))
 
 
-def _coupling_raw(model: FlowModel, k: int, ws: FlowWorkspace, slot: int,
-                  h_a: np.ndarray):
+def _coupling_raw(k: int, ws: FlowWorkspace, slot: int, h_a: np.ndarray):
     """Step k's coupling net on channel-first h_a in workspace slot ``slot``:
     returns (tanh(raw), shift), channel-first like ``h_a``.
 
@@ -253,10 +263,8 @@ def _coupling_raw(model: FlowModel, k: int, ws: FlowWorkspace, slot: int,
     """
     netin, hid = ws.netin[slot], ws.hid[slot]
     netin[: ws.a_rows] = h_a.reshape(ws.a_rows, netin.shape[1])
-    np.matmul(model.w1[k], netin, out=hid)
-    hid += model.b1[k, :, None]
-    np.matmul(model.w2[k], np.tanh(hid, out=hid), out=ws.out)
-    ws.out += model.b2[k, :, None]
+    np.tanh(np.matmul(ws.w1a[k], netin, out=hid[:-1]), out=hid[:-1])
+    np.matmul(ws.w2a[k], hid, out=ws.out)
     raw = ws.out.reshape(2, ws.th.shape[1], h_a.shape[1])
     return np.tanh(raw[0], out=ws.th[slot]), raw[1]
 
@@ -264,15 +272,20 @@ def _coupling_raw(model: FlowModel, k: int, ws: FlowWorkspace, slot: int,
 def _logdet_const(model: FlowModel, t: int) -> float:
     """The analysis log-determinant of every actnorm and mix, for T frames;
     a step that is not invertible is an error."""
-    zero_scale = np.nonzero((model.scale == 0).any(axis=1))[0]
-    if len(zero_scale):
-        raise ContractError(f"actnorm scale of step {zero_scale[0]} has a zero "
-                            "entry: the flow is not invertible")
+    if not model.scale.all():
+        raise ContractError(f"actnorm scale of step {model.scale.all(axis=1).argmin()} "
+                            "has a zero entry: the flow is not invertible")
     sign, mix_logdets = np.linalg.slogdet(model.mix)
-    if np.any(sign == 0):
-        raise ContractError(f"channel-mix matrix of step "
-                            f"{np.nonzero(sign == 0)[0][0]} is singular")
+    if not sign.all():
+        raise ContractError(f"channel-mix matrix of step {(sign != 0).argmin()} "
+                            "is singular")
     return t * (np.log(np.abs(model.scale)).sum() - mix_logdets.sum())
+
+
+def _fold(inv_mix, scale, bias, out):
+    """One step's or every step's [inv(mix) diag(scale) | inv(mix) bias]."""
+    np.multiply(inv_mix, scale[..., None, :], out=out[..., :-1])
+    np.matmul(inv_mix, bias[..., None], out=out[..., -1:])
 
 
 def _analysis(model: FlowModel, grids: np.ndarray, conds: np.ndarray,
@@ -280,8 +293,8 @@ def _analysis(model: FlowModel, grids: np.ndarray, conds: np.ndarray,
     """Data -> latent on an (n, T, c) stack in ``ws`` (or a depth-1 one);
     returns (z, per-sample logdet) with z channel-first, a view into it.
 
-    Each step's actnorm is folded into its mix: h -> F h + inv(mix) bias
-    with F = inv(mix) diag(scale). With ``init``, each step first sets its
+    Each step's actnorm is folded into its mix, one matmul of its
+    ``ws.folded`` matrix by [h; 1]. With ``init``, each step first sets its
     actnorm to standardize its input over the batch (data-dependent init;
     the returned logdet then holds the scales from before). A full-depth
     ``ws`` keeps what the reverse sweep of :func:`nll_and_grads` needs.
@@ -292,26 +305,27 @@ def _analysis(model: FlowModel, grids: np.ndarray, conds: np.ndarray,
     ws.load(model, grids, conds)
     logdet = np.full(n, _logdet_const(model, t))
     ws.inv_mixes = np.linalg.inv(model.mix)
-    for k, inv_mix in enumerate(ws.inv_mixes):
-        h0, h = ws.h[k % len(ws.h)], ws.h[(k + 1) % len(ws.h)]
+    _fold(ws.inv_mixes, model.scale, model.bias, ws.folded)
+    for k in range(model.n_steps):
+        h0, h = ws.h[k % len(ws.h)], ws.h[(k + 1) % len(ws.h), :-1]
         if init:
-            std = h0.std(axis=1)
+            std = h0[:-1].std(axis=1)
             if np.any(std < 1e-12):
                 raise DegenerateChannel(
                     f"zero-variance channels {np.nonzero(std < 1e-12)[0].tolist()} "
                     "in init batch"
                 )
             model.scale[k] = 1.0 / std
-            model.bias[k] = -h0.mean(axis=1) / std
+            model.bias[k] = -h0[:-1].mean(axis=1) / std
+            _fold(ws.inv_mixes[k], model.scale[k], model.bias[k], ws.folded[k])
         slot = k % len(ws.netin)
-        np.matmul(np.multiply(inv_mix, model.scale[k], out=ws.folded[slot]), h0, out=h)
-        h += (inv_mix @ model.bias[k])[:, None]
-        th, shift = _coupling_raw(model, k, ws, slot, h[:c_a])
+        np.matmul(ws.folded[k], h0, out=h)
+        th, shift = _coupling_raw(k, ws, slot, h[:c_a])
         exp_neg = np.multiply(th, -2.0, out=ws.exp_neg[slot])
         h[c_a:] -= shift  # becomes z_b
         h[c_a:] *= np.exp(exp_neg, out=exp_neg)
         logdet -= 2.0 * th.reshape(len(th) * t, n).sum(axis=0)
-    return ws.h[model.n_steps % len(ws.h)], logdet
+    return ws.h[model.n_steps % len(ws.h), :-1], logdet
 
 
 def _synthesis(model: FlowModel, latents: np.ndarray, conds: np.ndarray):
@@ -321,9 +335,9 @@ def _synthesis(model: FlowModel, latents: np.ndarray, conds: np.ndarray):
     ws = FlowWorkspace(model, n, t, depth=1)
     ws.load(model, latents, conds)
     logdet = np.full(n, -_logdet_const(model, t))
-    h, h_next = ws.h
+    h, h_next = ws.h[:, :-1]
     for k in reversed(range(model.n_steps)):
-        th, shift = _coupling_raw(model, k, ws, 0, h[:c_a])
+        th, shift = _coupling_raw(k, ws, 0, h[:c_a])
         exp_pos = np.multiply(th, 2.0, out=ws.exp_neg[0])
         h[c_a:] *= np.exp(exp_pos, out=exp_pos)
         h[c_a:] += shift
@@ -387,7 +401,7 @@ def log_likelihood(model: FlowModel, batch: ConditionedBatch, *,
     n, t = batch.targets.shape[:2]
     ws = workspace or FlowWorkspace(model, n, t, depth=1)
     z, logdet = _analysis(model, batch.targets, batch.conds, ws)
-    return _log_prob(z, logdet, t, ws.g[1])
+    return _log_prob(z, logdet, t, z)  # squares the latents in place
 
 
 def _log_prob(z: np.ndarray, logdet: np.ndarray, t: int,
@@ -463,30 +477,30 @@ def nll_and_grads(model: FlowModel, batch: ConditionedBatch, *,
     d_out = ws.out  # the net output's gradient: d_raw rows, then -d_hb rows
     d_raw, neg_d_hb = d_out.reshape(2, len(ws.th[0]), z.shape[1])
     g_a, g_b, d_ha, d_hb = g[:c_a], g[c_a:], g2[:c_a], g2[c_a:]
-    grads = ws.grads
     for k in reversed(range(model.n_steps)):
-        hid, th = ws.hid[k], ws.th[k]  # read last here, so overwritten below
+        act, th = ws.hid[k, :-1], ws.th[k]  # read last here, so overwritten below
         np.multiply(g_b, ws.exp_neg[k], out=d_hb)
         np.negative(g_b, out=d_raw)  # d_ell: z path plus the direct +ell/n term
-        d_raw *= ws.h[k + 1][c_a:]  # z_b
+        d_raw *= ws.h[k + 1, c_a:-1]  # z_b
         d_raw += 1.0 / n
         d_raw *= 2.0
         d_raw *= np.subtract(1.0, np.square(th, out=th), out=th)
         np.negative(d_hb, out=neg_d_hb)
-        np.matmul(d_out, hid.T, out=grads.w2[k])
-        np.sum(d_out, axis=1, out=grads.b2[k])
+        np.matmul(d_out, ws.hid[k].T, out=ws.w2a[k])  # gradients overwrite w2a, w1a, folded
         d_pre = np.matmul(model.w2[k].T, d_out, out=ws.d_pre)
-        d_pre *= np.subtract(1.0, np.square(hid, out=hid), out=hid)
-        np.matmul(d_pre, ws.netin[k].T, out=grads.w1[k])
-        np.sum(d_pre, axis=1, out=grads.b1[k])
+        d_pre *= np.subtract(1.0, np.square(act, out=act), out=act)
+        np.matmul(d_pre, ws.netin[k].T, out=ws.w1a[k])
         np.matmul(model.w1[k, :, : ws.a_rows].T, d_pre, out=d_ha.reshape(ws.a_rows, -1))
         d_ha += g_a
+        np.matmul(ws.folded[k, :, :-1].T, g2, out=g)
+        np.matmul(g2, ws.h[k].T, out=ws.folded[k])  # after folded[k]'s last read
 
-        # Folded actnorm and mix, h2 = inv_mix (h0 * scale + bias): g2 h0^T and g2's
-        # row sums, kept in the mix and scale gradients, give all their gradients below.
-        np.matmul(g2, ws.h[k].T, out=grads.mix[k])
-        np.sum(g2, axis=1, out=grads.scale[k])
-        np.matmul(ws.folded[k].T, g2, out=g)
+    grads = ws.grads
+    grads.w1[...], grads.b1[...] = ws.w1a[..., :-1], ws.w1a[..., -1]
+    grads.w2[...], grads.b2[...] = ws.w2a[..., :-1], ws.w2a[..., -1]
+    # Folded actnorm and mix, h2 = inv_mix (h0 * scale + bias): g2 h0^T and g2's
+    # row sums, kept in the mix and scale gradients, give all their gradients below.
+    grads.mix[...], grads.scale[...] = ws.folded[..., :-1], ws.folded[..., -1]
     inv_mixes, inv_t = ws.inv_mixes, ws.inv_mixes.transpose(0, 2, 1)
     np.matmul(grads.scale[:, None], inv_mixes, out=grads.bias[:, None])
     d_inv = (grads.mix * model.scale[:, None]

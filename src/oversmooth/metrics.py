@@ -100,11 +100,18 @@ def ssim_map(a, b, cfg: SsimConfig | None = None) -> np.ndarray:
     (default: their joint min/max), then windowed means, variances, and the
     covariance feed the two-factor similarity formula. Cells lie in [-1, 1];
     negative covariance can make cells negative and no clamping is applied.
+    The window side may be at most max(11, 2 * max(T, F) + 1), so a window
+    wider than 11 never pads a plane past 3 * max(T, F) cells on a side.
     """
     cfg = cfg or SsimConfig()
     ga, gb = as_grid(a), as_grid(b)
     if ga.shape != gb.shape:
         raise ContractError(f"shape mismatch {ga.shape} vs {gb.shape}")
+    widest = max(11, 2 * max(ga.shape) + 1)
+    if cfg.window > widest:
+        raise ContractError(f"SSIM window {cfg.window} is too wide for a "
+                            f"{ga.shape[0]}x{ga.shape[1]} grid: at most {widest} "
+                            "(max(11, 2 * max(T, F) + 1))")
     if cfg.lo is None:
         lo = min(ga.min(), gb.min())
         hi = max(ga.max(), gb.max())

@@ -117,6 +117,17 @@ class TestCmdMetrics:
         assert captured.out == "" and len(lines) == 1, lines
         assert "(8, 8)" in lines[0] and "(8, 9)" in lines[0]
 
+    def test_window_wider_than_the_grid_allows_exits_2(self, tmp_path, capsys):
+        a, b = tmp_path / "a.mel", tmp_path / "b.mel"
+        rng = np.random.default_rng(4)
+        for path in a, b:
+            write_mel(Spectrogram(rng.normal(size=(16, 80))), path)
+        assert run(["metrics", str(a), str(b), "--window", "1001"]) == 2
+        captured = capsys.readouterr()
+        lines = captured.err.splitlines()
+        assert captured.out == "" and len(lines) == 1, lines
+        assert "window 1001" in lines[0] and "16x80" in lines[0], lines
+
     def test_svg_outputs_valid_xml(self, tmp_path, capsys):
         a = tmp_path / "a.mel"
         rng = np.random.default_rng(2)

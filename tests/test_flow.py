@@ -417,9 +417,11 @@ def reference_train(model, batch, steps, step_size, batch_size, seed,
 
 
 def per_step_nll_and_grads(model, batch, *, workspace=None):
-    """nll_and_grads with every step's actnorm and mix gradients formed in
-    the reverse sweep by c x c products, one step at a time: the reference
-    for the stacked gradient tail."""
+    """nll_and_grads with every step's gradients written in the reverse sweep
+    and its actnorm and mix gradients formed there by c x c products, one
+    step at a time: the reference for the stacked gradient tail. The sweep
+    takes each step's g2 [h0; 1]^T from the same augmented matmul, whose
+    last column holds g2's row sums."""
     c_a = model.split[0]
     n, t = batch.targets.shape[:2]
     ws = workspace or FlowWorkspace(model, n, t)
@@ -436,26 +438,26 @@ def per_step_nll_and_grads(model, batch, *, workspace=None):
         hid, th = ws.hid[k], ws.th[k]
         np.multiply(g_b, ws.exp_neg[k], out=d_hb)
         np.negative(g_b, out=d_raw)
-        d_raw *= ws.h[k + 1][c_a:]
+        d_raw *= ws.h[k + 1, c_a:-1]
         d_raw += 1.0 / n
         d_raw *= 2.0
         d_raw *= np.subtract(1.0, np.square(th, out=th), out=th)
         np.negative(d_hb, out=neg_d_hb)
-        np.matmul(d_out, hid.T, out=grads.w2[k])
-        np.sum(d_out, axis=1, out=grads.b2[k])
-        d_pre = np.matmul(model.w2[k].T, d_out, out=ws.d_pre)
-        d_pre *= np.subtract(1.0, np.square(hid, out=hid), out=hid)
-        np.matmul(d_pre, ws.netin[k].T, out=grads.w1[k])
-        np.sum(d_pre, axis=1, out=grads.b1[k])
+        d_w2a = d_out @ hid.T
+        grads.w2[k], grads.b2[k] = d_w2a[:, :-1], d_w2a[:, -1]
+        d_pre = model.w2[k].T @ d_out
+        d_pre *= 1.0 - hid[:-1] ** 2
+        d_w1a = d_pre @ ws.netin[k].T
+        grads.w1[k], grads.b1[k] = d_w1a[:, :-1], d_w1a[:, -1]
         np.matmul(model.w1[k, :, : ws.a_rows].T, d_pre, out=d_ha.reshape(ws.a_rows, -1))
         d_ha += g_a
-        m0 = g2 @ ws.h[k].T
-        s2 = g2.sum(axis=1)
+        d_folded = g2 @ ws.h[k].T
+        m0, s2 = d_folded[:, :-1].copy(), d_folded[:, -1].copy()
         d_inv = m0 * scale + np.outer(s2, bias)
         grads.mix[k] = -inv_mix.T @ d_inv @ inv_mix.T + t * inv_mix.T
         grads.scale[k] = (inv_mix * m0).sum(axis=0) - t / scale
         np.matmul(s2, inv_mix, out=grads.bias[k])
-        np.matmul(ws.folded[k].T, g2, out=g)
+        np.matmul(ws.folded[k, :, :-1].T, g2, out=g)
     return value, ws.grads.params
 
 
@@ -532,6 +534,27 @@ class TestWorkspace:
         for batch in batches + batches:
             assert np.array_equal(log_likelihood(model, batch, workspace=ws),
                                   log_likelihood(model, batch))
+
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_passes_in_turn_on_reused_workspaces(self, shape):
+        # Each pass leaves the workspaces' ones rows as it found them: a
+        # backward sweep that squares ``hid`` in place, or an in-place update
+        # of ``h``, must stop at the ones row.
+        model, batches = self.model_and_batches(shape)
+        t = self.SHAPES[shape]["frames"]
+        full, single = FlowWorkspace(model, 9, t), FlowWorkspace(model, 9, t, depth=1)
+
+        def passes(batch, full=None, single=None):
+            value, grad = nll_and_grads(model, batch, workspace=full)
+            return [value, grad.copy(), log_likelihood(model, batch, workspace=full),
+                    log_likelihood(model, batch, workspace=single),
+                    sample_batch(model, batch.conds, SeededRng(42))]
+
+        fresh = [passes(batch) for batch in batches]
+        for _ in range(2):
+            for batch, expected in zip(batches, fresh):
+                for got, want in zip(passes(batch, full, single), expected):
+                    assert np.array_equal(got, want)
 
     def test_gradient_without_workspace_is_not_overwritten(self):
         model, (first, second) = self.model_and_batches("odd_channels")

@@ -197,6 +197,16 @@ class TestSsim:
         a, b = rng.normal(size=shape), rng.normal(size=shape)
         assert np.array_equal(ssim_map(a, b), ssim_map_index_rule(a, b, 11))
 
+    @pytest.mark.parametrize("shape, widest", [((1, 1), 11), ((4, 13), 27),
+                                               ((16, 80), 161)])
+    def test_window_bound(self, shape, widest):
+        rng = np.random.default_rng(sum(shape))
+        a, b = rng.normal(size=shape), rng.normal(size=shape)
+        assert np.isfinite(ssim(a, b, SsimConfig(window=widest)))
+        with pytest.raises(ContractError, match=f"window {widest + 2} .* "
+                           f"{shape[0]}x{shape[1]} grid: at most {widest}"):
+            ssim_map(a, b, SsimConfig(window=widest + 2))
+
     def test_small_grid_behavior(self):
         # Grids smaller than the window still work via mirrored indices.
         rng = np.random.default_rng(13)
