@@ -96,13 +96,36 @@ def _auto_grid(samples: np.ndarray, h: float, points: int) -> np.ndarray:
 
 
 def _gauss_sum(grid: np.ndarray, samples: np.ndarray, h: float) -> np.ndarray:
-    """Sum of Gaussian kernels on ``grid``, chunked to bound memory."""
+    """Sum of Gaussian kernels on ``grid``, bit for bit the sum over
+    4,096-sample chunks of ``norm * exp(-0.5 * z * z).sum(axis=0)`` with
+    ``z = (grid - chunk[:, None]) / h``.
+
+    Each chunk is evaluated in blocks of rows in two (rows, G) buffers of
+    about 512 KB each for a G-point grid (128 rows at G = 512; at least 2
+    rows, so 32 * G bytes past G = 32,768): working memory depends on the
+    grid length, not on the sample count. numpy reduces a C-ordered axis 0
+    row by row, so carrying the running column sum as row 0 of the next
+    block adds the rows in the one-shot order.
+    """
     out = np.zeros(len(grid))
     norm = 1.0 / (np.sqrt(2.0 * np.pi) * h)
+    rows = min(len(samples), 4096, max(2, 65536 // max(len(grid), 1)))
+    z, k = np.empty((2, rows, len(grid)))
+    total = np.empty(len(grid))
     for start in range(0, len(samples), 4096):
         chunk = samples[start : start + 4096]
-        z = (grid[None, :] - chunk[:, None]) / h
-        out += norm * np.exp(-0.5 * z * z).sum(axis=0)
+        lo = carry = 0  # after a chunk's first block, row 0 holds the sum
+        while lo < len(chunk):
+            block = chunk[lo : lo + rows - carry]
+            stop = carry + len(block)
+            zb, kb = z[carry:stop], k[carry:stop]
+            np.divide(np.subtract(grid, block[:, None], out=zb), h, out=zb)
+            np.exp(np.multiply(np.multiply(-0.5, zb, out=kb), zb, out=kb), out=kb)
+            if carry:
+                k[0] = total
+            np.add.reduce(k[:stop], axis=0, out=total)
+            lo, carry = lo + len(block), 1
+        out += norm * total
     return out
 
 
@@ -110,7 +133,8 @@ def kde1d(samples, bandwidth: float | None = None, grid=None) -> Density1D:
     """Gaussian-kernel density estimate of a 1-D sample.
 
     Without an explicit grid, 512 points spanning [min - 4h, max + 4h] are
-    used, which keeps the trapezoidal integral within 2% of one. A
+    used, which keeps the trapezoidal integral within 2% of one. An explicit
+    grid must be 1-D and finite; an empty one gives an empty density. A
     zero-variance sample requires an explicit bandwidth.
     """
     x = np.asarray(samples, dtype=np.float64).ravel()
@@ -120,6 +144,8 @@ def kde1d(samples, bandwidth: float | None = None, grid=None) -> Density1D:
         raise ContractError("samples must be finite")
     h = _bandwidth(x, bandwidth)
     g = _auto_grid(x, h, 512) if grid is None else np.asarray(grid, dtype=np.float64)
+    if g.ndim != 1 or not np.all(np.isfinite(g)):
+        raise ContractError("grid must be a 1-D array of finite values")
     return Density1D(g, _gauss_sum(g, x, h) / len(x), h)
 
 

@@ -217,25 +217,29 @@ class FlowWorkspace:
     and ``hid`` end in a ones row that no pass writes, the bias column's
     input for every step's ``w1a`` = [w1 | b1], ``w2a`` = [w2 | b2] and
     ``folded`` = [inv(mix) diag(scale) | inv(mix) bias], (K, ...) arrays
-    that :func:`nll_and_grads` overwrites with their gradients. A full-depth
-    workspace's ``grads.params`` is the gradient vector.
+    that :func:`nll_and_grads` overwrites with their gradients. Only a
+    full-depth workspace has the backward pass's ``g`` and ``d_pre`` and a
+    ``grads``, whose ``params`` is the gradient vector.
     """
 
     def __init__(self, model: FlowModel, n: int, t: int, depth: int = 0):
         depth, c, n_t = depth or model.n_steps, model.channels, t * n
         (k, hidden, in_dim), cols = model.w1.shape, n_t // model.column_frames
-        self.h, self.g = np.empty((depth + 1, c + 1, n_t)), np.empty((2, c, n_t))
+        self.h = np.empty((depth + 1, c + 1, n_t))
         self.netin = np.empty((depth, in_dim + 1, cols))
         self.a_rows = model.split[0] * model.column_frames  # netin rows holding h_a
-        self.hid, self.d_pre = np.empty((depth, hidden + 1, cols)), np.empty((hidden, cols))
+        self.hid = np.empty((depth, hidden + 1, cols))
         self.h[:, -1] = self.netin[:, -1] = self.hid[:, -1] = 1.0
         self.th, self.exp_neg = np.empty((2, depth, model.split[1], n_t))
         self.out = np.empty((model.w2.shape[1], cols))  # or its gradient
         self.w1a = np.empty((k, hidden, in_dim + 1))
         self.w2a = np.empty((k, len(self.out), hidden + 1))
         self.folded, self.inv_mixes = np.empty((k, c, c + 1)), None  # set by analysis
-        # the gradient: a model of the same architecture, all zero
-        self.grads = None if depth < model.n_steps else replace(model)
+        self.g = self.d_pre = self.grads = None
+        if depth == model.n_steps:  # buffers only the backward pass reads
+            self.g, self.d_pre = np.empty((2, c, n_t)), np.empty((hidden, cols))
+            # the gradient: a model of the same architecture, all zero
+            self.grads = replace(model)
 
     def load(self, model: FlowModel, grids: np.ndarray, conds: np.ndarray):
         """(n, T, c) grids into ``h[0]``, (n, T, d) conditions into every

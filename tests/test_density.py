@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -18,6 +20,7 @@ from oversmooth.density import (
     PhonemeAbsent,
     TimePair,
     _dip_sorted,
+    _gauss_sum,
     dip_statistic,
     kde1d,
     kde2d,
@@ -73,6 +76,58 @@ class TestKde1d:
         x = rng.normal(size=400)
         expected = 1.06 * np.std(x, ddof=1) * 400 ** (-0.2)
         assert silverman_bandwidth(x) == pytest.approx(expected, rel=1e-12)
+
+    @pytest.mark.parametrize("grid", [np.zeros((3, 2)), [0.0, np.nan, 1.0],
+                                      [0.0, np.inf]])
+    def test_grid_must_be_1d_and_finite(self, grid):
+        with pytest.raises(ContractError, match="grid must be a 1-D array"):
+            kde1d([0.0, 1.0, 2.0], bandwidth=0.5, grid=grid)
+
+    def test_empty_grid_gives_an_empty_density(self):
+        density = kde1d([0.0, 1.0, 2.0], bandwidth=0.5, grid=[])
+        assert density.grid.shape == density.values.shape == (0,)
+
+
+def one_shot_gauss_sum(grid, samples, h):
+    """The kernel sum with each 4,096-sample chunk as one (chunk, G) array."""
+    out = np.zeros(len(grid))
+    norm = 1.0 / (np.sqrt(2.0 * np.pi) * h)
+    for start in range(0, len(samples), 4096):
+        chunk = samples[start : start + 4096]
+        z = (grid[None, :] - chunk[:, None]) / h
+        out += norm * np.exp(-0.5 * z * z).sum(axis=0)
+    return out
+
+
+class TestGaussSum:
+    """The blocked kernel sum keeps every bit of the one-shot formula."""
+
+    @pytest.mark.parametrize("points", [1, 7, 512, 5000])
+    def test_equals_the_one_shot_formula(self, points):
+        rows = max(2, 65536 // points)  # the block row count B at this grid
+        rng = np.random.default_rng(points)
+        grid = np.linspace(-6.0, 6.0, points)
+        for n in (1, rows - 1, rows, rows + 1, 4095, 4096, 4097, 9000):
+            x, h = rng.normal(size=n) * 2.0, 0.2 + rng.random()
+            # Columns are separate sums, so the reference takes the grid
+            # 512 points at a time (5,000 leaves 392, never a single column,
+            # which numpy would sum pairwise) to keep its arrays small.
+            want = np.concatenate([one_shot_gauss_sum(grid[lo : lo + 512], x, h)
+                                   for lo in range(0, points, 512)])
+            assert _gauss_sum(grid, x, h).tobytes() == want.tobytes(), n
+
+    def test_memory_does_not_grow_with_the_chunk(self):
+        # One 4,096 x 2,048 chunk as a whole array would take 67 MB per
+        # temporary.
+        x = np.random.default_rng(3).normal(size=4096)
+        grid = np.linspace(-4.0, 4.0, 2048)
+        tracemalloc.start()
+        try:
+            kde1d(x, grid=grid)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4e6
 
 
 class TestKde2d:

@@ -556,6 +556,14 @@ class TestWorkspace:
                 for got, want in zip(passes(batch, full, single), expected):
                     assert np.array_equal(got, want)
 
+    def test_only_a_full_depth_workspace_has_backward_buffers(self):
+        model, (batch, _) = self.model_and_batches("odd_channels")
+        single, full = FlowWorkspace(model, 9, 4, depth=1), FlowWorkspace(model, 9, 4)
+        assert single.g is single.d_pre is single.grads is None
+        assert full.g.shape == (2, 5, 36) and full.d_pre.shape == (7, 36)
+        with pytest.raises(ContractError, match="workspace of the model's depth"):
+            nll_and_grads(model, batch, workspace=single)
+
     def test_gradient_without_workspace_is_not_overwritten(self):
         model, (first, second) = self.model_and_batches("odd_channels")
         _, grad = nll_and_grads(model, first)
