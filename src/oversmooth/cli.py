@@ -176,10 +176,9 @@ def cmd_metrics(args):
     spec_a = read_mel(args.mel_a)
     results: dict = {"var_l": metrics.var_laplacian(spec_a)}
     inputs = {"mel_a": args.mel_a}
-    files = {}
+    files, config = {}, metrics.SsimConfig(window=args.window)
     if args.mel_b:
-        ssim_cells = metrics.ssim_map(spec_a, read_mel(args.mel_b),
-                                      metrics.SsimConfig(window=args.window))
+        ssim_cells = metrics.ssim_map(spec_a, read_mel(args.mel_b), config)
         results["ssim"] = float(np.mean(ssim_cells))  # == metrics.ssim
         inputs["mel_b"] = args.mel_b
     if args.svg:
@@ -232,14 +231,8 @@ def cmd_dist(args):
             raise ContractError(
                 f"--joint expects freq:f1,f2 or time:f,lag, got {args.joint!r}"
             ) from None
-        if kind == "freq":
-            axis = density.FreqPair(first, second)
-        elif kind == "time":
-            axis = density.TimePair(first, second)
-        else:
-            raise ContractError(f"unknown joint kind {kind!r}")
         d2 = density.phoneme_joint(
-            corpus, args.ph, axis,
+            corpus, args.ph, kind, first, second,
             None if args.bandwidth is None else (args.bandwidth,) * 2)
         xs, ys = _reprs(d2.grid_x), _reprs(d2.grid_y)
         csv = f"{prefix}_joint_{args.ph}.csv"  # long form, x outer

@@ -51,22 +51,6 @@ class DipResult:
     n: int
 
 
-@dataclass(frozen=True)
-class FreqPair:
-    """Joint over two frequency bins of the same frame."""
-
-    f1: int
-    f2: int
-
-
-@dataclass(frozen=True)
-class TimePair:
-    """Joint over one bin at frames t and t + lag within the same span."""
-
-    f: int
-    lag: int = 1
-
-
 def silverman_bandwidth(samples: np.ndarray) -> float:
     """Reference-rule bandwidth 1.06 * std * n**(-1/5)."""
     n = len(samples)
@@ -201,29 +185,29 @@ def pooled_phoneme_values(corpus, phoneme: str, bin_index: int) -> np.ndarray:
     return np.concatenate([block[:, bin_index] for block in blocks])
 
 
-def phoneme_joint(corpus, phoneme: str, axis,
+def phoneme_joint(corpus, phoneme: str, kind: str, first: int, second: int,
                   bandwidths: tuple[float, float] | None = None) -> Density2D:
     """Joint KDE of two grid positions conditioned on a phoneme.
 
-    ``axis`` selects the pairing: :class:`FreqPair` pairs two bins of the
-    same frame, :class:`TimePair` pairs one bin at frames t and t + lag.
-    Time pairs never cross span boundaries, so both frames are guaranteed to
-    carry the same phoneme.
+    ``kind`` selects the pairing: "freq" pairs bins ``first`` and ``second``
+    of the same frame, "time" pairs bin ``first`` at frames t and
+    t + ``second`` (the lag). Time pairs never cross span boundaries, so
+    both frames are guaranteed to carry the same phoneme.
     """
-    if isinstance(axis, FreqPair):
-        bins = [axis.f1, axis.f2]
+    if kind == "freq":
+        bins = [first, second]
         pairs = [block[:, bins] for block in _phoneme_blocks(corpus, phoneme, bins)]
-    elif isinstance(axis, TimePair):
-        f, lag = axis.f, axis.lag
-        if lag < 1:
+    elif kind == "time":
+        if second < 1:
             raise ContractError("lag must be >= 1")
-        pairs = [np.column_stack([block[:-lag, f], block[lag:, f]])
-                 for block in _phoneme_blocks(corpus, phoneme, (f,))]
+        pairs = [np.column_stack([block[:-second, first], block[second:, first]])
+                 for block in _phoneme_blocks(corpus, phoneme, (first,))]
     else:
-        raise ContractError(f"unknown joint axis {axis!r}")
+        raise ContractError(f"unknown joint kind {kind!r}")
     pairs = np.concatenate(pairs)
     if len(pairs) == 0:
-        raise NoPairs(f"no within-span pairs for {phoneme!r} with {axis!r}")
+        raise NoPairs(f"no within-span pairs for {phoneme!r} with "
+                      f"{kind}:{first},{second}")
     return kde2d(pairs, bandwidths)
 
 

@@ -50,36 +50,29 @@ class FlowDivergence(ContractError):
     """Training produced a non-finite likelihood."""
 
 
-def _net_dims(channels: int, cond_dim: int, context: str, frames: int):
-    c_a = (channels + 1) // 2
-    c_b = channels - c_a
-    if context == "frame":
-        return c_a + cond_dim, 2 * c_b
-    if context == "grid":
-        if frames < 1:
-            raise ContractError("grid-context models must fix a frame count")
-        return frames * (c_a + cond_dim), frames * 2 * c_b
-    raise ContractError(f"unknown coupling context {context!r}")
-
-
 def _step_layout(n_steps: int, channels: int, cond_dim: int, hidden: int,
-                 context: str, frames: int) -> dict:
+                 frames: int) -> dict:
     """One step's parameters of an ``n_steps``-step flow, name -> shape, in
     the checkpoint payload's order.
 
     The coupling net is a two-layer tanh perceptron, (h_a ++ cond) -> (raw
-    log-scale, shift). With frame context it maps each frame independently;
-    with grid context it sees every frame of the conditioning half at once
-    (the desk-scale stand-in for a coupling network with a temporal
-    receptive field), which fixes the frame count. Its weights are stored in
-    the order the flow computes them, channel-major: ``w1`` columns hold
-    every frame of h_a's channel 0, then of channel 1, ..., then of each
-    condition channel; ``w2``/``b2`` rows every frame of each raw log-scale
-    channel, then of each shift channel.
+    log-scale, shift), and ``frames`` is its one coupling choice: each net
+    column spans ``max(frames, 1)`` frames. With ``frames`` 0 it maps each
+    frame alone; with ``frames`` T > 0 it sees every frame of the
+    conditioning half at once (the desk-scale stand-in for a coupling network
+    with a temporal receptive field), which fixes the frame count at T. Its
+    weights are stored in the order the flow computes them, channel-major:
+    ``w1`` columns hold every frame of h_a's channel 0, then of channel 1,
+    ..., then of each condition channel; ``w2``/``b2`` rows every frame of
+    each raw log-scale channel, then of each shift channel.
     """
     if n_steps < 1:
         raise ContractError(f"a flow needs at least one step, got {n_steps}")
-    in_dim, out_dim = _net_dims(channels, cond_dim, context, frames)
+    if frames < 0:
+        raise ContractError(f"frame count must be >= 0, got {frames}")
+    c_a = (channels + 1) // 2
+    span = max(frames, 1)
+    in_dim, out_dim = span * (c_a + cond_dim), span * 2 * (channels - c_a)
     return {"scale": (channels,), "bias": (channels,),  # actnorm, data side
             "mix": (channels, channels),  # synthesis sense
             "w1": (hidden, in_dim), "b1": (hidden,),  # coupling net
@@ -94,19 +87,20 @@ class FlowModel:
     (K, ...) view of ``params`` whose row k is step k's array:
     ``model.mix[k]`` is step k's c x c mix, ``model.scale`` all K actnorm
     scales. Updating ``params`` or a view in place updates the model. A new
-    model's parameters are all zero."""
+    model's parameters are all zero. ``frames`` is the one coupling choice:
+    0 couples each frame alone and takes grids of any length, T > 0 couples
+    whole T-frame grids and takes only those."""
 
     channels: int
     cond_dim: int
     n_steps: int
     hidden: int
-    context: str = "frame"
-    frames: int = 0  # fixed frame count for grid context; 0 = flexible
+    frames: int = 0
     initialized: bool = False
 
     def __post_init__(self):
         layout = _step_layout(self.n_steps, self.channels, self.cond_dim,
-                              self.hidden, self.context, self.frames)
+                              self.hidden, self.frames)
         sizes = [math.prod(shape) for shape in layout.values()]
         self.params = np.zeros(self.n_steps * sum(sizes))
         rows, start = self.params.reshape(self.n_steps, sum(sizes)), 0
@@ -122,16 +116,15 @@ class FlowModel:
 
     @property
     def column_frames(self) -> int:
-        """Frames per coupling-net column: 1 with frame context, the fixed
-        frame count (a whole grid) with grid context."""
-        return self.frames if self.context == "grid" else 1
+        """Frames per coupling-net column: 1 when frames is 0, else the
+        fixed frame count (a whole grid)."""
+        return max(self.frames, 1)
 
     @classmethod
     def identity(cls, channels: int, cond_dim: int, n_steps: int = 1,
-                 hidden: int = 16, context: str = "frame",
-                 frames: int = 0) -> "FlowModel":
+                 hidden: int = 16, frames: int = 0) -> "FlowModel":
         """All-identity steps; usable without data-dependent init."""
-        model = cls(channels, cond_dim, n_steps, hidden, context, frames)
+        model = cls(channels, cond_dim, n_steps, hidden, frames)
         model.scale[...], model.mix[...] = 1.0, np.eye(channels)
         model.initialized = True
         return model
@@ -139,8 +132,7 @@ class FlowModel:
     @classmethod
     def random(cls, rng: SeededRng, channels: int, cond_dim: int,
                n_steps: int = 8, hidden: int = 16,
-               weight_scale: float = 0.05, context: str = "frame",
-               frames: int = 0) -> "FlowModel":
+               weight_scale: float = 0.05, frames: int = 0) -> "FlowModel":
         """Random-rotation mixes and small coupling weights.
 
         The model still needs :func:`actnorm_init` on a data batch before
@@ -148,7 +140,7 @@ class FlowModel:
         """
         if channels < 2:
             raise ContractError("need at least 2 channels for coupling splits")
-        model = cls(channels, cond_dim, n_steps, hidden, context, frames)
+        model = cls(channels, cond_dim, n_steps, hidden, frames)
         model.scale[...] = 1.0
         for k in range(n_steps):
             gaussian = rng.normal(size=(channels, channels))
@@ -198,7 +190,7 @@ def _check_shapes(model: FlowModel, grids: np.ndarray, conds: np.ndarray):
         )
     if grids.shape[:-1] != conds.shape[:-1]:
         raise ContractError("grid and condition frame counts disagree")
-    if model.context == "grid" and grids.shape[-2] != model.frames:
+    if model.frames and grids.shape[-2] != model.frames:
         raise ContractError(
             f"grid-context model fixes T={model.frames}, got {grids.shape[-2]}"
         )
@@ -263,7 +255,7 @@ def _coupling_raw(k: int, ws: FlowWorkspace, slot: int, h_a: np.ndarray):
     returns (tanh(raw), shift), channel-first like ``h_a``.
 
     The log-scale is ell = 2 * tanh(raw). ``netin`` and ``hidden`` hold one
-    column per frame, or per grid (channel-major) with grid context.
+    column per frame, or per grid (channel-major) when the model fixes T.
     """
     netin, hid = ws.netin[slot], ws.hid[slot]
     netin[: ws.a_rows] = h_a.reshape(ws.a_rows, netin.shape[1])
@@ -572,23 +564,27 @@ def train_flow(model: FlowModel, batch: ConditionedBatch, steps: int = 500,
 
 def save_model(model: FlowModel, path) -> None:
     """Checkpoint: magic FLW2; u32 K, c, cond_dim, hidden, initialized,
-    grid_context, frames; then :attr:`FlowModel.params` (step 0's scale,
-    bias, mix, w1, b1, w2, b2, then step 1's, ...) as little-endian float32."""
+    grid_context (1 exactly when frames > 0), frames; then
+    :attr:`FlowModel.params` (step 0's scale, bias, mix, w1, b1, w2, b2, then
+    step 1's, ...) as little-endian float32."""
     header = (model.n_steps, model.channels, model.cond_dim, model.hidden,
-              int(model.initialized), int(model.context == "grid"), model.frames)
+              int(model.initialized), int(model.frames > 0), model.frames)
     write_binary(path, FLW_MAGIC, header, model.params)
 
 
 def _checkpoint_floats(header) -> int:
     k, c, cond_dim, hidden, _, grid_ctx, frames = header
-    layout = _step_layout(k, c, cond_dim, hidden, "grid" if grid_ctx else "frame", frames)
+    if grid_ctx != (frames > 0):
+        raise ContractError(f"grid-context word {grid_ctx} disagrees with "
+                            f"frame count {frames}")
+    layout = _step_layout(k, c, cond_dim, hidden, frames)
     return k * sum(map(math.prod, layout.values()))
 
 
 def load_model(path) -> FlowModel:
     header, payload = read_binary(path, FLW_MAGIC, 7, _checkpoint_floats)
-    k, c, cond_dim, hidden, inited, grid_ctx, frames = header
-    model = FlowModel(c, cond_dim, k, hidden, "grid" if grid_ctx else "frame", frames)
+    k, c, cond_dim, hidden, inited, _, frames = header
+    model = FlowModel(c, cond_dim, k, hidden, frames)
     model.params[...] = payload
     model.initialized = bool(inited)
     return model

@@ -403,7 +403,7 @@ class FlowStrategy(_Strategy):
             rng = SeededRng(seed, stream=0x464C4F57).substream(r)
             model = flowmod.FlowModel.random(
                 rng, self.channels, self.cond_dim, n_steps=n_steps,
-                hidden=hidden, context="grid", frames=self.frames,
+                hidden=hidden, frames=self.frames,
             )
             flowmod.actnorm_init(model, batch)
             result = flowmod.train_flow(

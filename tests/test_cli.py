@@ -128,6 +128,18 @@ class TestCmdMetrics:
         assert captured.out == "" and len(lines) == 1, lines
         assert "window 1001" in lines[0] and "16x80" in lines[0], lines
 
+    @pytest.mark.parametrize("window", ["4", "1"])
+    def test_bad_window_exits_2_without_a_second_file(self, tmp_path, capsys,
+                                                      window):
+        a = tmp_path / "a.mel"
+        write_mel(Spectrogram(np.random.default_rng(5).normal(size=(16, 80))), a)
+        report = tmp_path / "r.json"
+        assert run(["metrics", str(a), "--window", window,
+                    "--out", str(report)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and not report.exists()
+        assert captured.err == "error: window side must be odd and >= 3\n"
+
     def test_svg_outputs_valid_xml(self, tmp_path, capsys):
         a = tmp_path / "a.mel"
         rng = np.random.default_rng(2)
@@ -228,7 +240,7 @@ class TestCmdDist:
                                bandwidth)
             assert read_lines(tmp_path / f"d_marginal_R_{f}.csv") == csv_by_rows(
                 "grid,density", zip(d1.grid.tolist(), d1.values.tolist()))
-        d2 = density.phoneme_joint(corpus, "R", density.TimePair(3, 1),
+        d2 = density.phoneme_joint(corpus, "R", "time", 3, 1,
                                    None if bandwidth is None else (bandwidth,) * 2)
         lines = read_lines(tmp_path / "d_joint_R.csv")
         assert lines == joint_csv_by_rows(d2)
@@ -246,8 +258,8 @@ class TestCmdDist:
             joints.append(read_lines(tmp_path / f"{name}_joint_R.csv"))
         capsys.readouterr()
         assert joints[0] != joints[1]
-        d2 = density.phoneme_joint(cli._load_corpus(manifest), "R",
-                                   density.FreqPair(3, 4), bandwidths=(0.01, 0.01))
+        d2 = density.phoneme_joint(cli._load_corpus(manifest), "R", "freq", 3, 4,
+                                   bandwidths=(0.01, 0.01))
         assert joints[1] == joint_csv_by_rows(d2)
 
     def test_absent_phoneme_exits_2(self, tmp_path):
@@ -271,6 +283,7 @@ class TestCmdDist:
         # a later bin or the joint fails after bin 3 is computed
         (["--bins", "3,123"], "bin 123"),
         (["--bins", "3", "--joint", "freq:3,x"], "--joint"),
+        (["--bins", "3", "--joint", "bogus:1,2"], "unknown joint kind 'bogus'"),
         # the report's directory is missing; checked before any file is written
         (["--bins", "3", "--joint", "freq:3,4", "--out", "{tmp}/missing/r.json"],
          "--out"),
@@ -689,7 +702,8 @@ class TestCmdFlow:
         assert "internal error" not in err
 
     @pytest.mark.parametrize("action", ["nll", "sample"])
-    @pytest.mark.parametrize("damage", ["nan", "inf", "zero steps"])
+    @pytest.mark.parametrize("damage", ["nan", "inf", "zero steps",
+                                        "frames without grid word"])
     def test_unusable_checkpoint_exits_2(self, tmp_path, capsys, action,
                                          damage):
         manifest = self.build_corpus(tmp_path, samples=4)
@@ -699,6 +713,8 @@ class TestCmdFlow:
         data = bytearray(ckpt.read_bytes())
         if damage == "zero steps":
             data[4:8] = bytes(4)
+        elif damage == "frames without grid word":  # header words 5 and 6
+            data[24:32] = (0).to_bytes(4, "little") + (5).to_bytes(4, "little")
         else:
             data[-4:] = np.float32(damage).tobytes()
         ckpt.write_bytes(bytes(data))

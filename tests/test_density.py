@@ -15,10 +15,8 @@ from oversmooth.core import (
 )
 from oversmooth.density import (
     BinOutOfRange,
-    FreqPair,
     NoPairs,
     PhonemeAbsent,
-    TimePair,
     _dip_sorted,
     _gauss_sum,
     dip_statistic,
@@ -275,7 +273,7 @@ class TestPhonemeJoint:
         base[:, 3] = base[:, 2]
         spec = Spectrogram(base)
         align = Alignment((AlignmentEntry("R", 0, 80),))
-        density = phoneme_joint([(spec, align)], "R", FreqPair(2, 3),
+        density = phoneme_joint([(spec, align)], "R", "freq", 2, 3,
                                 bandwidths=(0.1, 0.1))
         gx, gy = np.meshgrid(density.grid_x, density.grid_y, indexing="ij")
         assert np.all(density.values[np.abs(gx - gy) > 0.9] < 1e-6)
@@ -284,7 +282,7 @@ class TestPhonemeJoint:
         rng = np.random.default_rng(7)
         spec = Spectrogram(rng.normal(size=(10_500, 4)))
         align = Alignment((AlignmentEntry("R", 0, 10_500),))
-        density = phoneme_joint([(spec, align)], "R", TimePair(2, 1))
+        density = phoneme_joint([(spec, align)], "R", "time", 2, 1)
         dx = density.grid_x[1] - density.grid_x[0]
         dy = density.grid_y[1] - density.grid_y[0]
         w = density.values * dx * dy
@@ -301,45 +299,50 @@ class TestPhonemeJoint:
         values[:, 0] = [0.0, 1.0, 10.0, 11.0]
         spec = Spectrogram(values)
         align = Alignment((AlignmentEntry("R", 0, 2), AlignmentEntry("R", 2, 4)))
-        density = phoneme_joint([(spec, align)], "R", TimePair(0, 1),
+        density = phoneme_joint([(spec, align)], "R", "time", 0, 1,
                                 bandwidths=(0.5, 0.5))
         # pairs are (0,1) and (10,11); never (1,10)
         ix = np.argmin(np.abs(density.grid_x - 1.0))
         iy = np.argmin(np.abs(density.grid_y - 10.0))
         assert density.values[ix, iy] < 1e-8
 
-    @pytest.mark.parametrize("axis", [FreqPair(-1, 2), FreqPair(2, 4),
-                                      TimePair(-2, 1), TimePair(4, 1)])
-    def test_bins_outside_width_rejected(self, axis):
+    @pytest.mark.parametrize("pair", [("freq", -1, 2), ("freq", 2, 4),
+                                      ("time", -2, 1), ("time", 4, 1)])
+    def test_bins_outside_width_rejected(self, pair):
         spec = Spectrogram(np.zeros((6, 4)))
         align = Alignment((AlignmentEntry("R", 0, 6),))
         with pytest.raises(BinOutOfRange, match=r"out of range \[0, 4\)"):
-            phoneme_joint([(spec, align)], "R", axis)
+            phoneme_joint([(spec, align)], "R", *pair)
 
     def test_span_exceeds_frames(self):
         spec = Spectrogram(np.zeros((5, 2)))
         align = Alignment((AlignmentEntry("R", 0, 9),))
         with pytest.raises(AlignmentError, match="exceeds T=5"):
-            phoneme_joint([(spec, align)], "R", FreqPair(0, 1))
+            phoneme_joint([(spec, align)], "R", "freq", 0, 1)
 
     def test_bins_checked_on_utterances_without_the_phoneme(self):
         narrow = (Spectrogram(np.zeros((5, 2))),
                   Alignment((AlignmentEntry("B", 0, 5),)))
         corpus = corpus_from_columns(np.ones(10)) + [narrow]
         with pytest.raises(BinOutOfRange, match=r"bin 3 out of range \[0, 2\)"):
-            phoneme_joint(corpus, "R", FreqPair(0, 3))
+            phoneme_joint(corpus, "R", "freq", 0, 3)
 
     def test_lag_below_one_rejected(self):
         spec = Spectrogram(np.zeros((5, 2)))
         align = Alignment((AlignmentEntry("R", 0, 5),))
         with pytest.raises(ContractError, match="lag must be >= 1"):
-            phoneme_joint([(spec, align)], "R", TimePair(0, 0))
+            phoneme_joint([(spec, align)], "R", "time", 0, 0)
 
     def test_single_short_span_no_pairs(self):
         spec = Spectrogram(np.zeros((1, 2)))
         align = Alignment((AlignmentEntry("R", 0, 1),))
-        with pytest.raises(NoPairs):
-            phoneme_joint([(spec, align)], "R", TimePair(0, 1))
+        with pytest.raises(NoPairs, match="with time:0,1"):
+            phoneme_joint([(spec, align)], "R", "time", 0, 1)
+
+    def test_unknown_kind_rejected_before_the_corpus_is_read(self):
+        with pytest.raises(ContractError, match="unknown joint kind 'bogus'") as info:
+            phoneme_joint([], "R", "bogus", 0, 1)
+        assert not isinstance(info.value, PhonemeAbsent)
 
 
 def dip_two_point_oracle():

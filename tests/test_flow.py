@@ -39,14 +39,14 @@ LAYOUT = ("scale", "bias", "mix", "w1", "b1", "w2", "b2")
 
 
 def random_model(seed, channels=4, cond_dim=2, n_steps=8, hidden=16,
-                 frames=6, n_init=32, context="frame"):
+                 frames=0, t=6, n_init=32):
+    """A ``frames``-coupled model, actnorm-initialized on a T = ``t`` batch."""
     rng = SeededRng(seed)
     model = FlowModel.random(rng, channels, cond_dim, n_steps=n_steps,
-                             hidden=hidden, context=context,
-                             frames=frames if context == "grid" else 0)
+                             hidden=hidden, frames=frames)
     batch = ConditionedBatch(
-        rng.normal(size=(n_init, frames, channels)),
-        rng.normal(size=(n_init, frames, cond_dim)),
+        rng.normal(size=(n_init, t, channels)),
+        rng.normal(size=(n_init, t, cond_dim)),
     )
     actnorm_init(model, batch)
     return model
@@ -132,13 +132,12 @@ class TestActnormInit:
         assert np.allclose(model.scale[0], 1.0, atol=1e-6)
         assert np.allclose(model.bias[0], 0.0, atol=1e-6)
 
-    @pytest.mark.parametrize("context", ["frame", "grid"])
-    def test_shifted_batch_standardizes(self, context):
+    @pytest.mark.parametrize("frames", [0, 4])
+    def test_shifted_batch_standardizes(self, frames):
         rng = SeededRng(4)
         data = 5.0 + 2.0 * rng.normal(size=(5000, 4, 2))
         model = FlowModel.random(rng, 2, 1, n_steps=1, weight_scale=0.0,
-                                 context=context,
-                                 frames=4 if context == "grid" else 0)
+                                 frames=frames)
         actnorm_init(model, ConditionedBatch(data, np.zeros((5000, 4, 1))))
         assert np.allclose(model.scale[0], 0.5, atol=0.02)
         assert np.allclose(model.bias[0], -2.5, atol=0.1)
@@ -173,7 +172,7 @@ class TestGridContextWeightOrder:
         rng = SeededRng(47)
         t, c, d, hidden = 4, 4, 2, 5
         model = FlowModel.random(rng, c, d, n_steps=1, hidden=hidden,
-                                 weight_scale=0.5, context="grid", frames=t)
+                                 weight_scale=0.5, frames=t)
         scale, bias, mix, w1, b1, w2, b2 = (getattr(model, name)[0]
                                             for name in LAYOUT)
         scale[...] = rng.uniform(0.5, 2.0, size=c)
@@ -204,9 +203,9 @@ class TestGridContextWeightOrder:
 
 class TestRoundTrip:
     @pytest.mark.parametrize("n_steps", [1, 8, 16])
-    @pytest.mark.parametrize("context", ["frame", "grid"])
-    def test_inverse_of_forward(self, n_steps, context):
-        model = random_model(8 + n_steps, n_steps=n_steps, context=context)
+    @pytest.mark.parametrize("frames", [0, 6])
+    def test_inverse_of_forward(self, n_steps, frames):
+        model = random_model(8 + n_steps, n_steps=n_steps, frames=frames)
         rng = SeededRng(9)
         z = rng.normal(size=(6, 4))
         cond = rng.normal(size=(6, 2))
@@ -253,19 +252,18 @@ class TestNll:
         longer.initialized = True
         assert nll(longer, batch) == pytest.approx(nll(model, batch), rel=1e-12)
 
-    @pytest.mark.parametrize("context", ["frame", "grid"])
-    def test_empty_batch(self, context):
-        model = random_model(15, context=context)
+    @pytest.mark.parametrize("frames", [0, 6])
+    def test_empty_batch(self, frames):
+        model = random_model(15, frames=frames)
         empty = ConditionedBatch(np.zeros((0, 6, 4)), np.zeros((0, 6, 2)))
         assert flow.log_likelihood(model, empty).shape == (0,)
         assert sample_batch(model, empty.conds, SeededRng(16)).shape == (0, 6, 4)
 
 
 class TestLogdetAgainstNumericJacobian:
-    @pytest.mark.parametrize("context", ["frame", "grid"])
-    def test_matches_assembled_jacobian(self, context):
-        model = random_model(15, channels=4, frames=2, n_steps=4,
-                             context=context)
+    @pytest.mark.parametrize("frames", [0, 2])
+    def test_matches_assembled_jacobian(self, frames):
+        model = random_model(15, channels=4, frames=frames, t=2, n_steps=4)
         rng = SeededRng(16)
         z = rng.normal(size=(2, 4))
         cond = rng.normal(size=(2, 2))
@@ -286,10 +284,10 @@ class TestLogdetAgainstNumericJacobian:
 
 
 class TestGradients:
-    @pytest.mark.parametrize("context", ["frame", "grid"])
-    def test_every_parameter_matches_finite_differences(self, context):
+    @pytest.mark.parametrize("frames", [0, 2])
+    def test_every_parameter_matches_finite_differences(self, frames):
         model = random_model(17, channels=2, cond_dim=1, n_steps=2, hidden=4,
-                             frames=2, context=context)
+                             frames=frames, t=2)
         rng = SeededRng(18)
         batch = ConditionedBatch(rng.normal(size=(3, 2, 2)),
                                  rng.normal(size=(3, 2, 1)))
@@ -466,12 +464,12 @@ class TestStackedGradientTail:
     stacked views after the sweep, equal the per-step c x c formula bit for
     bit: in the value, the whole gradient vector and a trained model."""
 
-    @pytest.mark.parametrize("context", ["frame", "grid"])
+    @pytest.mark.parametrize("frames", [0, 4])
     @pytest.mark.parametrize("channels", [5, 8])
     @pytest.mark.parametrize("n_steps", [1, 6])
-    def test_value_and_gradient(self, context, channels, n_steps):
+    def test_value_and_gradient(self, frames, channels, n_steps):
         model = random_model(60, channels=channels, cond_dim=3, n_steps=n_steps,
-                             hidden=7, frames=4, context=context)
+                             hidden=7, frames=frames, t=4)
         rng = SeededRng(61)
         batch = ConditionedBatch(rng.normal(size=(9, 4, channels)) * 2 + 1,
                                  rng.normal(size=(9, 4, 3)))
@@ -480,10 +478,10 @@ class TestStackedGradientTail:
         assert value == ref_value
         assert np.array_equal(grad, ref_grad)
 
-    @pytest.mark.parametrize("context", ["frame", "grid"])
-    def test_train_flow_params(self, context, monkeypatch):
+    @pytest.mark.parametrize("frames", [0, 4])
+    def test_train_flow_params(self, frames, monkeypatch):
         model, ref = (random_model(62, channels=5, cond_dim=3, n_steps=6,
-                                   hidden=7, frames=4, context=context)
+                                   hidden=7, frames=frames, t=4)
                       for _ in range(2))
         rng = SeededRng(63)
         batch = ConditionedBatch(rng.normal(size=(40, 4, 5)),
@@ -501,9 +499,8 @@ class TestWorkspace:
     halves) hides shape mix-ups, so these shapes differ in each."""
 
     SHAPES = {
-        "odd_channels": dict(channels=5, cond_dim=3, frames=4, context="frame"),
-        "grid_6_frames_5_channels": dict(channels=5, cond_dim=3, frames=6,
-                                         context="grid"),
+        "odd_channels": dict(channels=5, cond_dim=3, frames=0, t=4),
+        "grid_6_frames_5_channels": dict(channels=5, cond_dim=3, frames=6, t=6),
     }
 
     def model_and_batches(self, shape, n=9):
@@ -511,15 +508,15 @@ class TestWorkspace:
         model = random_model(40, n_steps=3, hidden=7, **kw)
         rng = SeededRng(41)
         batches = [ConditionedBatch(
-            rng.normal(size=(n, kw["frames"], kw["channels"])),
-            rng.normal(size=(n, kw["frames"], kw["cond_dim"])))
+            rng.normal(size=(n, kw["t"], kw["channels"])),
+            rng.normal(size=(n, kw["t"], kw["cond_dim"])))
             for _ in range(2)]
         return model, batches
 
     @pytest.mark.parametrize("shape", SHAPES)
     def test_nll_and_grads_equal_the_call_without(self, shape):
         model, batches = self.model_and_batches(shape)
-        ws = FlowWorkspace(model, 9, self.SHAPES[shape]["frames"])
+        ws = FlowWorkspace(model, 9, self.SHAPES[shape]["t"])
         for batch in batches + batches:  # the reused workspace stays exact
             value, grad = nll_and_grads(model, batch)
             ws_value, ws_grad = nll_and_grads(model, batch, workspace=ws)
@@ -530,7 +527,7 @@ class TestWorkspace:
     @pytest.mark.parametrize("depth", [0, 1])
     def test_log_likelihood_equals_the_call_without(self, shape, depth):
         model, batches = self.model_and_batches(shape)
-        ws = FlowWorkspace(model, 9, self.SHAPES[shape]["frames"], depth=depth)
+        ws = FlowWorkspace(model, 9, self.SHAPES[shape]["t"], depth=depth)
         for batch in batches + batches:
             assert np.array_equal(log_likelihood(model, batch, workspace=ws),
                                   log_likelihood(model, batch))
@@ -541,7 +538,7 @@ class TestWorkspace:
         # backward sweep that squares ``hid`` in place, or an in-place update
         # of ``h``, must stop at the ones row.
         model, batches = self.model_and_batches(shape)
-        t = self.SHAPES[shape]["frames"]
+        t = self.SHAPES[shape]["t"]
         full, single = FlowWorkspace(model, 9, t), FlowWorkspace(model, 9, t, depth=1)
 
         def passes(batch, full=None, single=None):
@@ -592,17 +589,16 @@ def step_arrays(model):
 
 
 class TestParamsVector:
-    @pytest.mark.parametrize("context", ["frame", "grid"])
-    def test_every_step_array_is_a_view_of_params(self, context, tmp_path):
+    @pytest.mark.parametrize("frames", [0, 6])
+    def test_every_step_array_is_a_view_of_params(self, frames, tmp_path):
         # Odd channel counts and a zero-width coupling net (empty w1, b1
         # and w2 views, ``flow train --hidden 0``) included.
-        frames = 6 if context == "grid" else 0
         for channels, hidden in [(4, 16), (5, 16), (4, 0), (5, 0)]:
             model = random_model(42, channels=channels, n_steps=3, hidden=hidden,
-                                 context=context)
+                                 frames=frames)
             save_model(model, tmp_path / "m.flw")
             identity = FlowModel.identity(channels, 2, n_steps=3, hidden=hidden,
-                                          context=context, frames=frames)
+                                          frames=frames)
             for m in (model, identity, load_model(tmp_path / "m.flw")):
                 views = [getattr(m, name) for name in LAYOUT]
                 assert [len(v) for v in views] == [3] * len(LAYOUT)
@@ -650,12 +646,20 @@ class TestCheckpoint:
         assert np.allclose(y1, y2, atol=1e-4)
 
     def test_grid_context_roundtrip(self, tmp_path):
-        model = random_model(38, context="grid", frames=6)
+        model = random_model(38, frames=6)
         path = tmp_path / "grid.flw"
         save_model(model, path)
         back = load_model(path)
-        assert back.context == "grid"
-        assert back.frames == 6
+        assert back.frames == 6 and back.column_frames == 6
+
+    @pytest.mark.parametrize("frames, words", [(0, (0, 0)), (6, (1, 6))])
+    def test_header_words(self, tmp_path, frames, words):
+        # The last two FLW2 header words are (grid context, frame count), the
+        # first 1 exactly when frames > 0, so every FLW2 file stays readable.
+        path = tmp_path / "m.flw"
+        save_model(random_model(49, n_steps=2, hidden=3, frames=frames), path)
+        header = struct.unpack("<7I", path.read_bytes()[4:32])
+        assert header == (2, 4, 2, 3, 1) + words
 
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "junk.flw"
@@ -677,10 +681,12 @@ class TestCheckpoint:
             load_model(path)
         assert time.process_time() - start < 0.1
 
-    def test_grid_context_without_frames_rejected(self, tmp_path):
+    @pytest.mark.parametrize("grid_ctx, frames", [(1, 0), (0, 5)])
+    def test_grid_context_word_must_match_frames(self, tmp_path, grid_ctx, frames):
         path = tmp_path / "grid.flw"
-        path.write_bytes(b"FLW2" + struct.pack("<7I", 1, 4, 2, 16, 1, 1, 0))
-        with pytest.raises(FormatError, match="frame count"):
+        path.write_bytes(b"FLW2" + struct.pack("<7I", 1, 4, 2, 16, 1, grid_ctx, frames))
+        with pytest.raises(FormatError, match=f"grid-context word {grid_ctx} "
+                                              f"disagrees with frame count {frames}"):
             load_model(path)
 
     @pytest.mark.parametrize("value", [np.nan, np.inf])
@@ -703,6 +709,10 @@ class TestCheckpoint:
         with pytest.raises(ContractError, match="at least one step"):
             FlowModel(4, 2, 0, 16)
 
+    def test_negative_frames_rejected(self):
+        with pytest.raises(ContractError, match="frame count must be >= 0"):
+            FlowModel(4, 2, 1, 16, frames=-1)
+
     @settings(max_examples=25, deadline=None)
     @given(channels=st.integers(2, 5), cond_dim=st.integers(0, 3),
            n_steps=st.integers(1, 3), hidden=st.integers(1, 5),
@@ -710,15 +720,12 @@ class TestCheckpoint:
     def test_roundtrip_property(self, channels, cond_dim, n_steps, hidden,
                                 frames, seed, tmp_path_factory):
         model = FlowModel.random(SeededRng(seed), channels, cond_dim,
-                                 n_steps=n_steps, hidden=hidden,
-                                 context="grid" if frames else "frame",
-                                 frames=frames)
+                                 n_steps=n_steps, hidden=hidden, frames=frames)
         path = tmp_path_factory.mktemp("flw") / "m.flw"
         save_model(model, path)
         back = load_model(path)
-        assert (back.channels, back.cond_dim, back.hidden, back.context,
-                back.frames, back.initialized) == (
-            channels, cond_dim, hidden, model.context, frames, False)
+        assert (back.channels, back.cond_dim, back.hidden, back.frames,
+                back.initialized) == (channels, cond_dim, hidden, frames, False)
         assert np.array_equal(back.params,
                               model.params.astype(np.float32).astype(np.float64))
 
@@ -740,8 +747,8 @@ class TestCheckpoint:
                 load_model(path)
 
     def test_params_roundtrip_grid_context(self):
-        model = random_model(40, context="grid", frames=6)
-        other = FlowModel.identity(4, 2, n_steps=8, context="grid", frames=6)
+        model = random_model(40, frames=6)
+        other = FlowModel.identity(4, 2, n_steps=8, frames=6)
         other.params[...] = model.params
         rng = SeededRng(41)
         z, cond = rng.normal(size=(6, 4)), rng.normal(size=(6, 2))
