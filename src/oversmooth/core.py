@@ -176,9 +176,6 @@ class SeededRng:
         u = self.uniform(size=size)
         return np.minimum((u[..., None] >= cdf).sum(axis=-1), cdf.shape[-1] - 1)
 
-    def __repr__(self):
-        return f"SeededRng(seed={self.seed}, stream={self.stream})"
-
 
 class Adam:
     """Adam (Kingma & Ba, 2015) on one parameter array of ``size`` (an int

@@ -34,7 +34,6 @@ class NoPairs(ContractError):
 class Density1D:
     grid: np.ndarray
     values: np.ndarray
-    bandwidth: float
 
 
 @dataclass(frozen=True)
@@ -42,7 +41,6 @@ class Density2D:
     grid_x: np.ndarray
     grid_y: np.ndarray
     values: np.ndarray  # shape (len(grid_x), len(grid_y))
-    bandwidths: tuple[float, float]
 
 
 @dataclass(frozen=True)
@@ -79,6 +77,13 @@ def _auto_grid(samples: np.ndarray, h: float, points: int) -> np.ndarray:
     return np.linspace(samples.min() - 4.0 * h, samples.max() + 4.0 * h, points)
 
 
+def _finite(values, bandwidth):
+    """``values``, or a ContractError naming ``bandwidth`` if one is not finite."""
+    if np.all(np.isfinite(values)):
+        return values
+    raise ContractError(f"bandwidth {bandwidth} is too small: the density overflows")
+
+
 def _gauss_sum(grid: np.ndarray, samples: np.ndarray, h: float) -> np.ndarray:
     """Sum of Gaussian kernels on ``grid``, bit for bit the sum over
     4,096-sample chunks of ``norm * exp(-0.5 * z * z).sum(axis=0)`` with
@@ -92,7 +97,7 @@ def _gauss_sum(grid: np.ndarray, samples: np.ndarray, h: float) -> np.ndarray:
     block adds the rows in the one-shot order.
     """
     out = np.zeros(len(grid))
-    norm = 1.0 / (np.sqrt(2.0 * np.pi) * h)
+    norm = _finite(1.0 / (np.sqrt(2.0 * np.pi) * h), h)
     rows = min(len(samples), 4096, max(2, 65536 // max(len(grid), 1)))
     z, k = np.empty((2, rows, len(grid)))
     total = np.empty(len(grid))
@@ -113,24 +118,20 @@ def _gauss_sum(grid: np.ndarray, samples: np.ndarray, h: float) -> np.ndarray:
     return out
 
 
-def kde1d(samples, bandwidth: float | None = None, grid=None) -> Density1D:
-    """Gaussian-kernel density estimate of a 1-D sample.
-
-    Without an explicit grid, 512 points spanning [min - 4h, max + 4h] are
-    used, which keeps the trapezoidal integral within 2% of one. An explicit
-    grid must be 1-D and finite; an empty one gives an empty density. A
-    zero-variance sample requires an explicit bandwidth.
-    """
+def kde1d(samples, bandwidth: float | None = None) -> Density1D:
+    """Gaussian-kernel density estimate of a 1-D sample on 512 points over
+    [min - 4h, max + 4h], which keeps the trapezoidal integral within 2% of
+    one. A zero-variance sample requires an explicit bandwidth, and one so
+    small that the density overflows is a ContractError."""
     x = np.asarray(samples, dtype=np.float64).ravel()
     if len(x) < 1:
         raise ContractError("need at least one sample")
     if not np.all(np.isfinite(x)):
         raise ContractError("samples must be finite")
     h = _bandwidth(x, bandwidth)
-    g = _auto_grid(x, h, 512) if grid is None else np.asarray(grid, dtype=np.float64)
-    if g.ndim != 1 or not np.all(np.isfinite(g)):
-        raise ContractError("grid must be a 1-D array of finite values")
-    return Density1D(g, _gauss_sum(g, x, h) / len(x), h)
+    g = _auto_grid(x, h, 512)
+    with np.errstate(over="ignore"):  # exp(-inf) = 0 is exact; _finite checks the rest
+        return Density1D(g, _finite(_gauss_sum(g, x, h) / len(x), h))
 
 
 def kde2d(pairs, bandwidths: tuple[float, float] | None = None) -> Density2D:
@@ -146,14 +147,15 @@ def kde2d(pairs, bandwidths: tuple[float, float] | None = None) -> Density2D:
     gx = _auto_grid(xs, hx, 128)
     gy = _auto_grid(ys, hy, 128)
     values = np.zeros((len(gx), len(gy)))
-    norm = 1.0 / (2.0 * np.pi * hx * hy)
-    for start in range(0, len(p), 1024):
-        cx = xs[start : start + 1024]
-        cy = ys[start : start + 1024]
-        kx = np.exp(-0.5 * ((gx[None, :] - cx[:, None]) / hx) ** 2)
-        ky = np.exp(-0.5 * ((gy[None, :] - cy[:, None]) / hy) ** 2)
-        values += kx.T @ ky
-    return Density2D(gx, gy, values * norm / len(p), (hx, hy))
+    with np.errstate(divide="ignore", over="ignore"):  # as in kde1d
+        norm = _finite(np.float64(1.0) / (2.0 * np.pi * hx * hy), (hx, hy))
+        for start in range(0, len(p), 1024):
+            cx = xs[start : start + 1024]
+            cy = ys[start : start + 1024]
+            kx = np.exp(-0.5 * ((gx[None, :] - cx[:, None]) / hx) ** 2)
+            ky = np.exp(-0.5 * ((gy[None, :] - cy[:, None]) / hy) ** 2)
+            values += kx.T @ ky
+        return Density2D(gx, gy, _finite(values * norm / len(p), (hx, hy)))
 
 
 def _phoneme_blocks(corpus, phoneme: str, bins) -> list[np.ndarray]:

@@ -53,19 +53,11 @@ class AudioClip:
 
 @dataclass(frozen=True)
 class MelFilterbank:
-    """Triangular mel filters over rFFT bins.
-
-    ``matrix`` has shape (F, n_fft // 2 + 1); ``center_freqs`` holds each
-    filter's peak frequency in Hz.
-    """
+    """Triangular mel filters over rFFT bins, designed at ``sample_rate``:
+    ``matrix`` has shape (F, n_fft // 2 + 1)."""
 
     matrix: np.ndarray
-    center_freqs: np.ndarray
     sample_rate: int
-
-    @property
-    def bins(self) -> int:
-        return self.matrix.shape[0]
 
 
 def read_wav(path) -> AudioClip:
@@ -169,23 +161,21 @@ def mel_filterbank(
         raise ContractError(
             "a mel filter covers no FFT bin; increase n_fft or reduce n_mels"
         )
-    return MelFilterbank(matrix, center, sample_rate)
+    return MelFilterbank(matrix, sample_rate)
 
 
 def mel_spectrogram(
     clip: AudioClip,
-    filterbank: MelFilterbank | None = None,
+    filterbank: MelFilterbank,
     frame_size: int = DEFAULT_FRAME,
     hop: int = DEFAULT_HOP,
     floor: float = DEFAULT_FLOOR,
 ):
     """Log-mel spectrogram: log(max(filterbank @ magnitude, floor)).
 
-    The clip's sample rate must match the filterbank design rate.
+    The clip's sample rate must match the filterbank design rate (no resampling).
     Returns a (T, F) float array; wrap in :class:`core.Spectrogram` as needed.
     """
-    if filterbank is None:
-        filterbank = mel_filterbank(clip.sample_rate, frame_size)
     if clip.sample_rate != filterbank.sample_rate:
         raise ContractError(
             f"clip rate {clip.sample_rate} Hz != filterbank rate "

@@ -36,6 +36,7 @@ from .core import Adam, ContractError, SeededRng, read_binary, write_binary
 
 FLW_MAGIC = b"FLW2"
 LOG_2PI = np.log(2.0 * np.pi)
+EVAL_EVERY = 100  # training steps between the full-dataset NLLs of a curve
 
 
 class UninitializedModel(ContractError):
@@ -514,11 +515,11 @@ class TrainResult:
 
 def train_flow(model: FlowModel, batch: ConditionedBatch, steps: int = 500,
                step_size: float = 2e-3, batch_size: int = 128,
-               seed: int = 0, eval_every: int = 100) -> TrainResult:
+               seed: int = 0) -> TrainResult:
     """Minibatch Adam on the exact NLL with analytic gradients.
 
     The model must already be actnorm-initialized. The training curve holds
-    full-dataset NLLs (step 0, every ``eval_every`` steps, and the final
+    full-dataset NLLs (step 0, every :data:`EVAL_EVERY` steps, and the final
     step); a non-finite loss raises :class:`FlowDivergence` instead of being
     swallowed. Two workspaces live until the fit returns: a full-depth one
     of ``min(n, batch_size)`` samples for the steps, and one of n for the curve.
@@ -554,7 +555,7 @@ def train_flow(model: FlowModel, batch: ConditionedBatch, steps: int = 500,
             np.take(conds, idx, axis=0, out=mini.conds, mode="clip")
             _, grad = nll_and_grads(model, mini, workspace=work)
             adam.step(model.params, grad)
-            if it % eval_every == 0 or it == steps:
+            if it % EVAL_EVERY == 0 or it == steps:
                 full = nll(model, batch, workspace=scoring)
                 if not np.isfinite(full):
                     raise FlowDivergence(f"non-finite NLL at step {it}")

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ContractError, SeededRng, Spectrogram
+from .core import ContractError, SeededRng
 
 LEAKY_SLOPE = 0.2
 MIN_CLIP_SIDE = 8  # receptive footprint of the three stride-2 stages
@@ -22,14 +22,13 @@ WINDOW_LENGTHS = (32, 64, 128)  # frames; each clip is clamped to the grid
 _STAGE_CHANNELS = (4, 8, 16)
 
 
-def random_windows(spec, rng: SeededRng):
-    """Clip the grid into 3 random windows along time, full bins retained.
+def random_windows(values: np.ndarray, rng: SeededRng):
+    """Clip a (T, F) grid into 3 random windows along time, full bins retained.
 
     Clip i has min(WINDOW_LENGTHS[i], T) frames at an offset uniform over
     the valid starts, so a fixed (seed, stream) reproduces the same offsets.
     Returns (clips, offsets): the clips and the first frame of each.
     """
-    values = spec.values if isinstance(spec, Spectrogram) else np.asarray(spec)
     t = values.shape[0]
     clips, offsets = [], []
     for length in WINDOW_LENGTHS:
@@ -40,10 +39,10 @@ def random_windows(spec, rng: SeededRng):
     return clips, offsets
 
 
-def _score_sets(sets, expected=3) -> list[np.ndarray]:
+def _score_sets(sets) -> list[np.ndarray]:
     sets = [np.asarray(s, dtype=np.float64).ravel() for s in sets]
-    if len(sets) != expected:
-        raise ContractError(f"expected {expected} score sets, got {len(sets)}")
+    if len(sets) != 3:
+        raise ContractError(f"expected 3 score sets, got {len(sets)}")
     if any(len(s) == 0 for s in sets):
         raise ContractError("score sets must be non-empty")
     return sets

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ContractError, SeededRng, Spectrogram
+from .core import ContractError, SeededRng
 
 BETA_FLOOR = 1e-3
 
@@ -126,8 +126,6 @@ def _inv_softplus(v: np.ndarray) -> np.ndarray:
 
 def _targets_3d(target) -> np.ndarray:
     """Accept one (T, F) grid or a stack (n, T, F); return the stack."""
-    if isinstance(target, Spectrogram):
-        return target.values[None, :, :]
     arr = np.asarray(target, dtype=np.float64)
     if arr.ndim == 2:
         return arr[None, :, :]
@@ -257,12 +255,11 @@ def lm_sample_stack(field: LaplaceMixtureField, rng: SeededRng,
     return laplace_inverse_cdf(u, mu, beta)
 
 
-def _rprop_step(value, grad, sign, delta, shrink=0.5, grow=1.2,
-                d_min=1e-12, d_max=1.0):
+def _rprop_step(value, grad, sign, delta):
     """One iRPROP- update in place, ``sign`` from the last to the new signs."""
     agree = np.sign(grad) * sign
-    delta *= np.where(agree > 0, grow, np.where(agree < 0, shrink, 1.0))
-    np.clip(delta, d_min, d_max, out=delta)
+    delta *= np.where(agree > 0, 1.2, np.where(agree < 0, 0.5, 1.0))
+    np.clip(delta, 1e-12, 1.0, out=delta)
     np.sign(grad, out=sign)
     sign[agree < 0] = 0.0  # skip the move after a flip
     value -= np.multiply(sign, delta, out=agree)

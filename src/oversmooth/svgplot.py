@@ -145,30 +145,25 @@ def _legend(entries: list[tuple[str, str]]) -> list[str]:
 
 
 def line_plot(series, title: str, xlabel: str, ylabel: str) -> str:
-    """``series`` is a list of (label, xs, ys) triples."""
-    xs_all = np.concatenate([np.asarray(xs, dtype=float) for _, xs, _ in series])
-    ys_all = np.concatenate([np.asarray(ys, dtype=float) for _, _, ys in series])
-    x_lo, x_hi = float(xs_all.min()), float(xs_all.max())
-    y_lo, y_hi = float(ys_all.min()), float(ys_all.max())
+    """One polyline, named in the legend: ``series`` is (label, xs, ys)."""
+    label, xs, ys = series
+    x_lo, x_hi = float(np.min(xs)), float(np.max(xs))
+    y_lo, y_hi = float(np.min(ys)), float(np.max(ys))
     if x_hi == x_lo:
         x_hi = x_lo + 1.0
     if y_hi == y_lo:
         y_hi = y_lo + 1.0
     parts = _header(title) + _axes(xlabel, ylabel, x_lo, x_hi, y_lo, y_hi)
-    legend = []
-    for i, (label, xs, ys) in enumerate(series):
-        color = SERIES_COLORS[i % len(SERIES_COLORS)]
-        legend.append((label, color))
-        pts = " ".join(
-            f"{_fmt(MARGIN_L + (x - x_lo) / (x_hi - x_lo) * PLOT_W)},"
-            f"{_fmt(MARGIN_T + PLOT_H - (y - y_lo) / (y_hi - y_lo) * PLOT_H)}"
-            for x, y in zip(xs, ys)
-        )
-        parts.append(
-            f'<polyline points="{pts}" fill="none" stroke="{color}" '
-            f'stroke-width="1.5"/>'
-        )
-    parts += _legend(legend) + _footer()
+    pts = " ".join(
+        f"{_fmt(MARGIN_L + (x - x_lo) / (x_hi - x_lo) * PLOT_W)},"
+        f"{_fmt(MARGIN_T + PLOT_H - (y - y_lo) / (y_hi - y_lo) * PLOT_H)}"
+        for x, y in zip(xs, ys)
+    )
+    parts.append(
+        f'<polyline points="{pts}" fill="none" stroke="{SERIES_COLORS[0]}" '
+        f'stroke-width="1.5"/>'
+    )
+    parts += _legend([(label, SERIES_COLORS[0])]) + _footer()
     return "\n".join(parts) + "\n"
 
 

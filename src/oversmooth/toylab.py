@@ -162,10 +162,8 @@ def make_corpus(spec: ToyCorpusSpec) -> ToyCorpus:
 
 
 def mode_coherence(samples, prototypes, tol: float) -> float:
-    """Fraction of samples whose RMS distance to the nearest prototype < tol."""
+    """Fraction of an (n, h, w) stack's grids at RMS distance < tol from a prototype."""
     stack = np.asarray(samples, dtype=np.float64)
-    if stack.ndim == 2:
-        stack = stack[None]
     if len(stack) < 1:
         raise ContractError("need at least one sample")
     dists = np.stack(
@@ -441,7 +439,7 @@ class GanDemoStrategy(_FittedStrategy):
     random-window critics. Runs deterministically; no convergence is claimed
     or gated, which is exactly the point the loss surface makes."""
 
-    def __init__(self, corpus: ToyCorpus, steps: int = 150, seed: int = 0):
+    def __init__(self, corpus: ToyCorpus, seed: int = 0):
         rng = SeededRng(seed, stream=0x47414E)
         self.discs = [ganmod.TinyDiscriminator.random(rng.substream(i))
                       for i in range(3)]
@@ -451,7 +449,7 @@ class GanDemoStrategy(_FittedStrategy):
         # Alternating sign-free Adam on critics and mean grids.
         adam_d = [Adam(d.params.size, 5e-3) for d in self.discs]
         adam_g = {key: Adam(grid.shape, 5e-3) for key, grid in self.models.items()}
-        for it in range(steps):
+        for it in range(150):
             ci = int(rng.integers(0, len(corpus.stacks)))
             real = corpus.stack(ci)[int(rng.integers(0, len(corpus.stack(ci))))]
             fake = self.models[(ci, 0)]

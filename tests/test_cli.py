@@ -57,7 +57,9 @@ class TestCmdMel:
         make_wav(wav, rate=44100)
         code = run(["mel", str(wav), str(tmp_path / "b.mel")])
         assert code == 2
-        assert "44100" in capsys.readouterr().err
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and "44100" in lines[0] and "22050" in lines[0]
+        assert not (tmp_path / "b.mel").exists()
 
     def test_missing_file_exits_2(self, tmp_path):
         assert run(["mel", str(tmp_path / "none.wav"),
@@ -280,10 +282,16 @@ class TestCmdDist:
         (["--joint", "time:-2,1"], "bin -2"),
         (["--bins", "3", "--bandwidth", "nan"], "bandwidth"),
         (["--bins", "3", "--bandwidth", "inf"], "bandwidth"),
+        # so small that the kernel normalisation or the density overflows
+        (["--bins", "3", "--bandwidth", "1e-310"], "bandwidth 1e-310 is too small"),
+        (["--joint", "freq:3,4", "--bandwidth", "1e-310"],
+         "bandwidth (1e-310, 1e-310) is too small"),
         # a later bin or the joint fails after bin 3 is computed
         (["--bins", "3,123"], "bin 123"),
         (["--bins", "3", "--joint", "freq:3,x"], "--joint"),
         (["--bins", "3", "--joint", "bogus:1,2"], "unknown joint kind 'bogus'"),
+        (["--bins", "3", "--joint", "freq:3,4", "--bandwidth", "1e-160"],
+         "bandwidth (1e-160, 1e-160) is too small"),
         # the report's directory is missing; checked before any file is written
         (["--bins", "3", "--joint", "freq:3,4", "--out", "{tmp}/missing/r.json"],
          "--out"),
@@ -674,6 +682,23 @@ class TestCmdFlow:
         err = capsys.readouterr().err
         assert "manifest sample 2" in err and "'condition'" in err
         assert not (tmp_path / "m.flw").exists()
+
+    def test_manifest_without_samples_exits_2(self, tmp_path, capsys):
+        ckpt = tmp_path / "m.flw"
+        assert run(["flow", "train", "--manifest",
+                    str(self.build_corpus(tmp_path, samples=4)), "--ckpt",
+                    str(ckpt), "--steps", "2", "--out", str(tmp_path / "t.json")]) == 0
+        empty = tmp_path / "empty.json"
+        empty.write_text(json.dumps({"samples": []}))
+        capsys.readouterr()
+        for action, model in (("train", tmp_path / "new.flw"), ("nll", ckpt)):
+            assert run(["flow", action, "--manifest", str(empty), "--ckpt",
+                        str(model), "--out", str(tmp_path / f"{action}.json")]) == 2
+            lines = capsys.readouterr().err.splitlines()
+            assert len(lines) == 1, lines
+            assert "'samples' must be a non-empty list, got []" in lines[0]
+            assert not (tmp_path / f"{action}.json").exists()
+        assert not list(tmp_path.glob("new.flw*"))
 
     def test_sample_requires_out_mel(self, tmp_path):
         assert run(["flow", "sample", "--ckpt", str(tmp_path / "x.flw")]) == 2

@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 
 import numpy as np
@@ -32,15 +33,27 @@ def trapezoid(values, grid):
     return float(np.trapezoid(values, grid))
 
 
+def gauss_formula(grid, samples, h):
+    """The Gaussian KDE at every point of ``grid``, written out."""
+    z = (np.asarray(grid)[:, None] - np.asarray(samples)[None, :]) / h
+    return np.exp(-0.5 * z * z).sum(axis=1) / (len(samples) * np.sqrt(2 * np.pi) * h)
+
+
 class TestKde1d:
     def test_single_sample_peak(self):
-        density = kde1d([0.0], bandwidth=1.0, grid=[0.0])
-        assert density.values[0] == pytest.approx(1 / np.sqrt(2 * np.pi), abs=1e-12)
+        density = kde1d([0.0], bandwidth=1.0)
+        assert density.grid[0] == -4.0 and density.grid[-1] == 4.0
+        assert np.allclose(density.values, gauss_formula(density.grid, [0.0], 1.0),
+                           rtol=0, atol=1e-12)
+        assert density.values.max() == pytest.approx(1 / np.sqrt(2 * np.pi),
+                                                     rel=1e-4)
 
     def test_symmetry(self):
         samples = [-2.0, -0.5, 0.5, 2.0]
-        density = kde1d(samples, bandwidth=0.7,
-                        grid=np.linspace(-5, 5, 501))
+        density = kde1d(samples, bandwidth=0.7)
+        assert np.allclose(density.grid, -density.grid[::-1], rtol=0, atol=1e-12)
+        assert np.allclose(density.values, gauss_formula(density.grid, samples, 0.7),
+                           rtol=0, atol=1e-12)
         assert np.allclose(density.values, density.values[::-1], atol=1e-9)
 
     def test_integral_near_one(self):
@@ -58,7 +71,7 @@ class TestKde1d:
         with pytest.raises(ContractError):
             kde1d([1.0, 1.0, 1.0])
         density = kde1d([1.0, 1.0, 1.0], bandwidth=0.5)
-        assert density.bandwidth == 0.5
+        assert (density.grid[0], density.grid[-1]) == (1.0 - 4 * 0.5, 1.0 + 4 * 0.5)
 
     def test_empty_rejected(self):
         with pytest.raises(ContractError):
@@ -75,15 +88,20 @@ class TestKde1d:
         expected = 1.06 * np.std(x, ddof=1) * 400 ** (-0.2)
         assert silverman_bandwidth(x) == pytest.approx(expected, rel=1e-12)
 
-    @pytest.mark.parametrize("grid", [np.zeros((3, 2)), [0.0, np.nan, 1.0],
-                                      [0.0, np.inf]])
-    def test_grid_must_be_1d_and_finite(self, grid):
-        with pytest.raises(ContractError, match="grid must be a 1-D array"):
-            kde1d([0.0, 1.0, 2.0], bandwidth=0.5, grid=grid)
+    @pytest.mark.parametrize("samples,bandwidth", [
+        ([0.0, 1.0, 2.0], 1e-310),  # the normalisation overflows
+        ([0.0] * 5, 1e-308),  # the normalisation holds, the density overflows
+    ])
+    def test_too_small_bandwidth_is_refused(self, samples, bandwidth):
+        with pytest.raises(ContractError, match=f"bandwidth {bandwidth} is too small"):
+            kde1d(samples, bandwidth=bandwidth)
 
-    def test_empty_grid_gives_an_empty_density(self):
-        density = kde1d([0.0, 1.0, 2.0], bandwidth=0.5, grid=[])
-        assert density.grid.shape == density.values.shape == (0,)
+    def test_tiny_working_bandwidth_gives_exact_zero_kernels(self):
+        # Off the grid's two ends, each within 4h of a sample, every z * z
+        # overflows and its kernel is exp(-inf) = 0; no warning escapes.
+        density = kde1d([0.0, 1.0], bandwidth=1e-160)
+        assert np.all(density.values[1:-1] == 0.0)
+        assert density.values[-1] == 0.5 / (np.sqrt(2.0 * np.pi) * 1e-160)
 
 
 def one_shot_gauss_sum(grid, samples, h):
@@ -121,7 +139,7 @@ class TestGaussSum:
         grid = np.linspace(-4.0, 4.0, 2048)
         tracemalloc.start()
         try:
-            kde1d(x, grid=grid)
+            _gauss_sum(grid, x, silverman_bandwidth(x))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -161,6 +179,16 @@ class TestKde2d:
     def test_empty_rejected(self):
         with pytest.raises(ContractError):
             kde2d(np.empty((0, 2)))
+
+    @pytest.mark.parametrize("pairs,bandwidths", [
+        ([[0.0, 1.0], [1.0, 0.0], [2.0, 2.0]], (1e-310, 1e-310)),  # hx hy is 0
+        ([[0.0, 1.0], [1.0, 0.0], [2.0, 2.0]], (1e-160, 1e-160)),
+        (np.zeros((20, 2)), (1e-154, 1e-154)),  # the norm holds, the sum does not
+    ])
+    def test_too_small_bandwidths_are_refused(self, pairs, bandwidths):
+        with pytest.raises(ContractError,
+                           match=re.escape(f"bandwidth {bandwidths} is too small")):
+            kde2d(pairs, bandwidths)
 
     @pytest.mark.parametrize("bandwidths", [(0.5, float("nan")),
                                             (float("inf"), 0.5), (0.5, -1.0)])

@@ -570,11 +570,12 @@ class TestWorkspace:
         assert np.array_equal(grad, kept)
 
     @pytest.mark.parametrize("shape", SHAPES)
-    def test_train_flow_with_fewer_samples_than_a_batch(self, shape):
+    def test_train_flow_with_fewer_samples_than_a_batch(self, shape, monkeypatch):
         (model, (batch, _)), (ref, _) = (self.model_and_batches(shape, n=20),
                                          self.model_and_batches(shape, n=20))
+        monkeypatch.setattr(flow, "EVAL_EVERY", 10)  # a curve point between steps
         result = train_flow(model, batch, steps=25, step_size=1e-2,
-                            batch_size=128, seed=7, eval_every=10)
+                            batch_size=128, seed=7)
         curve = reference_train(ref, batch, 25, 1e-2, 128, 7, 10)
         assert [s for s, _ in result.curve] == [0, 10, 20, 25]
         assert result.curve == curve

@@ -140,7 +140,7 @@ ESCAPED = "a&amp;b &lt;c&gt; \"d\" 'e' &amp;amp;"
 
 
 @pytest.mark.parametrize("plot", [
-    lambda t: line_plot([(t, [0, 1], [0, 1])], t, t, t),
+    lambda t: line_plot((t, [0, 1], [0, 1]), t, t, t),
     lambda t: heatmap(np.eye(3), t, t, t),
     lambda t: bar_chart([t], [1.0], t, t),
 ])

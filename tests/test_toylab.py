@@ -420,8 +420,8 @@ class TestGanDemo:
     def test_runs_deterministically(self):
         spec = canonical_spec(seed=12, samples_per_condition=60)
         corpus = make_corpus(spec)
-        a = GanDemoStrategy(corpus, steps=30, seed=5)
-        b = GanDemoStrategy(corpus, steps=30, seed=5)
+        a = GanDemoStrategy(corpus, seed=5)
+        b = GanDemoStrategy(corpus, seed=5)
         for key in a.models:
             assert np.array_equal(a.models[key], b.models[key])
         assert all(np.isfinite(d) and np.isfinite(g) for _, d, g in a.history)
@@ -781,7 +781,7 @@ TRAINED_REFERENCES = {  # name -> (strategy from (corpus, seed), its reference
     "cond_flow": (lambda c, s: FlowStrategy(c, train_steps=4, restarts=1, seed=s,
                                             by_mode=True),
                   lambda c, new: RefFlow(c, new.model, True)),
-    "gan": (lambda c, s: GanDemoStrategy(c, steps=30, seed=s),
+    "gan": (lambda c, s: GanDemoStrategy(c, seed=s),
             lambda c, new: RefGan({ci: new.models[(ci, 0)]
                                    for ci in range(len(c.spec.conditions))})),
 }
