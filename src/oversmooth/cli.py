@@ -309,6 +309,37 @@ def _load_flow_corpus(manifest_path, n_cond=None):
     return flow.ConditionedBatch(targets, conds), n_cond
 
 
+_FLOW_ACTIONS = {  # action -> ({flag it takes: its default, or ... if the
+    # action requires it}, {output flag: kind}); other flow flags are errors
+    "train": ({"--manifest": ..., "--ckpt": ..., "--steps": 500, "--step-size": 2e-3,
+               "--flow-steps": 6, "--hidden": 16, "--seed": None}, {"--ckpt": "file"}),
+    "sample": ({"--ckpt": ..., "--condition": 0, "--frames": 8, "--temperature": 1.0,
+                "--out-mel": ..., "--seed": None}, {"--out-mel": "file"}),
+    "nll": ({"--ckpt": ..., "--manifest": ...}, {}),
+}
+_FLOW_TYPES = {"--manifest": str, "--ckpt": str, "--steps": int, "--step-size": float,
+               "--flow-steps": int, "--hidden": int, "--condition": int, "--frames": int,
+               "--temperature": float, "--out-mel": str, "--seed": int}
+
+
+def _dest(flag: str) -> str:
+    return flag.lstrip("-").replace("-", "_")
+
+
+def _flow_flags(args) -> dict:
+    """Check the flow flags against the action's row of ``_FLOW_ACTIONS``,
+    fill in its defaults and return its output kinds."""
+    takes, outputs = _FLOW_ACTIONS[args.action]
+    for flag in _FLOW_TYPES:
+        if getattr(args, _dest(flag)) is None:
+            if takes.get(flag) is ...:
+                raise ContractError(f"flow {args.action} requires {flag}")
+            setattr(args, _dest(flag), takes.get(flag))
+        elif flag not in takes:
+            raise ContractError(f"flow {args.action} does not take {flag}")
+    return outputs
+
+
 def cmd_flow(args):
     seed = _seed_of(args)
     if args.action == "train":
@@ -427,20 +458,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_toylab, outputs={"--out-prefix": "prefix"})
 
     p = sub.add_parser("flow", help="train / sample / score a flow model")
-    p.add_argument("action", choices=["train", "sample", "nll"])
-    p.add_argument("--manifest")
-    p.add_argument("--ckpt", required=True)
-    p.add_argument("--steps", type=int, default=500)
-    p.add_argument("--step-size", type=float, default=2e-3)
-    p.add_argument("--flow-steps", type=int, default=6)
-    p.add_argument("--hidden", type=int, default=16)
-    p.add_argument("--condition", type=int, default=0)
-    p.add_argument("--frames", type=int, default=8)
-    p.add_argument("--temperature", type=float, default=1.0)
-    p.add_argument("--out-mel")
-    p.add_argument("--seed", type=int)
+    p.add_argument("action", choices=list(_FLOW_ACTIONS))
+    for flag, kind in _FLOW_TYPES.items():
+        p.add_argument(flag, type=kind)  # defaults: see _FLOW_ACTIONS
     p.add_argument("--out")
-    p.set_defaults(func=cmd_flow, outputs={"--out-mel": "file"})
+    p.set_defaults(func=cmd_flow)
 
     p = sub.add_parser("make-corpus", help="write the canonical toy corpus "
                                            "as MEL1 files plus a manifest")
@@ -458,18 +480,12 @@ def main(argv=None) -> int:
         # Output flags are checked before any work and every side file's path
         # before the first write, so that no run fails on a flag after its
         # work or leaves part of its output.
-        outputs = {"--out": "file", **args.outputs}
-        if args.command == "flow" and args.action == "train":
-            outputs["--ckpt"] = "file"
-        for name, kind in outputs.items():
-            path = getattr(args, name.lstrip("-").replace("-", "_"))
+        if args.command == "flow":
+            args.outputs = _flow_flags(args)
+        for name, kind in {"--out": "file", **args.outputs}.items():
+            path = getattr(args, _dest(name))
             if path:
                 _check_output(name, path, kind)
-        if args.command == "flow":
-            if args.action in ("train", "nll") and not args.manifest:
-                raise ContractError(f"flow {args.action} requires --manifest")
-            if args.action == "sample" and not args.out_mel:
-                raise ContractError("flow sample requires --out-mel")
         report, files = args.func(args)
         for path in files:
             _check_output("output", path, "file")

@@ -5,8 +5,8 @@ plus Gaussian noise, so a strategy that averages across modes produces a
 recognizably blurred output. Strategies differ in what they can express:
 
 * ``mse`` / ``mae``: one grid per condition (mean / median) - blurred.
-* ``ar``: rows generated left-to-right from a quantized previous-row context,
-  a chain-rule factorization of the joint.
+* ``ar``: a linear chain rule along time (rows): each row an affine map of
+  the row before it plus Gaussian noise.
 * ``lm``: an independent per-cell Laplace mixture - multimodal marginals but
   no coordination between cells.
 * ``flow``: a conditional normalizing flow over whole grids.
@@ -44,10 +44,6 @@ from .metrics import var_laplacian
 
 _STREAM_CORPUS = 0x544F59
 _STREAM_HELDOUT = 0x484F4C44
-
-
-class IndistinguishableModes(ContractError):
-    """Two modes of one condition share the same starting-row context."""
 
 
 @dataclass(frozen=True)
@@ -132,9 +128,8 @@ def canonical_spec(seed: int = 0, samples_per_condition: int = 500,
     """The canonical 8x8 two-pattern corpus.
 
     Prototype A alternates rows of +-1; prototype B splits columns into a +1
-    and a -1 half. They differ in every row, the 2-bit row context used by
-    the autoregressive strategy separates them deterministically, and their
-    mixture mean matches neither.
+    and a -1 half. They differ in every row, and their mixture mean matches
+    neither.
     """
     cond = ConditionSpec((stripes_horizontal(), stripes_vertical()), (0.5, 0.5))
     return ToyCorpusSpec((cond,) * n_conditions, noise, samples_per_condition, seed)
@@ -290,53 +285,31 @@ class ConditionedStrategy(_FittedStrategy):
                          by_mode=True, min_count=1)
 
 
-def _row_context(rows: np.ndarray):
-    """2-bit context of each row (last axis): signs of the means of the
-    row's two halves."""
-    half = rows.shape[-1] // 2
-    first = rows[..., :half].mean(axis=-1) >= 0
-    second = rows[..., half:].mean(axis=-1) >= 0
-    return first * 2 + second
-
-
 class ArStrategy(_FittedStrategy):
-    """Row-autoregressive table predictor (time-axis chain rule analog).
-
-    Teacher-forced fit: the mean next row per (condition, previous-row
-    context). Generation samples a starting-row cluster by its empirical
-    frequency, then rolls the table forward deterministically. A model is
-    (mean starting rows, their frequencies, context -> mean next row).
-    """
+    """Linear chain rule along time: rows are frames, as in MEL1 and ``flow
+    train`` (``FlowStrategy`` takes columns as frames). Row 0 is drawn from
+    the condition's training first rows. Each later row is an affine map of
+    the row before it (one per row position, fitted by ridge least squares
+    with ridge 1e-3) plus Gaussian noise at the per-cell deviation of that
+    map's residual. An empirical row 0 has no density, so there is no NLL."""
 
     def __init__(self, corpus: ToyCorpus):
-        self.rows = corpus.spec.grid_shape[0]
-
         def fit(ci, v, stack):
-            ctx, modes = _row_context(stack), corpus.modes(ci)  # ctx: (n, rows)
-            seen = np.unique(modes)
-            majority = {int(np.bincount(ctx[modes == m, 0]).argmax()) for m in seen}
-            if len(majority) < len(seen):
-                raise IndistinguishableModes(
-                    f"condition {ci}: modes share a starting-row context")
-            sels = [stack[ctx[:, 0] == c] for c in np.unique(ctx[:, 0])]
-            freqs = np.array([len(sel) / len(stack) for sel in sels])
-            prev, nxt = ctx[:, :-1], stack[:, 1:]
-            return (np.stack([sel[:, 0].mean(axis=0) for sel in sels]),
-                    freqs / freqs.sum(),
-                    {int(c): nxt[prev == c].mean(axis=0) for c in np.unique(prev)})
+            rows = np.swapaxes(stack, 0, 1)  # (h, n, w): row position first
+            x = np.concatenate([rows[:-1], np.ones_like(rows[:-1, :, :1])], axis=2)
+            xt = np.swapaxes(x, 1, 2)
+            maps = np.linalg.solve(xt @ x + 1e-3 * np.eye(x.shape[2]), xt @ rows[1:])
+            return rows[0], maps, (rows[1:] - x @ maps).std(axis=1)
 
         super().__init__(corpus, fit)
 
     def _draw(self, model, rng, count):
-        first_rows, freqs, table = model
-        grids = np.empty((count, self.rows, first_rows.shape[1]))
-        grids[:, 0] = first_rows[rng.categorical(freqs, count)]
-        for r in range(1, self.rows):
-            grids[:, r] = grids[:, r - 1]  # unseen context: hold the row
-            ctx = _row_context(grids[:, r - 1])
-            for c in np.unique(ctx):
-                if int(c) in table:
-                    grids[ctx == c, r] = table[int(c)]
+        first_rows, maps, deviations = model
+        grids = np.empty((count, len(maps) + 1, first_rows.shape[1]))
+        grids[:, 0] = first_rows[rng.integers(0, len(first_rows), count)]
+        for r, (a, sd) in enumerate(zip(maps, deviations)):
+            grids[:, r + 1] = (grids[:, r] @ a[:-1] + a[-1]
+                               + rng.normal(0.0, sd, (count, len(sd))))
         return grids
 
 

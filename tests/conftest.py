@@ -25,6 +25,17 @@ def wav_bytes(samples_i16, rate=22050, channels=1, bits=16, audio_format=1):
     )
 
 
+def random_sign_prototypes(n_modes, seed):
+    """Four conditions, each a list of ``n_modes`` random +-1 8x8 prototypes
+    whose rows at each position differ between the condition's prototypes:
+    a row that two modes share tells the row after it nothing of the mode."""
+    rng = np.random.default_rng(seed)
+    rows = 2.0 * ((np.arange(256)[:, None] >> np.arange(8)) & 1) - 1.0
+    return [list(rows[np.stack([rng.choice(256, n_modes, replace=False)
+                                for _ in range(8)], axis=1)])
+            for _ in range(4)]
+
+
 def reflect_indices(n, lo, hi):
     """Indices lo..hi-1 reflected into [0, n) without repeating edges, the
     index-array rule the front end padded with before it used np.pad."""

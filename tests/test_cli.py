@@ -9,7 +9,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import heatmap_pixels, wav_bytes, write_alignment
+from conftest import (heatmap_pixels, random_sign_prototypes, wav_bytes,
+                      write_alignment)
 from oversmooth import cli, density, flow, toylab
 from oversmooth.core import (
     Alignment,
@@ -420,6 +421,18 @@ class TestCmdToylab:
         assert captured.out == ""
         assert captured.err == ("error: condition 1 has one prototype; mode "
                                 "coherence needs at least two\n")
+
+    def test_random_prototype_spec_runs_ar(self, tmp_path, capsys):
+        doc = {"conditions": [{"prototypes": [p.tolist() for p in protos],
+                               "weights": [0.25] * 4}
+                              for protos in random_sign_prototypes(4, seed=0)],
+               "noise": 0.05, "samples_per_condition": 500}
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps(doc))
+        assert run(["toylab", "--spec", str(spec_path), "--strategies", "mse,ar",
+                    "--seed", "0"]) == 0
+        rows = json.loads(capsys.readouterr().out)["rows"]
+        assert rows["ar"]["mode_coherence"] >= 0.9 > rows["mse"]["mode_coherence"]
 
     def test_custom_spec_json(self, tmp_path, capsys):
         doc = {
@@ -987,6 +1000,31 @@ def test_unreadable_input_exits_2(capsys, cli_inputs, argv, named):
     lines = captured.err.splitlines()
     assert captured.out == "" and len(lines) == 1, lines
     assert lines[0].startswith("error: ") and named.format(**cli_inputs) in lines[0]
+
+
+@pytest.mark.parametrize("argv,foreign", [
+    (["flow", "train", "--manifest", "{corpus}", "--ckpt", "{new}.flw",
+      "--steps", "2"], ["--temperature", "9"]),
+    (["flow", "sample", "--ckpt", "{trained}", "--out-mel", "{new}.mel"],
+     ["--steps", "9"]),
+    (["flow", "nll", "--ckpt", "{trained}", "--manifest", "{corpus}"],
+     ["--hidden", "3"]),
+], ids=["train", "sample", "nll"])
+def test_flow_flag_the_action_does_not_take_exits_2(tmp_path, capsys, cli_inputs,
+                                                    argv, foreign):
+    trained = tmp_path / "in" / "trained.flw"
+    assert run(["flow", "train", "--manifest", str(cli_inputs["corpus"]), "--ckpt",
+                str(trained), "--steps", "2", "--out", str(trained) + ".json"]) == 0
+    argv = [a.format(new=tmp_path / "new", trained=trained, **cli_inputs)
+            for a in argv] + ["--out", str(tmp_path / "r.json")]
+    before = tree(tmp_path)
+    assert run(argv + foreign) == 2
+    captured = capsys.readouterr()
+    lines = captured.err.splitlines()
+    assert captured.out == "" and len(lines) == 1, lines
+    assert lines[0] == f"error: flow {argv[1]} does not take {foreign[0]}"
+    assert tree(tmp_path) == before
+    assert run(argv) == 0  # the same command without the flag runs
 
 
 def test_import_loads_no_network_stack():

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from conftest import random_sign_prototypes
 from oversmooth import flow, gan, probloss, toylab
 from oversmooth.core import ContractError, SeededRng, read_mel
 from oversmooth.density import dip_statistic
@@ -13,7 +14,6 @@ from oversmooth.toylab import (
     ConditionedStrategy,
     FlowStrategy,
     GanDemoStrategy,
-    IndistinguishableModes,
     LmStrategy,
     PointwiseStrategy,
     ToyCorpusSpec,
@@ -23,7 +23,6 @@ from oversmooth.toylab import (
     make_corpus,
     mode_coherence,
     _generator_grad,
-    _row_context,
     run_experiment,
     stripes_horizontal,
     stripes_vertical,
@@ -139,14 +138,6 @@ class TestCanonicalSpec:
         for r in range(8):
             assert not np.array_equal(a[r], b[r])
 
-    def test_row_contexts_separate_prototypes(self):
-        from oversmooth.toylab import _row_context
-
-        a, b = stripes_horizontal(), stripes_vertical()
-        a_contexts = {_row_context(row) for row in a}
-        b_contexts = {_row_context(row) for row in b}
-        assert a_contexts.isdisjoint(b_contexts)
-
 
 class TestPointwise:
     def test_mse_fit_is_cell_mean(self):
@@ -213,16 +204,10 @@ class TestConditioned:
             build(corpus)
 
 
-def teacher_forced_mse(strategy: ArStrategy, corpus) -> float:
-    """Mean per-cell one-step error of ``strategy``'s tables on held-in data."""
-    errs = []
-    for ci in range(len(corpus.spec.conditions)):
-        *_, table = strategy.models[(ci, 0)]
-        for g in corpus.stack(ci):
-            for r in range(1, strategy.rows):
-                pred = table.get(_row_context(g[r - 1]), g[r - 1])
-                errs.append(np.mean((pred - g[r]) ** 2))
-    return float(np.mean(errs))
+def random_sign_spec(n_modes, seed, noise=0.05):
+    return ToyCorpusSpec(tuple(ConditionSpec(tuple(protos), (1 / n_modes,) * n_modes)
+                               for protos in random_sign_prototypes(n_modes, seed)),
+                         noise, 500, seed)
 
 
 class TestArStrategy:
@@ -238,11 +223,22 @@ class TestArStrategy:
             hits += coherence >= 0.9
         assert hits == 3
 
-    def test_teacher_forced_error_near_noise_floor(self):
-        spec = canonical_spec(seed=21)
-        corpus = make_corpus(spec)
-        strategy = ArStrategy(corpus)
-        assert teacher_forced_mse(strategy, corpus) <= 1.2 * 0.05**2
+    @pytest.mark.parametrize("n_modes", [2, 4])
+    def test_maps_reproduce_noiseless_prototypes(self, n_modes):
+        spec = random_sign_spec(n_modes, seed=21, noise=0.0)
+        strategy = ArStrategy(make_corpus(spec))
+        for ci, cond in enumerate(spec.conditions):
+            _, maps, deviations = strategy.models[(ci, 0)]
+            assert np.max(deviations) < 1e-4
+            for proto in cond.prototypes:
+                predicted = proto[:-1, None] @ maps[:, :-1] + maps[:, -1:]
+                assert np.max(np.abs(predicted[:, 0] - proto[1:])) < 1e-4
+
+    @pytest.mark.parametrize("n_modes", [2, 4])
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_random_prototypes_are_mode_coherent(self, n_modes, seed):
+        report = run_experiment(random_sign_spec(n_modes, seed), ["ar"], seed)
+        assert report.rows["ar"].coherence >= 0.9
 
     def test_pointwise_blur_is_incoherent(self):
         spec = canonical_spec(seed=22)
@@ -251,17 +247,6 @@ class TestArStrategy:
         gen = blur.generate(0, 50, SeededRng(0))
         tol = default_coherence_tol(spec.conditions[0])
         assert mode_coherence(gen, spec.conditions[0].prototypes, tol) <= 0.1
-
-    def test_indistinguishable_row0_rejected(self):
-        shared = np.ones((4, 4))
-        proto_a = shared.copy()
-        proto_b = shared.copy()
-        proto_b[1:] = -1.0
-        spec = ToyCorpusSpec(
-            (ConditionSpec((proto_a, proto_b), (0.5, 0.5)),), 0.01, 100, 30
-        )
-        with pytest.raises(IndistinguishableModes):
-            ArStrategy(make_corpus(spec))
 
 
 class TestModeCoherence:
@@ -619,36 +604,25 @@ class RefConditioned(RefPerMode):
 
 class RefAr(RefStrategy):
     def __init__(self, corpus):
-        self.rows = corpus.spec.grid_shape[0]
-        self.start, self.table = {}, {}
-        for ci in range(len(corpus.spec.conditions)):
-            stack = corpus.stack(ci)
-            ctx = _row_context(stack)
-            starts = {}
-            for c in np.unique(ctx[:, 0]):
-                sel = stack[ctx[:, 0] == c]
-                starts[int(c)] = (sel[:, 0].mean(axis=0), len(sel) / len(stack))
-            self.start[ci] = starts
-            prev, nxt = ctx[:, :-1], stack[:, 1:]
-            for c in np.unique(prev):
-                self.table[(ci, int(c))] = nxt[prev == c].mean(axis=0)
+        self.chains = {}
+        for ci, stack in enumerate(corpus.stacks):
+            n, h, w = stack.shape
+            maps, deviations = [], []
+            for r in range(1, h):
+                x = np.concatenate([stack[:, r - 1], np.ones((n, 1))], axis=1)
+                a = np.linalg.solve(x.T @ x + 1e-3 * np.eye(w + 1),
+                                    x.T @ stack[:, r])
+                maps.append(a)
+                deviations.append((stack[:, r] - x @ a).std(axis=0))
+            self.chains[ci] = (stack[:, 0], maps, deviations)
 
     def generate(self, condition, count, rng):
-        starts = self.start[condition]
-        ctxs = sorted(starts)
-        freqs = np.array([starts[c][1] for c in ctxs])
-        picks = rng.categorical(freqs / freqs.sum(), count)
-        first = np.stack([starts[c][0] for c in ctxs])[picks]
-        grids = np.empty((count, self.rows, first.shape[1]))
-        grids[:, 0] = first
-        for r in range(1, self.rows):
-            grids[:, r] = grids[:, r - 1]
-            ctx = _row_context(grids[:, r - 1])
-            for c in np.unique(ctx):
-                key = (condition, int(c))
-                if key in self.table:
-                    grids[ctx == c, r] = self.table[key]
-        return grids
+        first, maps, deviations = self.chains[condition]
+        rows = [first[rng.integers(0, len(first), count)]]
+        for a, sd in zip(maps, deviations):
+            rows.append(rows[-1] @ a[:-1] + a[-1]
+                        + rng.normal(0.0, sd, (count, len(sd))))
+        return np.stack(rows, axis=1)
 
 
 class RefLm(RefStrategy):
@@ -686,7 +660,7 @@ class RefCondLm(RefPerMode):
 
 def three_mode_10x8_spec(seed):
     """Two conditions of 10x8 grids: three modes with uneven weights, whose
-    starting rows have three different contexts, then two of them."""
+    starting rows differ in their halves' signs, then two of them."""
     rng = np.random.default_rng(40)
     protos = []
     for first in ([1, 1], [1, -1], [-1, 1]):
