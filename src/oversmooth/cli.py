@@ -341,8 +341,8 @@ def _flow_flags(args) -> dict:
 
 
 def cmd_flow(args):
-    seed = _seed_of(args)
     if args.action == "train":
+        seed = _seed_of(args)
         _at_least("--flow-steps", args.flow_steps, 1)
         _at_least("--steps", args.steps, 0)
         _at_least("--hidden", args.hidden, 0)
@@ -372,6 +372,7 @@ def cmd_flow(args):
             f"{args.ckpt}.curve.csv": _csv("step,nll", _reprs(steps),
                                            _reprs(nlls))}
     if args.action == "sample":
+        seed = _seed_of(args)
         _at_least("--frames", args.frames, 1)
         model = flow.load_model(args.ckpt)
         if not 0 <= args.condition < model.cond_dim:
@@ -499,7 +500,7 @@ def main(argv=None) -> int:
         else:
             sys.stdout.write(report)
         return 0
-    except (ContractError, OSError) as exc:
+    except (ContractError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # internal errors keep a distinct exit code

@@ -28,20 +28,9 @@ _GOLDEN = 0x9E3779B97F4A7C15
 class ContractError(ValueError):
     """An input violates one of the documented contracts.
 
-    The CLI maps these to exit code 2; anything else is an internal error.
+    The one error type for rejected input: its message names the problem.
+    The CLI maps it to exit code 2; anything else is an internal error.
     """
-
-
-class BadMagic(ContractError):
-    """A binary file does not start with the expected magic bytes."""
-
-
-class FormatError(ContractError):
-    """A file parses but its payload is inconsistent with its header."""
-
-
-class AlignmentError(ContractError):
-    """An alignment entry violates ordering, span, or type constraints."""
 
 
 @dataclass(frozen=True)
@@ -103,13 +92,13 @@ class Alignment:
         prev_end = None
         for e in entries:
             if e.start < 0:
-                raise AlignmentError(f"negative start frame in {e.label!r}")
+                raise ContractError(f"negative start frame in {e.label!r}")
             if e.start >= e.end:
-                raise AlignmentError(
+                raise ContractError(
                     f"empty span for {e.label!r}: [{e.start}, {e.end})"
                 )
             if prev_end is not None and e.start < prev_end:
-                raise AlignmentError(
+                raise ContractError(
                     f"overlapping span for {e.label!r} starting at {e.start}"
                 )
             prev_end = e.end
@@ -127,21 +116,20 @@ def _splitmix64(x: int) -> int:
     return (x ^ (x >> 31)) & _MASK64
 
 
-class SeededRng:
+class SeededRng(np.random.Generator):
     """Deterministic random stream addressed by (seed, stream).
 
-    Backed by the counter-based Philox bit generator keyed with the 128-bit
-    word ``stream << 64 | seed``, so identical (seed, stream) pairs replay
-    identical draw sequences across runs and platforms. Parallel work should
-    derive one substream per task via :meth:`substream` instead of sharing an
-    instance.
+    A numpy Generator over the counter-based Philox bit generator keyed with
+    the 128-bit word ``stream << 64 | seed``, so identical (seed, stream)
+    pairs replay identical draw sequences across runs and platforms. Parallel
+    work should derive one substream per task via :meth:`substream` instead
+    of sharing an instance.
     """
 
     def __init__(self, seed: int, stream: int = 0):
         self.seed = int(seed) & _MASK64
         self.stream = int(stream) & _MASK64
-        key = (self.stream << 64) | self.seed
-        self.generator = np.random.Generator(np.random.Philox(key=key))
+        super().__init__(np.random.Philox(key=(self.stream << 64) | self.seed))
 
     def substream(self, label: int) -> "SeededRng":
         """A statistically independent stream for the same seed.
@@ -151,18 +139,6 @@ class SeededRng:
         """
         mixed = _splitmix64(self.stream ^ _splitmix64(int(label) & _MASK64))
         return SeededRng(self.seed, mixed)
-
-    def uniform(self, low: float = 0.0, high: float = 1.0, size=None):
-        return self.generator.uniform(low, high, size)
-
-    def normal(self, loc: float = 0.0, scale: float = 1.0, size=None):
-        return self.generator.normal(loc, scale, size)
-
-    def integers(self, low: int, high: int, size=None):
-        return self.generator.integers(low, high, size=size)
-
-    def permutation(self, n: int) -> np.ndarray:
-        return self.generator.permutation(n)
 
     def categorical(self, weights, size) -> np.ndarray:
         """Indices drawn by ``weights`` along their last axis, K entries.
@@ -224,27 +200,28 @@ def read_binary(path, magic: bytes, words: int, floats):
 
     ``floats(header)`` gives the payload length the header implies, or
     raises :class:`ContractError` for a header it rejects; it runs before
-    anything is allocated. Any other payload size, and a payload holding a
-    NaN or infinity, is a :class:`FormatError`.
+    anything is allocated, and its message is re-raised behind the
+    ``{path}:`` prefix. Any other payload size, and a payload holding a NaN
+    or infinity, is also a :class:`ContractError`.
     """
     data = Path(path).read_bytes()
     start = 4 + 4 * words
     if len(data) < start:
-        raise FormatError(f"{path}: truncated header ({len(data)} bytes)")
+        raise ContractError(f"{path}: truncated header ({len(data)} bytes)")
     if data[:4] != magic:
-        raise BadMagic(f"{path}: expected magic {magic!r}, got {data[:4]!r}")
+        raise ContractError(f"{path}: expected magic {magic!r}, got {data[:4]!r}")
     header = struct.unpack(f"<{words}I", data[4:start])
     try:
         expected = 4 * floats(header)
     except ContractError as exc:
-        raise FormatError(f"{path}: {exc}") from None
+        raise ContractError(f"{path}: {exc}") from None
     if len(data) - start != expected:
-        raise FormatError(
+        raise ContractError(
             f"{path}: payload is {len(data) - start} bytes, header implies {expected}"
         )
     payload = np.frombuffer(data, dtype="<f4", offset=start)
     if not np.all(np.isfinite(payload)):
-        raise FormatError(f"{path}: payload contains non-finite values")
+        raise ContractError(f"{path}: payload contains non-finite values")
     return header, payload
 
 
@@ -260,7 +237,7 @@ def write_mel(spec: Spectrogram, path) -> None:
 def _mel_floats(header) -> int:
     t, f = header
     if t < 1 or f < 1:
-        raise FormatError(f"invalid dimensions {t}x{f}")
+        raise ContractError(f"invalid dimensions {t}x{f}")
     return t * f
 
 
@@ -279,12 +256,12 @@ def read_alignment(path) -> Alignment:
             continue
         parts = line.split("\t")
         if len(parts) != 3:
-            raise AlignmentError(f"{path}:{lineno}: expected 3 tab-separated fields")
+            raise ContractError(f"{path}:{lineno}: expected 3 tab-separated fields")
         label, start_s, end_s = parts
         try:
             start, end = int(start_s), int(end_s)
         except ValueError:
-            raise AlignmentError(
+            raise ContractError(
                 f"{path}:{lineno}: frame fields must be integers, got "
                 f"{start_s!r}, {end_s!r}"
             ) from None

@@ -15,19 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import AlignmentError, ContractError
-
-
-class PhonemeAbsent(ContractError):
-    """The requested phoneme occurs in no alignment of the corpus."""
-
-
-class BinOutOfRange(ContractError):
-    """A frequency-bin index lies outside [0, F) of some spectrogram."""
-
-
-class NoPairs(ContractError):
-    """No within-span value pairs exist for the requested joint axis."""
+from .core import ContractError
 
 
 @dataclass(frozen=True)
@@ -169,15 +157,15 @@ def _phoneme_blocks(corpus, phoneme: str, bins) -> list[np.ndarray]:
     for spec, align in corpus:
         for b in bins:
             if not 0 <= b < spec.bins:
-                raise BinOutOfRange(f"bin {b} out of range [0, {spec.bins})")
+                raise ContractError(f"bin {b} out of range [0, {spec.bins})")
         for start, end in align.spans(phoneme):
             if end > spec.frames:
-                raise AlignmentError(
+                raise ContractError(
                     f"span [{start}, {end}) for {phoneme!r} exceeds T={spec.frames}"
                 )
             blocks.append(spec.values[start:end])
     if not blocks:
-        raise PhonemeAbsent(f"phoneme {phoneme!r} absent from corpus")
+        raise ContractError(f"phoneme {phoneme!r} absent from corpus")
     return blocks
 
 
@@ -208,7 +196,7 @@ def phoneme_joint(corpus, phoneme: str, kind: str, first: int, second: int,
         raise ContractError(f"unknown joint kind {kind!r}")
     pairs = np.concatenate(pairs)
     if len(pairs) == 0:
-        raise NoPairs(f"no within-span pairs for {phoneme!r} with "
+        raise ContractError(f"no within-span pairs for {phoneme!r} with "
                       f"{kind}:{first},{second}")
     return kde2d(pairs, bandwidths)
 

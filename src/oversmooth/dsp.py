@@ -25,14 +25,6 @@ DEFAULT_BINS = 80
 DEFAULT_FLOOR = 1e-5
 
 
-class WavError(ContractError):
-    """A WAV file is missing, malformed, or outside the supported subset."""
-
-
-class UnsupportedChannels(WavError):
-    """Only mono input is supported."""
-
-
 @dataclass(frozen=True)
 class AudioClip:
     samples: np.ndarray  # float64 in [-1, 1]
@@ -67,7 +59,7 @@ def read_wav(path) -> AudioClip:
     """
     data = Path(path).read_bytes()
     if len(data) < 12 or data[:4] != b"RIFF" or data[8:12] != b"WAVE":
-        raise WavError(f"{path}: not a RIFF/WAVE file")
+        raise ContractError(f"{path}: not a RIFF/WAVE file")
     pos = 12
     fmt = None
     payload = None
@@ -79,20 +71,20 @@ def read_wav(path) -> AudioClip:
             fmt = struct.unpack("<HHIIHH", body[:16])
         elif chunk_id == b"data":
             if len(body) < chunk_size:
-                raise WavError(f"{path}: data chunk truncated")
+                raise ContractError(f"{path}: data chunk truncated")
             payload = body
         pos += 8 + chunk_size + (chunk_size & 1)  # chunks are word-aligned
     if fmt is None or payload is None:
-        raise WavError(f"{path}: missing fmt or data chunk")
+        raise ContractError(f"{path}: missing fmt or data chunk")
     audio_format, channels, rate, _, _, bits = fmt
     if audio_format != 1:
-        raise WavError(f"{path}: only PCM is supported (format tag {audio_format})")
+        raise ContractError(f"{path}: only PCM is supported (format tag {audio_format})")
     if channels != 1:
-        raise UnsupportedChannels(f"{path}: expected mono, got {channels} channels")
+        raise ContractError(f"{path}: expected mono, got {channels} channels")
     if bits != 16:
-        raise WavError(f"{path}: only 16-bit PCM is supported (got {bits})")
+        raise ContractError(f"{path}: only 16-bit PCM is supported (got {bits})")
     if len(payload) % 2 != 0:
-        raise WavError(f"{path}: odd payload size for 16-bit samples")
+        raise ContractError(f"{path}: odd payload size for 16-bit samples")
     raw = np.frombuffer(payload, dtype="<i2").astype(np.float64)
     return AudioClip(raw / 32768.0, rate)
 

@@ -39,18 +39,6 @@ LOG_2PI = np.log(2.0 * np.pi)
 EVAL_EVERY = 100  # training steps between the full-dataset NLLs of a curve
 
 
-class UninitializedModel(ContractError):
-    """The model's actnorm layers have not been initialized yet."""
-
-
-class DegenerateChannel(ContractError):
-    """A channel of the init batch has zero variance."""
-
-
-class FlowDivergence(ContractError):
-    """Training produced a non-finite likelihood."""
-
-
 def _step_layout(n_steps: int, channels: int, cond_dim: int, hidden: int,
                  frames: int) -> dict:
     """One step's parameters of an ``n_steps``-step flow, name -> shape, in
@@ -308,7 +296,7 @@ def _analysis(model: FlowModel, grids: np.ndarray, conds: np.ndarray,
         if init:
             std = h0[:-1].std(axis=1)
             if np.any(std < 1e-12):
-                raise DegenerateChannel(
+                raise ContractError(
                     f"zero-variance channels {np.nonzero(std < 1e-12)[0].tolist()} "
                     "in init batch"
                 )
@@ -348,7 +336,7 @@ def _synthesis(model: FlowModel, latents: np.ndarray, conds: np.ndarray):
 
 def _require_initialized(model: FlowModel):
     if not model.initialized:
-        raise UninitializedModel(
+        raise ContractError(
             "run actnorm_init on a data batch before using the model"
         )
 
@@ -468,7 +456,7 @@ def nll_and_grads(model: FlowModel, batch: ConditionedBatch, *,
     g, g2 = ws.g  # dNLL/d(step output) and dNLL/d(mix output), channel-first
     value = float(-_log_prob(z, logdet, t, g2).mean())
     if not np.isfinite(value):
-        raise FlowDivergence(f"non-finite NLL {value}")
+        raise ContractError(f"non-finite NLL {value}")
 
     np.divide(z, n, out=g)
     d_out = ws.out  # the net output's gradient: d_raw rows, then -d_hb rows
@@ -520,7 +508,7 @@ def train_flow(model: FlowModel, batch: ConditionedBatch, steps: int = 500,
 
     The model must already be actnorm-initialized. The training curve holds
     full-dataset NLLs (step 0, every :data:`EVAL_EVERY` steps, and the final
-    step); a non-finite loss raises :class:`FlowDivergence` instead of being
+    step); a non-finite loss raises :class:`ContractError` instead of being
     swallowed. Two workspaces live until the fit returns: a full-depth one
     of ``min(n, batch_size)`` samples for the steps, and one of n for the curve.
     Each step's minibatch is gathered into one batch of that size.
@@ -542,7 +530,7 @@ def train_flow(model: FlowModel, batch: ConditionedBatch, steps: int = 500,
     order = rng.permutation(n)
     cursor = 0
     # A diverging run overflows on its way to a non-finite NLL, which is
-    # reported as FlowDivergence rather than as numpy warnings.
+    # reported as a ContractError rather than as numpy warnings.
     with np.errstate(over="ignore", invalid="ignore"):
         for it in range(1, steps + 1):
             if cursor + batch_size > n:
@@ -558,7 +546,7 @@ def train_flow(model: FlowModel, batch: ConditionedBatch, steps: int = 500,
             if it % EVAL_EVERY == 0 or it == steps:
                 full = nll(model, batch, workspace=scoring)
                 if not np.isfinite(full):
-                    raise FlowDivergence(f"non-finite NLL at step {it}")
+                    raise ContractError(f"non-finite NLL at step {it}")
                 curve.append((it, full))
     return TrainResult(model, curve)
 

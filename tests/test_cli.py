@@ -739,6 +739,36 @@ class TestCmdFlow:
         assert "manifest sample 1" in err and "'mel'" in err
         assert "internal error" not in err
 
+    def test_nll_ignores_the_seed_variable(self, tmp_path, capsys, monkeypatch):
+        manifest = self.build_corpus(tmp_path, samples=4)
+        ckpt = tmp_path / "m.flw"
+        assert run(["flow", "train", "--manifest", str(manifest),
+                    "--ckpt", str(ckpt), "--steps", "2", "--seed", "1"]) == 0
+        capsys.readouterr()
+        argv = ["flow", "nll", "--manifest", str(manifest), "--ckpt", str(ckpt)]
+        assert run(argv) == 0
+        without = capsys.readouterr().out
+        monkeypatch.setenv("OVERSMOOTH_SEED", "abc")
+        assert run(argv) == 0
+        captured = capsys.readouterr()
+        assert captured.err == "" and captured.out == without
+
+    def test_size_too_large_for_memory_exits_2(self, tmp_path, capsys):
+        manifest = self.build_corpus(tmp_path, samples=4)
+        ckpt, report = tmp_path / "m.flw", tmp_path / "t.json"
+        capsys.readouterr()
+        # about 2**58 bytes of parameters: more than any 64-bit host maps,
+        # so the allocation is refused at once
+        assert run(["flow", "train", "--manifest", str(manifest),
+                    "--ckpt", str(ckpt), "--steps", "2", "--flow-steps",
+                    "100000000000000", "--out", str(report)]) == 2
+        captured = capsys.readouterr()
+        lines = captured.err.splitlines()
+        assert captured.out == "" and len(lines) == 1, lines
+        assert lines[0].startswith("error: Unable to allocate")
+        assert not ckpt.exists() and not report.exists()
+        assert not (tmp_path / "m.flw.curve.csv").exists()
+
     @pytest.mark.parametrize("action", ["nll", "sample"])
     @pytest.mark.parametrize("damage", ["nan", "inf", "zero steps",
                                         "frames without grid word"])

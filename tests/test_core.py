@@ -1,16 +1,17 @@
+import importlib
+import pkgutil
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oversmooth
 from oversmooth.core import (
     Adam,
     Alignment,
     AlignmentEntry,
-    AlignmentError,
-    BadMagic,
     ContractError,
-    FormatError,
     SeededRng,
     Spectrogram,
     read_alignment,
@@ -59,14 +60,15 @@ class TestMelFile:
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "bad.mel"
         path.write_bytes(b"XXXX" + b"\x00" * 12)
-        with pytest.raises(BadMagic):
+        with pytest.raises(ContractError, match="expected magic"):
             read_mel(path)
 
     def test_payload_size_mismatch(self, tmp_path):
         path = tmp_path / "short.mel"
         write_mel(Spectrogram(np.zeros((2, 2))), path)
         path.write_bytes(path.read_bytes()[:-4])
-        with pytest.raises(FormatError):
+        with pytest.raises(ContractError,
+                           match="payload is 12 bytes, header implies 16"):
             read_mel(path)
 
     def test_value_beyond_float32_rejected_before_writing(self, tmp_path):
@@ -86,7 +88,7 @@ class TestMelFile:
 
         payload = struct.pack("<f", float("nan"))
         path.write_bytes(b"MEL1" + struct.pack("<II", 1, 1) + payload)
-        with pytest.raises(FormatError):
+        with pytest.raises(ContractError, match="non-finite"):
             read_mel(path)
 
     @settings(max_examples=30, deadline=None)
@@ -121,7 +123,7 @@ class TestMelFile:
     def test_zero_dimension_header(self, tmp_path):
         path = tmp_path / "empty.mel"
         path.write_bytes(b"MEL1" + b"\x00" * 8)
-        with pytest.raises(FormatError, match="invalid dimensions 0x0"):
+        with pytest.raises(ContractError, match="invalid dimensions 0x0"):
             read_mel(path)
 
 
@@ -137,23 +139,36 @@ class TestAlignment:
     def test_empty_span(self, tmp_path):
         path = tmp_path / "a.tsv"
         path.write_text("R\t5\t5\n")
-        with pytest.raises(AlignmentError):
+        with pytest.raises(ContractError, match=r"empty span for 'R': \[5, 5\)"):
             read_alignment(path)
 
     def test_overlap(self, tmp_path):
         path = tmp_path / "a.tsv"
         path.write_text("A\t0\t4\nB\t3\t6\n")
-        with pytest.raises(AlignmentError):
+        with pytest.raises(ContractError, match="overlapping span for 'B'"):
             read_alignment(path)
 
     def test_non_integer_fields(self, tmp_path):
         path = tmp_path / "a.tsv"
         path.write_text("A\t0\tx\n")
-        with pytest.raises(AlignmentError):
+        with pytest.raises(ContractError, match="frame fields must be integers"):
             read_alignment(path)
 
 
+def test_contract_error_is_the_one_error_type():
+    for module in pkgutil.iter_modules(oversmooth.__path__):
+        importlib.import_module(f"oversmooth.{module.name}")
+    assert ContractError.__subclasses__() == []
+
+
 class TestSeededRng:
+    def test_draws_those_of_the_keyed_philox_generator(self):
+        rng = SeededRng(123, 5)
+        plain = np.random.Generator(np.random.Philox(key=(5 << 64) | 123))
+        assert np.array_equal(rng.uniform(size=64), plain.uniform(size=64))
+        assert np.array_equal(rng.integers(0, 9, size=64),
+                              plain.integers(0, 9, size=64))
+
     def test_equal_streams_replay(self):
         a = SeededRng(123, 5).uniform(size=10_000)
         b = SeededRng(123, 5).uniform(size=10_000)

@@ -23,20 +23,21 @@ class TestReadWav:
     def test_stereo_rejected(self, tmp_path):
         path = tmp_path / "s.wav"
         path.write_bytes(wav_bytes(np.zeros(10, dtype=np.int16), channels=2))
-        with pytest.raises(dsp.UnsupportedChannels):
+        with pytest.raises(ContractError, match="expected mono, got 2 channels"):
             dsp.read_wav(path)
 
     def test_non_pcm_rejected(self, tmp_path):
         path = tmp_path / "f.wav"
         path.write_bytes(wav_bytes(np.zeros(10, dtype=np.int16), audio_format=3))
-        with pytest.raises(dsp.WavError):
+        with pytest.raises(ContractError,
+                           match=r"only PCM is supported \(format tag 3\)"):
             dsp.read_wav(path)
 
     def test_truncated_payload(self, tmp_path):
         path = tmp_path / "t.wav"
         data = wav_bytes(np.zeros(50, dtype=np.int16))
         path.write_bytes(data[:-20])
-        with pytest.raises(dsp.WavError):
+        with pytest.raises(ContractError, match="data chunk truncated"):
             dsp.read_wav(path)
 
     def test_reads_every_pcm_value_exactly(self, tmp_path):

@@ -6,19 +6,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oversmooth.core import (
-    BadMagic,
-    ContractError,
-    FormatError,
-    SeededRng,
-)
+from oversmooth.core import ContractError, SeededRng
 from oversmooth import flow
 from oversmooth.flow import (
     ConditionedBatch,
-    DegenerateChannel,
     FlowModel,
     FlowWorkspace,
-    UninitializedModel,
     actnorm_init,
     forward,
     inverse,
@@ -151,7 +144,7 @@ class TestActnormInit:
         data = rng.normal(size=(100, 4, 3))
         data[:, :, 1] = 7.0
         model = FlowModel.random(rng, 3, 1, n_steps=1)
-        with pytest.raises(DegenerateChannel):
+        with pytest.raises(ContractError, match=r"zero-variance channels \[1\]"):
             actnorm_init(model, ConditionedBatch(data, np.zeros((100, 4, 1))))
 
     def test_double_init_rejected(self):
@@ -163,7 +156,7 @@ class TestActnormInit:
     def test_uninitialized_use_rejected(self):
         rng = SeededRng(7)
         model = FlowModel.random(rng, 4, 2, n_steps=1)
-        with pytest.raises(UninitializedModel):
+        with pytest.raises(ContractError, match="run actnorm_init"):
             forward(model, np.zeros((3, 4)), np.zeros((3, 2)))
 
 
@@ -384,7 +377,7 @@ class TestTraining:
     def test_requires_initialized(self):
         model = FlowModel.random(SeededRng(35), 4, 1, n_steps=1)
         batch = ConditionedBatch(np.zeros((4, 2, 4)), np.zeros((4, 2, 1)))
-        with pytest.raises(UninitializedModel):
+        with pytest.raises(ContractError, match="run actnorm_init"):
             train_flow(model, batch, steps=1)
 
 
@@ -665,7 +658,7 @@ class TestCheckpoint:
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "junk.flw"
         path.write_bytes(b"WHAT" + b"\x00" * 40)
-        with pytest.raises(BadMagic):
+        with pytest.raises(ContractError, match="expected magic b'FLW2'"):
             load_model(path)
 
     @pytest.mark.parametrize("header", [
@@ -678,7 +671,7 @@ class TestCheckpoint:
         path = tmp_path / "huge.flw"
         path.write_bytes(b"FLW2" + struct.pack("<7I", *header))
         start = time.process_time()
-        with pytest.raises(FormatError):
+        with pytest.raises(ContractError, match="payload is 0 bytes, header implies"):
             load_model(path)
         assert time.process_time() - start < 0.1
 
@@ -686,8 +679,8 @@ class TestCheckpoint:
     def test_grid_context_word_must_match_frames(self, tmp_path, grid_ctx, frames):
         path = tmp_path / "grid.flw"
         path.write_bytes(b"FLW2" + struct.pack("<7I", 1, 4, 2, 16, 1, grid_ctx, frames))
-        with pytest.raises(FormatError, match=f"grid-context word {grid_ctx} "
-                                              f"disagrees with frame count {frames}"):
+        with pytest.raises(ContractError, match=f"grid-context word {grid_ctx} "
+                                                f"disagrees with frame count {frames}"):
             load_model(path)
 
     @pytest.mark.parametrize("value", [np.nan, np.inf])
@@ -697,13 +690,13 @@ class TestCheckpoint:
         data = bytearray(path.read_bytes())
         data[40:44] = np.float32(value).tobytes()
         path.write_bytes(bytes(data))
-        with pytest.raises(FormatError, match="non-finite"):
+        with pytest.raises(ContractError, match="non-finite"):
             load_model(path)
 
     def test_zero_step_header_rejected(self, tmp_path):
         path = tmp_path / "empty.flw"
         path.write_bytes(b"FLW2" + struct.pack("<7I", 0, 4, 2, 16, 1, 0, 0))
-        with pytest.raises(FormatError, match="at least one step"):
+        with pytest.raises(ContractError, match="at least one step"):
             load_model(path)
 
     def test_zero_step_model_rejected(self):
