@@ -3,10 +3,11 @@
 Every command returns a canonical JSON report (sorted keys, stable float
 repr) and its side files: the text of each SVG, CSV and markdown file, or
 the writer of a checkpoint. Re-running with identical inputs and seeds is
-byte-identical. :func:`main` checks every output flag before the command
-runs and every side file's path after it, then writes the side files and the
-report (to ``--out`` or stdout); MEL1 files and corpus directories are
-written by their own writers inside the command. Diagnostics
+byte-identical. :func:`main` builds the parser of the named command alone
+(all six for help, ``--version`` or an unknown word), checks every output flag
+before the command runs and every side file's path after it, then writes the
+side files and the report (to ``--out`` or stdout); MEL1 files and corpus
+directories are written by their own writers inside the command. Diagnostics
 go to stderr. Exit codes: 0 success, 2 usage/contract error (a bad flag,
 input or output path), 1 internal error. ``OVERSMOOTH_SEED`` provides the
 seed when a command's ``--seed`` flag is omitted.
@@ -37,15 +38,12 @@ from .core import (
 )
 
 
-def _digest(path) -> str:
-    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
-
-
 def _report(command: str, inputs: dict, parameters: dict, results: dict) -> str:
     doc = {
         "command": command,
         "inputs": {
-            name: {"path": str(p), "sha256": _digest(p)}
+            name: {"path": str(p),
+                   "sha256": hashlib.sha256(Path(p).read_bytes()).hexdigest()}
             for name, p in inputs.items()
             if p is not None
         },
@@ -156,8 +154,7 @@ def _csv(header: str, *columns) -> str:
 def cmd_mel(args):
     clip = dsp.read_wav(args.wav)
     fb = dsp.mel_filterbank(dsp.DEFAULT_SAMPLE_RATE, args.frame, args.bins)
-    values = dsp.mel_spectrogram(clip, fb, args.frame, args.hop, args.floor)
-    spec = Spectrogram(values)
+    spec = Spectrogram(dsp.mel_spectrogram(clip, fb, args.frame, args.hop, args.floor))
     write_mel(spec, args.out_mel)
     return _report(
         "mel",
@@ -251,6 +248,9 @@ def cmd_dist(args):
 def cmd_toylab(args):
     _at_least("--generate", args.generate, 2)
     _at_least("--heldout", args.heldout, 2)
+    strategies = [s.strip() for s in args.strategies.split(",") if s.strip()]
+    if not strategies:
+        raise ContractError(f"--strategies names no strategy, got {args.strategies!r}")
     seed = _seed_of(args)
     if args.spec:
         doc = _checked(_read_json(args.spec), f"spec {args.spec}",
@@ -268,7 +268,6 @@ def cmd_toylab(args):
         )
     else:
         spec = toylab.canonical_spec(seed=seed)
-    strategies = [s.strip() for s in args.strategies.split(",") if s.strip()]
     report = toylab.run_experiment(
         spec, strategies, seed, n_generate=args.generate,
         n_heldout=args.heldout,
@@ -348,6 +347,8 @@ def cmd_flow(args):
         _at_least("--hidden", args.hidden, 0)
         if not args.step_size > 0:
             raise ContractError(f"--step-size must be positive, got {args.step_size}")
+        if args.step_size == np.inf:
+            raise ContractError("--step-size must be finite, got inf")
         batch, n_cond = _load_flow_corpus(args.manifest)
         rng = SeededRng(seed, stream=0x434C49)
         model = flow.FlowModel.random(
@@ -407,76 +408,85 @@ def cmd_make_corpus(args):
                     "n_samples": sum(map(len, corpus.stacks))}), {}
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(command=None) -> argparse.ArgumentParser:
+    """Parser for :func:`main`: ``command``'s alone if it names one, else all six."""
     parser = argparse.ArgumentParser(
         prog="oversmooth",
         description="over-smoothness metrics, density diagnostics, and toy "
                     "generation experiments for spectrograms",
     )
     parser.add_argument("--version", action="version", version=__version__)
-    sub = parser.add_subparsers(dest="command", required=True)
+    words = ("mel", "metrics", "dist", "toylab", "flow", "make-corpus")
+    one = command in words  # a metavar then keeps the full parser's usage line
+    sub = parser.add_subparsers(dest="command", required=True,
+                                metavar="{%s}" % ",".join(words) if one else None)
 
-    p = sub.add_parser("mel", help="WAV -> MEL1 log-mel spectrogram")
-    p.add_argument("wav")
-    p.add_argument("out_mel")
-    p.add_argument("--frame", type=int, default=dsp.DEFAULT_FRAME)
-    p.add_argument("--hop", type=int, default=dsp.DEFAULT_HOP)
-    p.add_argument("--bins", type=int, default=dsp.DEFAULT_BINS)
-    p.add_argument("--floor", type=float, default=dsp.DEFAULT_FLOOR)
-    p.add_argument("--out")
-    p.set_defaults(func=cmd_mel, outputs={"out_mel": "file"})
+    def add(word, about):  # None for the other commands of a one-command parser
+        if not one or word == command:
+            return sub.add_parser(word, help=about)
 
-    p = sub.add_parser("metrics", help="Var_L (and SSIM given two files)")
-    p.add_argument("mel_a")
-    p.add_argument("mel_b", nargs="?")
-    p.add_argument("--window", type=int, default=11)
-    p.add_argument("--svg", help="prefix for heatmap SVGs")
-    p.add_argument("--out")
-    p.set_defaults(func=cmd_metrics, outputs={"--svg": "prefix"})
+    if p := add("mel", "WAV -> MEL1 log-mel spectrogram"):
+        p.add_argument("wav")
+        p.add_argument("out_mel")
+        p.add_argument("--frame", type=int, default=dsp.DEFAULT_FRAME)
+        p.add_argument("--hop", type=int, default=dsp.DEFAULT_HOP)
+        p.add_argument("--bins", type=int, default=dsp.DEFAULT_BINS)
+        p.add_argument("--floor", type=float, default=dsp.DEFAULT_FLOOR)
+        p.add_argument("--out")
+        p.set_defaults(func=cmd_mel, outputs={"out_mel": "file"})
 
-    p = sub.add_parser("dist", help="per-phoneme marginal/joint densities")
-    # "--bins -1,3" and "--bins -x" are values for cmd_dist to check, not options.
-    p._negative_number_matcher = re.compile(r"-[^-]")
-    p.add_argument("--manifest", required=True,
-                   help="JSON list of {mel, align} path pairs")
-    p.add_argument("--ph", required=True)
-    p.add_argument("--bins", help="comma-separated bin indices in [0, F)")
-    p.add_argument("--joint", help="freq:f1,f2 or time:f,lag")
-    p.add_argument("--bandwidth", type=float)
-    p.add_argument("--out-prefix")
-    p.add_argument("--out")
-    p.set_defaults(func=cmd_dist, outputs={"--out-prefix": "prefix"})
+    if p := add("metrics", "Var_L (and SSIM given two files)"):
+        p.add_argument("mel_a")
+        p.add_argument("mel_b", nargs="?")
+        p.add_argument("--window", type=int, default=11)
+        p.add_argument("--svg", help="prefix for heatmap SVGs")
+        p.add_argument("--out")
+        p.set_defaults(func=cmd_metrics, outputs={"--svg": "prefix"})
 
-    p = sub.add_parser("toylab", help="synthetic over-smoothing experiment")
-    p.add_argument("--spec", help="JSON corpus spec (default: the canonical "
-                                  "8x8 two-pattern corpus)")
-    p.add_argument("--strategies", default="mse,lm,ar,conditioned,flow")
-    p.add_argument("--seed", type=int)
-    p.add_argument("--generate", type=int, default=200)
-    p.add_argument("--heldout", type=int, default=200)
-    p.add_argument("--out-prefix")
-    p.add_argument("--out")
-    p.set_defaults(func=cmd_toylab, outputs={"--out-prefix": "prefix"})
+    if p := add("dist", "per-phoneme marginal/joint densities"):
+        # "--bins -1,3" and "--bins -x" are values for cmd_dist to check, not options.
+        p._negative_number_matcher = re.compile(r"-[^-]")
+        p.add_argument("--manifest", required=True,
+                       help="JSON list of {mel, align} path pairs")
+        p.add_argument("--ph", required=True)
+        p.add_argument("--bins", help="comma-separated bin indices in [0, F)")
+        p.add_argument("--joint", help="freq:f1,f2 or time:f,lag")
+        p.add_argument("--bandwidth", type=float)
+        p.add_argument("--out-prefix")
+        p.add_argument("--out")
+        p.set_defaults(func=cmd_dist, outputs={"--out-prefix": "prefix"})
 
-    p = sub.add_parser("flow", help="train / sample / score a flow model")
-    p.add_argument("action", choices=list(_FLOW_ACTIONS))
-    for flag, kind in _FLOW_TYPES.items():
-        p.add_argument(flag, type=kind)  # defaults: see _FLOW_ACTIONS
-    p.add_argument("--out")
-    p.set_defaults(func=cmd_flow)
+    if p := add("toylab", "synthetic over-smoothing experiment"):
+        p.add_argument("--spec", help="JSON corpus spec (default: the canonical "
+                                      "8x8 two-pattern corpus)")
+        p.add_argument("--strategies", default="mse,lm,ar,conditioned,flow")
+        p.add_argument("--seed", type=int)
+        p.add_argument("--generate", type=int, default=200)
+        p.add_argument("--heldout", type=int, default=200)
+        p.add_argument("--out-prefix")
+        p.add_argument("--out")
+        p.set_defaults(func=cmd_toylab, outputs={"--out-prefix": "prefix"})
 
-    p = sub.add_parser("make-corpus", help="write the canonical toy corpus "
-                                           "as MEL1 files plus a manifest")
-    p.add_argument("out_dir")
-    p.add_argument("--samples", type=int, default=100)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--out")
-    p.set_defaults(func=cmd_make_corpus, outputs={"out_dir": "dir"})
+    if p := add("flow", "train / sample / score a flow model"):
+        p.add_argument("action", choices=list(_FLOW_ACTIONS))
+        for flag, kind in _FLOW_TYPES.items():
+            p.add_argument(flag, type=kind)  # defaults: see _FLOW_ACTIONS
+        p.add_argument("--out")
+        p.set_defaults(func=cmd_flow)
+
+    if p := add("make-corpus", "write the canonical toy corpus as MEL1 files "
+                               "plus a manifest"):
+        p.add_argument("out_dir")
+        p.add_argument("--samples", type=int, default=100)
+        p.add_argument("--seed", type=int)
+        p.add_argument("--out")
+        p.set_defaults(func=cmd_make_corpus, outputs={"out_dir": "dir"})
     return parser
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = build_parser(*argv[:1]).parse_args(argv)
     try:
         # Output flags are checked before any work and every side file's path
         # before the first write, so that no run fails on a flag after its

@@ -365,6 +365,22 @@ class TestCmdToylab:
         assert captured.out == ""
         assert captured.err == f"error: strategies named more than once: {named}\n"
 
+    @pytest.mark.parametrize("strategies", [",", "", " , "])
+    def test_no_strategy_exits_2(self, tmp_path, capsys, monkeypatch,
+                                 strategies):
+        def no_work(*args, **kwargs):
+            raise AssertionError("the work ran")
+
+        monkeypatch.setattr(toylab, "run_experiment", no_work)
+        assert run(["toylab", "--strategies", strategies, "--seed", "1",
+                    "--generate", "2", "--heldout", "2",
+                    "--out-prefix", str(tmp_path / "t")]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("error: --strategies names no strategy, got "
+                                f"{strategies!r}\n")
+        assert list(tmp_path.iterdir()) == []
+
     def test_byte_identical_reruns_with_artifacts(self, tmp_path):
         args = ["toylab", "--strategies", "mse,conditioned", "--seed", "9",
                 "--generate", "40", "--heldout", "40"]
@@ -829,6 +845,19 @@ class TestCmdFlow:
         assert flag in capsys.readouterr().err
         assert not ckpt.exists()
 
+    @pytest.mark.parametrize("value,why", [("inf", "finite"), ("-inf", "positive"),
+                                           ("nan", "positive")])
+    def test_non_finite_step_size_exits_2_before_any_work(self, tmp_path, capsys,
+                                                          value, why):
+        # The manifest does not exist: the step size is rejected before it is read.
+        ckpt = tmp_path / "m.flw"
+        assert run(["flow", "train", "--manifest", str(tmp_path / "none.json"),
+                    "--ckpt", str(ckpt), f"--step-size={value}"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: --step-size must be {why}, got {value}\n"
+        assert list(tmp_path.iterdir()) == []
+
     @pytest.mark.parametrize("flag,value", [
         ("--condition", "-1"),
         ("--frames", "-1"),
@@ -1055,6 +1084,63 @@ def test_flow_flag_the_action_does_not_take_exits_2(tmp_path, capsys, cli_inputs
     assert lines[0] == f"error: flow {argv[1]} does not take {foreign[0]}"
     assert tree(tmp_path) == before
     assert run(argv) == 0  # the same command without the flag runs
+
+
+TYPICAL = {  # one argv each command parses
+    "mel": ["mel", "a.wav", "a.mel", "--bins", "40", "--floor", "1e-4"],
+    "metrics": ["metrics", "a.mel", "b.mel", "--svg", "p", "--window", "7"],
+    "dist": ["dist", "--manifest", "m.json", "--ph", "R", "--bins", "-1,3",
+             "--joint", "freq:1,2"],
+    "toylab": ["toylab", "--strategies", "mse,ar", "--seed", "3", "--generate", "9"],
+    "flow": ["flow", "sample", "--ckpt", "m.flw", "--out-mel", "x.mel",
+             "--temperature", "0.5"],
+    "make-corpus": ["make-corpus", "out", "--samples", "4", "--out", "r.json"],
+}
+
+
+def subparsers(parser):
+    return next(a for a in parser._actions if a.dest == "command").choices
+
+
+@pytest.mark.parametrize("command", list(TYPICAL))
+def test_one_command_parser_matches_the_full_one(command):
+    full, one = cli.build_parser(), cli.build_parser(command)
+    assert list(subparsers(one)) == [command]
+    assert list(subparsers(full)) == list(TYPICAL)
+    assert one.format_usage() == full.format_usage()
+    assert (subparsers(one)[command].format_help()
+            == subparsers(full)[command].format_help())
+    argv = TYPICAL[command]
+    assert vars(one.parse_args(argv)) == vars(full.parse_args(argv))
+
+
+def test_help_lists_every_command(capsys):
+    with pytest.raises(SystemExit) as info:
+        run(["--help"])
+    assert info.value.code == 0
+    out = capsys.readouterr().out
+    assert out == cli.build_parser().format_help()
+    for command in TYPICAL:
+        assert re.search(rf"^    {command} ", out, re.MULTILINE), command
+
+
+def test_unknown_command_lists_every_choice(capsys):
+    with pytest.raises(SystemExit) as info:
+        run(["mels", "a.wav"])
+    assert info.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith(cli.build_parser().format_usage())
+    assert "argument command: invalid choice: 'mels'" in err
+    assert re.findall(r"[\w-]+", err.split("choose from")[1]) == list(TYPICAL)
+
+
+def test_unknown_flag_after_a_command_prints_the_full_usage(capsys):
+    with pytest.raises(SystemExit) as info:
+        run(["mel", "a.wav", "b.mel", "--bogus"])
+    assert info.value.code == 2
+    err = capsys.readouterr().err
+    assert err == (cli.build_parser().format_usage()
+                   + "oversmooth: error: unrecognized arguments: --bogus\n")
 
 
 def test_import_loads_no_network_stack():
