@@ -3,14 +3,16 @@
 Every command returns a canonical JSON report (sorted keys, stable float
 repr) and its side files: the text of each SVG, CSV and markdown file, or
 the writer of a checkpoint. Re-running with identical inputs and seeds is
-byte-identical. :func:`main` builds the parser of the named command alone
-(all six for help, ``--version`` or an unknown word), checks every output flag
-before the command runs and every side file's path after it, then writes the
-side files and the report (to ``--out`` or stdout); MEL1 files and corpus
-directories are written by their own writers inside the command. Diagnostics
-go to stderr. Exit codes: 0 success, 2 usage/contract error (a bad flag,
-input or output path), 1 internal error. ``OVERSMOOTH_SEED`` provides the
-seed when a command's ``--seed`` flag is omitted.
+byte-identical. :func:`main` parses a command's arguments with that command's
+own parser and hands help, ``--version``, an unknown word or a left-over
+argument to the full parser, so every message reads as the full parser's. It
+checks every output flag before the command runs and every side file's path
+after it, then writes the side files and the report (to ``--out`` or stdout);
+MEL1 files and corpus directories are written by their own writers inside the
+command. Diagnostics go to stderr. Exit codes: 0 success, 2 usage/contract
+error (a bad flag, input or output path), 1 internal error.
+``OVERSMOOTH_SEED`` provides the seed when a command's ``--seed`` flag is
+omitted.
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ import hashlib
 import json
 import os
 import re
+import shutil
 import sys
 from pathlib import Path
 
@@ -152,6 +155,10 @@ def _csv(header: str, *columns) -> str:
 
 
 def cmd_mel(args):
+    _at_least("--bins", args.bins, 1)
+    _at_least("--hop", args.hop, 1)
+    if args.frame < 1 or args.frame & (args.frame - 1):
+        raise ContractError(f"--frame must be a positive power of two, got {args.frame}")
     clip = dsp.read_wav(args.wav)
     fb = dsp.mel_filterbank(dsp.DEFAULT_SAMPLE_RATE, args.frame, args.bins)
     spec = Spectrogram(dsp.mel_spectrogram(clip, fb, args.frame, args.hop, args.floor))
@@ -319,6 +326,7 @@ _FLOW_ACTIONS = {  # action -> ({flag it takes: its default, or ... if the
 _FLOW_TYPES = {"--manifest": str, "--ckpt": str, "--steps": int, "--step-size": float,
                "--flow-steps": int, "--hidden": int, "--condition": int, "--frames": int,
                "--temperature": float, "--out-mel": str, "--seed": int}
+_COMMANDS = ("mel", "metrics", "dist", "toylab", "flow", "make-corpus")
 
 
 def _dest(flag: str) -> str:
@@ -398,6 +406,7 @@ def cmd_flow(args):
 
 
 def cmd_make_corpus(args):
+    _at_least("--samples", args.samples, 1)
     seed = _seed_of(args)
     spec = toylab.canonical_spec(seed=seed,
                                  samples_per_condition=args.samples)
@@ -409,21 +418,25 @@ def cmd_make_corpus(args):
 
 
 def build_parser(command=None) -> argparse.ArgumentParser:
-    """Parser for :func:`main`: ``command``'s alone if it names one, else all six."""
+    """:func:`main`'s parser: ``command``'s own if it names one, else the full
+    one. A build asks the terminal for argparse's help width once."""
+    fmt = functools.partial(argparse.HelpFormatter,
+                            width=shutil.get_terminal_size().columns - 2)
+    one = command in _COMMANDS  # usage, help and errors as the full one's subparser
     parser = argparse.ArgumentParser(
-        prog="oversmooth",
-        description="over-smoothness metrics, density diagnostics, and toy "
-                    "generation experiments for spectrograms",
-    )
-    parser.add_argument("--version", action="version", version=__version__)
-    words = ("mel", "metrics", "dist", "toylab", "flow", "make-corpus")
-    one = command in words  # a metavar then keeps the full parser's usage line
-    sub = parser.add_subparsers(dest="command", required=True,
-                                metavar="{%s}" % ",".join(words) if one else None)
+        prog=f"oversmooth {command}" if one else "oversmooth", formatter_class=fmt,
+        description=None if one else "over-smoothness metrics, density "
+        "diagnostics, and toy generation experiments for spectrograms")
+    if one:
+        parser.set_defaults(command=command)
+    else:
+        parser.add_argument("--version", action="version", version=__version__)
+        sub = parser.add_subparsers(dest="command", required=True)
 
     def add(word, about):  # None for the other commands of a one-command parser
-        if not one or word == command:
-            return sub.add_parser(word, help=about)
+        if not one:
+            return sub.add_parser(word, help=about, formatter_class=fmt)
+        return parser if word == command else None
 
     if p := add("mel", "WAV -> MEL1 log-mel spectrogram"):
         p.add_argument("wav")
@@ -486,7 +499,10 @@ def build_parser(command=None) -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
-    args = build_parser(*argv[:1]).parse_args(argv)
+    word = argv[0] if argv and argv[0] in _COMMANDS else None
+    args, rest = build_parser(word).parse_known_args(argv[1:] if word else argv)
+    if rest:  # the full parser words the error, as a known word's parser cannot
+        args = build_parser().parse_args(argv)
     try:
         # Output flags are checked before any work and every side file's path
         # before the first write, so that no run fails on a flag after its

@@ -109,8 +109,9 @@ def _gauss_sum(grid: np.ndarray, samples: np.ndarray, h: float) -> np.ndarray:
 def kde1d(samples, bandwidth: float | None = None) -> Density1D:
     """Gaussian-kernel density estimate of a 1-D sample on 512 points over
     [min - 4h, max + 4h], which keeps the trapezoidal integral within 2% of
-    one. A zero-variance sample requires an explicit bandwidth, and one so
-    small that the density overflows is a ContractError."""
+    one. A zero-variance sample requires an explicit bandwidth, and one
+    below half the grid step, or so small that the density overflows, is a
+    ContractError."""
     x = np.asarray(samples, dtype=np.float64).ravel()
     if len(x) < 1:
         raise ContractError("need at least one sample")
@@ -118,6 +119,9 @@ def kde1d(samples, bandwidth: float | None = None) -> Density1D:
         raise ContractError("samples must be finite")
     h = _bandwidth(x, bandwidth)
     g = _auto_grid(x, h, 512)
+    if g[1] - g[0] > 2.0 * h:  # the trapezoid sum could then be off by over 1.4%
+        raise ContractError(f"bandwidth {h} is too small: below half the grid "
+                            f"step {g[1] - g[0]}")
     with np.errstate(over="ignore"):  # exp(-inf) = 0 is exact; _finite checks the rest
         return Density1D(g, _finite(_gauss_sum(g, x, h) / len(x), h))
 

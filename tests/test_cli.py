@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import re
@@ -87,8 +88,23 @@ class TestCmdMel:
         captured = capsys.readouterr()
         lines = captured.err.splitlines()
         assert captured.out == "" and len(lines) == 1, lines
-        assert lines[0] == ("error: frame size must be a positive power of two, "
-                            f"got {frame}")
+        assert lines[0] == f"error: --frame must be a positive power of two, got {frame}"
+        assert not mel.exists()
+
+    @pytest.mark.parametrize("flag,value,message", [
+        ("--bins", "0", "--bins must be at least 1, got 0"),
+        ("--hop", "0", "--hop must be at least 1, got 0"),
+        ("--hop", "-3", "--hop must be at least 1, got -3"),
+        ("--frame", "1000", "--frame must be a positive power of two, got 1000"),
+    ])
+    def test_bad_size_flag_exits_2_naming_the_flag(self, tmp_path, capsys, flag,
+                                                   value, message):
+        wav = tmp_path / "a.wav"
+        make_wav(wav)
+        mel = tmp_path / "a.mel"
+        assert run(["mel", str(wav), str(mel), flag, value]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == f"error: {message}\n"
         assert not mel.exists()
 
 
@@ -229,6 +245,19 @@ class TestCmdDist:
         # one <image>, one pixel per (grid_x, grid_y) point
         assert heatmap_pixels(svg).shape == (128, 128, 3)
 
+    def test_bandwidth_below_half_the_grid_step_exits_2(self, tmp_path, capsys):
+        manifest = build_dist_fixture(tmp_path)
+        before = tree(tmp_path)
+        assert run(["dist", "--manifest", str(manifest), "--ph", "R", "--bins", "3",
+                    "--bandwidth", "1e-3", "--out-prefix", str(tmp_path / "d")]) == 2
+        captured = capsys.readouterr()
+        lines = captured.err.splitlines()
+        assert captured.out == "" and len(lines) == 1, lines
+        # bin 3's grid step is about 0.011 here
+        assert lines[0].startswith("error: bandwidth 0.001 is too small: below half "
+                                   "the grid step 0.01")
+        assert tree(tmp_path) == before
+
     @pytest.mark.parametrize("bandwidth", [None, 0.01], ids=["rule", "narrow"])
     def test_csvs_equal_the_row_formula(self, tmp_path, capsys, bandwidth):
         manifest = build_dist_fixture(tmp_path)
@@ -283,16 +312,17 @@ class TestCmdDist:
         (["--joint", "time:-2,1"], "bin -2"),
         (["--bins", "3", "--bandwidth", "nan"], "bandwidth"),
         (["--bins", "3", "--bandwidth", "inf"], "bandwidth"),
-        # so small that the kernel normalisation or the density overflows
+        # below half the marginal's grid step, or so small that the kernel
+        # normalisation or the joint density overflows
         (["--bins", "3", "--bandwidth", "1e-310"], "bandwidth 1e-310 is too small"),
         (["--joint", "freq:3,4", "--bandwidth", "1e-310"],
          "bandwidth (1e-310, 1e-310) is too small"),
+        (["--joint", "freq:3,4", "--bandwidth", "1e-160"],
+         "bandwidth (1e-160, 1e-160) is too small"),
         # a later bin or the joint fails after bin 3 is computed
         (["--bins", "3,123"], "bin 123"),
         (["--bins", "3", "--joint", "freq:3,x"], "--joint"),
         (["--bins", "3", "--joint", "bogus:1,2"], "unknown joint kind 'bogus'"),
-        (["--bins", "3", "--joint", "freq:3,4", "--bandwidth", "1e-160"],
-         "bandwidth (1e-160, 1e-160) is too small"),
         # the report's directory is missing; checked before any file is written
         (["--bins", "3", "--joint", "freq:3,4", "--out", "{tmp}/missing/r.json"],
          "--out"),
@@ -948,6 +978,17 @@ def test_unwritable_report_exits_2_before_any_work(tmp_path, capsys, out,
     assert not (tmp_path / "corpus").exists()
 
 
+@pytest.mark.parametrize("samples", ["0", "-2"])
+def test_make_corpus_without_samples_exits_2_naming_the_flag(tmp_path, capsys,
+                                                             samples):
+    out_dir = tmp_path / "corpus"
+    assert run(["make-corpus", str(out_dir), "--samples", samples]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: --samples must be at least 1, got {samples}\n"
+    assert not out_dir.exists()
+
+
 @pytest.fixture
 def cli_inputs(tmp_path, capsys):
     """One valid input of each kind under ``tmp_path/in``, with a file
@@ -1105,13 +1146,77 @@ def subparsers(parser):
 @pytest.mark.parametrize("command", list(TYPICAL))
 def test_one_command_parser_matches_the_full_one(command):
     full, one = cli.build_parser(), cli.build_parser(command)
-    assert list(subparsers(one)) == [command]
     assert list(subparsers(full)) == list(TYPICAL)
-    assert one.format_usage() == full.format_usage()
-    assert (subparsers(one)[command].format_help()
-            == subparsers(full)[command].format_help())
+    sub = subparsers(full)[command]
+    assert one.prog == sub.prog == f"oversmooth {command}"
+    assert one.format_usage() == sub.format_usage()
+    assert one.format_help() == sub.format_help()
     argv = TYPICAL[command]
-    assert vars(one.parse_args(argv)) == vars(full.parse_args(argv))
+    assert vars(one.parse_args(argv[1:])) == vars(full.parse_args(argv))
+
+
+@pytest.mark.parametrize("command", [None, "flow"])
+@pytest.mark.parametrize("columns", ["40", "200"])
+def test_help_width_is_argparse_own(monkeypatch, command, columns):
+    monkeypatch.setenv("COLUMNS", columns)
+    ours = cli.build_parser(command)._get_formatter()
+    default = argparse.HelpFormatter(ours._prog)
+    assert (ours._width, ours._max_help_position) == (
+        default._width, default._max_help_position)
+
+
+ARGVS = [  # per command: a typical success with its report in a file, then
+    # -h, a bad number, a missing positional or flag, an unknown flag,
+    # --version after the command, an abbreviated long flag and "--"
+    ["mel", "{wav}", "{new}.mel", "--bin", "40", "--out", "{new}.json"],
+    ["mel", "-h"], ["mel", "{wav}", "{new}.mel", "--hop", "x"], ["mel", "{wav}"],
+    ["mel", "{wav}", "{new}.mel", "--bogus"], ["mel", "{wav}", "{new}.mel", "--version"],
+    ["mel", "{wav}", "{new}.mel", "--fr", "1.5"], ["mel", "--", "{wav}", "{new}.mel", "--hop"],
+    ["metrics", "{mel}", "{mel}", "--win", "7", "--out", "{new}.json"],
+    ["metrics", "--help"], ["metrics", "{mel}", "--window", "x"], ["metrics"],
+    ["metrics", "{mel}", "--bogus", "1"], ["metrics", "{mel}", "--version"],
+    ["metrics", "{mel}", "--wi", "7.0"], ["metrics", "--", "{mel}", "{mel}", "-x"],
+    ["dist", "--manifest", "{dist}", "--ph", "R", "--bins", "3", "--out-pre", "{new}",
+     "--out", "{new}.json"],
+    ["dist", "-h"], ["dist", "--manifest", "{dist}", "--ph", "R", "--bandwidth", "x"],
+    ["dist", "--ph", "R"], ["dist", "--manifest", "{dist}", "--ph", "R", "--bogus"],
+    ["dist", "--manifest", "{dist}", "--ph", "R", "--version"],
+    ["dist", "--man", "{dist}", "--ph", "R", "--band", "y"],
+    ["dist", "--manifest", "{dist}", "--ph", "R", "--", "x"],
+    ["toylab", "--strategies", "mse", "--gen", "2", "--heldout", "2", "--out", "{new}.json"],
+    ["toylab", "-h"], ["toylab", "--seed", "x"], ["toylab", "--spec"],
+    ["toylab", "--bogus"], ["toylab", "--seed", "1", "--version"],
+    ["toylab", "--se", "1.5"], ["toylab", "--", "mse"],
+    ["flow", "train", "--manifest", "{corpus}", "--ckpt", "{new}.flw", "--steps", "2",
+     "--hid", "4", "--out", "{new}.json"],
+    ["flow", "-h"], ["flow", "sample", "--frames", "x"], ["flow"], ["flow", "nll", "--bogus"],
+    ["flow", "nll", "--version"], ["flow", "train", "--ste", "1"],
+    ["flow", "--", "nll", "--ckpt"],
+    ["make-corpus", "{new}", "--sam", "2", "--out", "{new}.json"],
+    ["make-corpus", "-h"], ["make-corpus", "{new}", "--samples", "x"], ["make-corpus"],
+    ["make-corpus", "{new}", "--bogus"], ["make-corpus", "{new}", "--version"],
+    ["make-corpus", "{new}", "--se", "x"], ["make-corpus", "--", "{new}", "--samples"],
+    [], ["-h"], ["--version"], ["mels"], ["--", "mel"],  # the full parser's own
+]
+
+
+def outcome(capsys, call, argv):
+    """Exit code, stdout and stderr of ``call(argv)``; a namespace is exit 0."""
+    try:
+        code = call(argv)
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return (0 if isinstance(code, argparse.Namespace) else code,
+            captured.out, captured.err)
+
+
+@pytest.mark.parametrize("argv", [pytest.param(a, id=" ".join(a) or "no argv")
+                                  for a in ARGVS])
+def test_main_parses_as_the_full_parser(tmp_path, capsys, cli_inputs, argv):
+    argv = [a.format(new=tmp_path / "new", **cli_inputs) for a in argv]
+    assert (outcome(capsys, cli.main, argv)
+            == outcome(capsys, cli.build_parser().parse_args, argv))
 
 
 def test_help_lists_every_command(capsys):

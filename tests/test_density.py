@@ -85,19 +85,22 @@ class TestKde1d:
         assert silverman_bandwidth(x) == pytest.approx(expected, rel=1e-12)
 
     @pytest.mark.parametrize("samples,bandwidth", [
-        ([0.0, 1.0, 2.0], 1e-310),  # the normalisation overflows
+        ([0.0, 1.0, 2.0], 1e-310),  # below half the grid step
         ([0.0] * 5, 1e-308),  # the normalisation holds, the density overflows
+        ([0.0] * 5, 1e-310),  # the normalisation overflows
     ])
     def test_too_small_bandwidth_is_refused(self, samples, bandwidth):
         with pytest.raises(ContractError, match=f"bandwidth {bandwidth} is too small"):
             kde1d(samples, bandwidth=bandwidth)
 
-    def test_tiny_working_bandwidth_gives_exact_zero_kernels(self):
-        # Off the grid's two ends, each within 4h of a sample, every z * z
-        # overflows and its kernel is exp(-inf) = 0; no warning escapes.
-        density = kde1d([0.0, 1.0], bandwidth=1e-160)
-        assert np.all(density.values[1:-1] == 0.0)
-        assert density.values[-1] == 0.5 / (np.sqrt(2.0 * np.pi) * 1e-160)
+    def test_bandwidth_below_half_the_grid_step_is_refused(self):
+        # On [0, 1] the 512-point grid's step (1 + 8h) / 511 is 2h at h = 1/1014.
+        density = kde1d([0.0, 1.0], bandwidth=1.001 / 1014)
+        bound = 2.0 * np.exp(-np.pi ** 2 / 2.0)  # the trapezoid error at step 2h
+        assert np.trapezoid(density.values, density.grid) == pytest.approx(1.0, abs=bound)
+        with pytest.raises(ContractError, match=re.escape(
+                f"bandwidth {0.999 / 1014} is too small: below half the grid step ")):
+            kde1d([0.0, 1.0], bandwidth=0.999 / 1014)
 
 
 def one_shot_gauss_sum(grid, samples, h):
