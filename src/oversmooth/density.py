@@ -62,7 +62,11 @@ def _bandwidth(values: np.ndarray, given) -> float:
 
 
 def _auto_grid(samples: np.ndarray, h: float, points: int) -> np.ndarray:
-    return np.linspace(samples.min() - 4.0 * h, samples.max() + 4.0 * h, points)
+    grid = np.linspace(samples.min() - 4.0 * h, samples.max() + 4.0 * h, points)
+    if grid[1] - grid[0] > 2.0 * h:  # the trapezoid sum could then be off by over 1.4%
+        raise ContractError(f"bandwidth {h} is too small: below half the grid "
+                            f"step {grid[1] - grid[0]}")
+    return grid
 
 
 def _finite(values, bandwidth):
@@ -119,9 +123,6 @@ def kde1d(samples, bandwidth: float | None = None) -> Density1D:
         raise ContractError("samples must be finite")
     h = _bandwidth(x, bandwidth)
     g = _auto_grid(x, h, 512)
-    if g[1] - g[0] > 2.0 * h:  # the trapezoid sum could then be off by over 1.4%
-        raise ContractError(f"bandwidth {h} is too small: below half the grid "
-                            f"step {g[1] - g[0]}")
     with np.errstate(over="ignore"):  # exp(-inf) = 0 is exact; _finite checks the rest
         return Density1D(g, _finite(_gauss_sum(g, x, h) / len(x), h))
 
@@ -136,11 +137,11 @@ def kde2d(pairs, bandwidths: tuple[float, float] | None = None) -> Density2D:
     xs, ys = p[:, 0], p[:, 1]
     given_x, given_y = (None, None) if bandwidths is None else bandwidths
     hx, hy = _bandwidth(xs, given_x), _bandwidth(ys, given_y)
-    gx = _auto_grid(xs, hx, 128)
-    gy = _auto_grid(ys, hy, 128)
-    values = np.zeros((len(gx), len(gy)))
     with np.errstate(divide="ignore", over="ignore"):  # as in kde1d
         norm = _finite(np.float64(1.0) / (2.0 * np.pi * hx * hy), (hx, hy))
+        gx = _auto_grid(xs, hx, 128)
+        gy = _auto_grid(ys, hy, 128)
+        values = np.zeros((len(gx), len(gy)))
         for start in range(0, len(p), 1024):
             cx = xs[start : start + 1024]
             cy = ys[start : start + 1024]

@@ -13,14 +13,15 @@ recognizably blurred output. Strategies differ in what they can express:
 * ``gan``: an adversarial demo with random-window critics; it runs and is
   reported, but no convergence claim is attached to it.
 
-Three come in pairs without and with mode conditioning: ``mse`` /
-``conditioned``, ``lm`` / ``cond_lm`` and ``flow`` / ``cond_flow``. The
-second of each pair sets ``by_mode``, the one switch of mode conditioning
-for every pair: it also takes each training grid's mode id, auxiliary
-"variance" information that collapses the multimodality, and draws a grid's
-mode by its training share. It scores held-out grids, whose mode ids it is
-not given, under the mixture over the condition's modes weighted by those
-shares.
+One preset table, ``_BUILDERS``, holds each row's class and settings; the
+``conditioned`` and ``cond_lm`` rows name classes that only fix theirs.
+Three rows come in pairs without and with mode conditioning, ``mse`` /
+``conditioned``, ``lm`` / ``cond_lm`` and ``flow`` / ``cond_flow``; the
+second of each sets ``by_mode``, the one switch of mode conditioning: it
+also takes each training grid's mode id, auxiliary "variance" information
+that collapses the multimodality, and draws a grid's mode by its training
+share. It scores held-out grids, whose mode ids it is not given, under the
+mixture over their condition's modes at those shares.
 
 The experiment report replaces listener scores with objective proxies
 (sharpness via the Laplacian-response variance, held-out NLL where a model
@@ -189,20 +190,6 @@ def default_coherence_tol(cond: ConditionSpec) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _mode_split(corpus: ToyCorpus, condition: int, min_count: int = 0):
-    """The samples of ``condition`` split by mode id, and each mode's share
-    of them; a mode with fewer than ``min_count`` samples is an error."""
-    stack, modes = corpus.stack(condition), corpus.modes(condition)
-    parts = [stack[modes == v]
-             for v in range(len(corpus.spec.conditions[condition].prototypes))]
-    for v, part in enumerate(parts):
-        if len(part) < min_count:
-            raise ContractError(f"(condition {condition}, mode {v}) has "
-                                f"{len(part)} samples, needs {min_count}")
-    counts = np.array([len(part) for part in parts], dtype=float)
-    return parts, counts / counts.sum()
-
-
 class _Strategy:
     """A fitted strategy. ``weights`` maps each condition to the weights of its
     mode models: one, mode 0, without ``by_mode``; with it, one per mode id,
@@ -212,14 +199,23 @@ class _Strategy:
     grid of ``stack``."""
 
     log_likelihood = None
+    min_mode_samples = 0  # the fewest training grids one mode model needs
 
-    def _mode_parts(self, corpus: ToyCorpus, by_mode: bool, min_count: int = 0):
+    def _mode_parts(self, corpus: ToyCorpus, by_mode: bool):
         """Set ``by_mode`` and ``weights``; return, per condition, the
-        samples of each of its models."""
+        samples of each of its models. With ``by_mode``, a mode with fewer
+        than ``min_mode_samples`` samples is an error."""
         self.by_mode, self.weights, parts = by_mode, {}, []
-        for ci in range(len(corpus.spec.conditions)):
-            split, self.weights[ci] = (_mode_split(corpus, ci, min_count) if by_mode
-                                       else ([corpus.stack(ci)], np.ones(1)))
+        for ci, cond in enumerate(corpus.spec.conditions):
+            stack, modes = corpus.stack(ci), corpus.modes(ci)
+            split = ([stack[modes == v] for v in range(len(cond.prototypes))]
+                     if by_mode else [stack])
+            for v, part in enumerate(split):
+                if by_mode and len(part) < self.min_mode_samples:
+                    raise ContractError(f"(condition {ci}, mode {v}) has {len(part)} "
+                                        f"samples, needs {self.min_mode_samples}")
+            counts = np.array([len(part) for part in split], dtype=float)
+            self.weights[ci] = counts / counts.sum()
             parts.append(split)
         return parts
 
@@ -246,10 +242,9 @@ class _FittedStrategy(_Strategy):
     samples)`` and drawn by ``_draw(model, rng, count)``; with ``by_mode``,
     mode v's model draws from ``rng.substream(v)``."""
 
-    def __init__(self, corpus: ToyCorpus, fit, by_mode: bool = False,
-                 min_count: int = 0):
+    def __init__(self, corpus: ToyCorpus, fit, by_mode: bool = False):
         self.models = {(ci, v): fit(ci, v, part) for ci, parts
-                       in enumerate(self._mode_parts(corpus, by_mode, min_count))
+                       in enumerate(self._mode_parts(corpus, by_mode))
                        for v, part in enumerate(parts)}
 
     def _sample(self, condition, picks, count, rng):
@@ -268,21 +263,25 @@ class _FittedStrategy(_Strategy):
 
 
 class PointwiseStrategy(_FittedStrategy):
-    """Per-condition, per-cell minimizer of MAE (median) or MSE (mean)."""
+    """Per-cell minimizer of MAE (median) or MSE (mean), per condition or,
+    with ``by_mode``, per (condition, mode id)."""
 
-    def __init__(self, corpus: ToyCorpus, loss: str = "mse"):
+    min_mode_samples = 1
+
+    def __init__(self, corpus: ToyCorpus, loss: str = "mse", by_mode: bool = False):
         if loss not in ("mse", "mae"):
             raise ContractError(f"unknown pointwise loss {loss!r}")
         average = np.mean if loss == "mse" else np.median
-        super().__init__(corpus, lambda ci, v, stack: average(stack, axis=0))
+        super().__init__(corpus, lambda ci, v, stack: average(stack, axis=0),
+                         by_mode)
 
 
-class ConditionedStrategy(_FittedStrategy):
-    """MSE fit per (condition, mode id): the mode's mean grid."""
+class ConditionedStrategy(PointwiseStrategy):
+    """MSE fit per (condition, mode id), a class only because tracing tools
+    time a fit by its class; ROADMAP item 1's benchmark change drops it."""
 
     def __init__(self, corpus: ToyCorpus):
-        super().__init__(corpus, lambda ci, v, part: part.mean(axis=0),
-                         by_mode=True, min_count=1)
+        super().__init__(corpus, "mse", by_mode=True)
 
 
 class ArStrategy(_FittedStrategy):
@@ -313,8 +312,18 @@ class ArStrategy(_FittedStrategy):
         return grids
 
 
-class _MixtureStrategy(_FittedStrategy):
-    """Per-cell Laplace mixture models, drawn and scored by ``probloss``."""
+class LmStrategy(_FittedStrategy):
+    """Independent per-cell Laplace mixture (k = 2) per model, fitted in
+    ``steps`` steps at seed + ci for condition ci or, with ``by_mode``, at
+    seed + 31 ci + v for its mode v; drawn and scored by ``probloss``."""
+
+    min_mode_samples = 2  # k
+
+    def __init__(self, corpus: ToyCorpus, seed: int = 0, by_mode: bool = False,
+                 steps: int = 150):
+        super().__init__(corpus, lambda ci, v, stack: probloss.fit_lm(
+            stack, k=2, steps=steps, restarts=1,
+            seed=seed + 31 * ci + v if by_mode else seed + ci), by_mode)
 
     @staticmethod
     def _draw(field, rng, count):
@@ -325,24 +334,12 @@ class _MixtureStrategy(_FittedStrategy):
         return probloss.lm_log_density(field, stack).sum(axis=(1, 2))
 
 
-class LmStrategy(_MixtureStrategy):
-    """Independent per-cell Laplace mixture per condition."""
+class CondLmStrategy(LmStrategy):
+    """Laplace mixture per (condition, mode id): both categories combined.
+    A class for tracing tools only, as ``ConditionedStrategy`` is."""
 
     def __init__(self, corpus: ToyCorpus, seed: int = 0):
-        super().__init__(corpus, lambda ci, v, stack: probloss.fit_lm(
-            stack, k=2, steps=150, restarts=1, seed=seed + ci))
-
-
-class CondLmStrategy(_MixtureStrategy):
-    """Laplace mixture per (condition, mode id): both categories combined."""
-
-    def __init__(self, corpus: ToyCorpus, seed: int = 0):
-        super().__init__(
-            corpus,
-            lambda ci, v, part: probloss.fit_lm(part, k=2, steps=100, restarts=1,
-                                                seed=seed + 31 * ci + v),
-            by_mode=True, min_count=2,
-        )
+        super().__init__(corpus, seed=seed, by_mode=True, steps=100)
 
 
 class FlowStrategy(_Strategy):
@@ -357,8 +354,7 @@ class FlowStrategy(_Strategy):
                  by_mode: bool = False):
         self.n_conditions = len(corpus.spec.conditions)
         self._mode_parts(corpus, by_mode)
-        h, w = corpus.spec.grid_shape
-        self.frames, self.channels = w, h
+        self.channels, self.frames = corpus.spec.grid_shape
         n_modes = max(len(c.prototypes) for c in corpus.spec.conditions)
         self.cond_dim = self.n_conditions + (n_modes if by_mode else 0)
 
@@ -465,7 +461,7 @@ def _generator_grad(discs, clips, offsets, shape):
 # ---------------------------------------------------------------------------
 
 
-_BUILDERS = {
+_BUILDERS = {  # the preset table: name -> its row, from (corpus, fit seed)
     "mse": lambda corpus, seed: PointwiseStrategy(corpus, "mse"),
     "mae": lambda corpus, seed: PointwiseStrategy(corpus, "mae"),
     "conditioned": lambda corpus, seed: ConditionedStrategy(corpus),
@@ -473,8 +469,7 @@ _BUILDERS = {
     "lm": lambda corpus, seed: LmStrategy(corpus, seed=seed),
     "flow": lambda corpus, seed: FlowStrategy(corpus, seed=seed),
     "cond_lm": lambda corpus, seed: CondLmStrategy(corpus, seed=seed),
-    "cond_flow": lambda corpus, seed: FlowStrategy(corpus, seed=seed,
-                                                   by_mode=True),
+    "cond_flow": lambda corpus, seed: FlowStrategy(corpus, seed=seed, by_mode=True),
     "gan": lambda corpus, seed: GanDemoStrategy(corpus, seed=seed),
 }
 
@@ -557,13 +552,16 @@ def run_experiment(spec: ToyCorpusSpec, strategies, seed: int,
     mode coherence. The ``gt`` row scores held-out real samples as the
     reference. Identical inputs and seed reproduce the report byte for byte.
     """
+    strategies = list(strategies)
     if min(spec.grid_shape) < 3:
         raise ContractError(f"grid shape {spec.grid_shape} is below 3x3, the "
                             "size Var_L's Laplacian mask needs")
+    if "gan" in strategies and min(spec.grid_shape) < ganmod.MIN_CLIP_SIDE:
+        raise ContractError(f"strategy gan needs grids of at least {ganmod.MIN_CLIP_SIDE} "
+                            f"cells a side, got {spec.grid_shape}")
     for name, count in (("n_generate", n_generate), ("n_heldout", n_heldout)):
         if count < 2:  # the per-cell dip needs two samples
             raise ContractError(f"{name} must be at least 2, got {count}")
-    strategies = list(strategies)
     unknown = [s for s in strategies if s not in _BUILDERS]
     if unknown:
         raise ContractError(

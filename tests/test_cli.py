@@ -258,7 +258,24 @@ class TestCmdDist:
                                    "the grid step 0.01")
         assert tree(tmp_path) == before
 
-    @pytest.mark.parametrize("bandwidth", [None, 0.01], ids=["rule", "narrow"])
+    def test_joint_bandwidth_below_half_its_grid_step_exits_2(self, tmp_path,
+                                                               capsys):
+        manifest = build_dist_fixture(tmp_path)
+        before = tree(tmp_path)
+        assert run(["dist", "--manifest", str(manifest), "--ph", "R", "--joint",
+                    "freq:3,4", "--bandwidth", "0.01",
+                    "--out-prefix", str(tmp_path / "d")]) == 2
+        captured = capsys.readouterr()
+        lines = captured.err.splitlines()
+        assert captured.out == "" and len(lines) == 1, lines
+        # the joint's 128-point grid of bin 3 steps about 0.044 here
+        assert lines[0].startswith("error: bandwidth 0.01 is too small: below half "
+                                   "the grid step 0.04")
+        assert tree(tmp_path) == before
+
+    # 0.023 is the narrowest bandwidth, to three decimals, that the fixture's
+    # joints accept: their 128-point grids step about 0.0447 on bin 3.
+    @pytest.mark.parametrize("bandwidth", [None, 0.023], ids=["rule", "narrow"])
     def test_csvs_equal_the_row_formula(self, tmp_path, capsys, bandwidth):
         manifest = build_dist_fixture(tmp_path)
         flags = [] if bandwidth is None else ["--bandwidth", str(bandwidth)]
@@ -283,7 +300,7 @@ class TestCmdDist:
     def test_bandwidth_sets_both_joint_bandwidths(self, tmp_path, capsys):
         manifest = build_dist_fixture(tmp_path)
         joints = []
-        for name, flags in (("rule", []), ("narrow", ["--bandwidth", "0.01"])):
+        for name, flags in (("rule", []), ("narrow", ["--bandwidth", "0.023"])):
             assert run(["dist", "--manifest", str(manifest), "--ph", "R",
                         "--joint", "freq:3,4", "--out-prefix",
                         str(tmp_path / name)] + flags) == 0
@@ -291,7 +308,7 @@ class TestCmdDist:
         capsys.readouterr()
         assert joints[0] != joints[1]
         d2 = density.phoneme_joint(cli._load_corpus(manifest), "R", "freq", 3, 4,
-                                   bandwidths=(0.01, 0.01))
+                                   bandwidths=(0.023, 0.023))
         assert joints[1] == joint_csv_by_rows(d2)
 
     def test_absent_phoneme_exits_2(self, tmp_path):
@@ -467,6 +484,25 @@ class TestCmdToylab:
         assert captured.out == ""
         assert captured.err == ("error: condition 1 has one prototype; mode "
                                 "coherence needs at least two\n")
+
+    def test_gan_on_grids_below_its_critics_footprint_exits_2_before_any_fit(
+            self, tmp_path, capsys, monkeypatch):
+        doc = {"conditions": [{"prototypes": [[[-1.0] * 10] * 6, [[1.0] * 10] * 6],
+                               "weights": [0.5, 0.5]}],
+               "noise": 0.05, "samples_per_condition": 20}
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps(doc))
+
+        def no_fit(*args, **kwargs):
+            raise AssertionError("flow fitted before the spec was checked")
+
+        monkeypatch.setattr(toylab, "FlowStrategy", no_fit)
+        assert run(["toylab", "--spec", str(spec_path), "--strategies", "flow,gan",
+                    "--seed", "2"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("error: strategy gan needs grids of at least 8 "
+                                "cells a side, got (6, 10)\n")
 
     def test_random_prototype_spec_runs_ar(self, tmp_path, capsys):
         doc = {"conditions": [{"prototypes": [p.tolist() for p in protos],

@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -197,11 +198,23 @@ class TestConditioned:
         sigma = np.sqrt(0.7 * 0.3 / 1500)
         assert abs(strategy.weights[0][0] - 0.7) <= 3 * sigma
 
-    @pytest.mark.parametrize("build", [ConditionedStrategy, CondLmStrategy])
-    def test_empty_mode_named(self, build):
+    # A mean needs one grid per mode and a k = 2 mixture two; the flow is one
+    # model over every mode, so an empty mode leaves nothing unfitted.
+    @pytest.mark.parametrize("name,needs", [("conditioned", 1), ("cond_lm", 2)])
+    def test_empty_mode_refused_with_the_fit_s_minimum(self, name, needs):
         corpus = make_corpus(scalar_spec(weights=(1.0, 0.0), n=50, seed=2))
-        with pytest.raises(ContractError, match=r"\(condition 0, mode 1\)"):
-            build(corpus)
+        with pytest.raises(ContractError, match=re.escape(
+                f"(condition 0, mode 1) has 0 samples, needs {needs}")):
+            toylab._BUILDERS[name](corpus, 0)
+
+    def test_empty_mode_accepted_by_the_flow(self):
+        spec = canonical_spec(seed=2, samples_per_condition=40, n_conditions=1)
+        spec = ToyCorpusSpec((ConditionSpec(spec.conditions[0].prototypes,
+                                            (1.0, 0.0)),), 0.05, 40, 2)
+        strategy = FlowStrategy(make_corpus(spec), train_steps=2, restarts=1,
+                                by_mode=True)
+        assert np.array_equal(strategy.weights[0], [1.0, 0.0])
+        assert strategy.generate(0, 5, SeededRng(1)).shape == (5, 8, 8)
 
 
 def random_sign_spec(n_modes, seed, noise=0.05):
@@ -576,11 +589,20 @@ class RefPointwise(RefStrategy):
         return np.repeat(self.table[condition][None], count, axis=0)
 
 
+def ref_mode_split(corpus, ci):
+    """The samples of condition ``ci`` split by mode id, and each mode's share."""
+    stack, modes = corpus.stack(ci), corpus.modes(ci)
+    parts = [stack[modes == v]
+             for v in range(len(corpus.spec.conditions[ci].prototypes))]
+    counts = np.array([len(part) for part in parts], dtype=float)
+    return parts, counts / counts.sum()
+
+
 class RefPerMode(RefStrategy):
-    def __init__(self, corpus, fit, min_count):
+    def __init__(self, corpus, fit):
         self.models, self.weights = {}, {}
         for ci in range(len(corpus.spec.conditions)):
-            parts, self.weights[ci] = toylab._mode_split(corpus, ci, min_count)
+            parts, self.weights[ci] = ref_mode_split(corpus, ci)
             for v, part in enumerate(parts):
                 self.models[(ci, v)] = fit(ci, v, part)
 
@@ -595,7 +617,7 @@ class RefPerMode(RefStrategy):
 
 class RefConditioned(RefPerMode):
     def __init__(self, corpus):
-        super().__init__(corpus, lambda ci, v, part: part.mean(axis=0), 1)
+        super().__init__(corpus, lambda ci, v, part: part.mean(axis=0))
 
     @staticmethod
     def _draw(mean, rng, count):
@@ -646,7 +668,6 @@ class RefCondLm(RefPerMode):
             corpus,
             lambda ci, v, part: probloss.fit_lm(part, k=2, steps=100, restarts=1,
                                                 seed=seed + 31 * ci + v),
-            2,
         )
 
     @staticmethod
@@ -672,16 +693,13 @@ def three_mode_10x8_spec(seed):
                          0.08, 150, seed)
 
 
-REFERENCES = {  # name -> (strategy, its reference), each built from (corpus, seed)
-    "mse": (lambda c, s: PointwiseStrategy(c, "mse"),
-            lambda c, s: RefPointwise(c, "mse")),
-    "mae": (lambda c, s: PointwiseStrategy(c, "mae"),
-            lambda c, s: RefPointwise(c, "mae")),
-    "conditioned": (lambda c, s: ConditionedStrategy(c),
-                    lambda c, s: RefConditioned(c)),
-    "ar": (lambda c, s: ArStrategy(c), lambda c, s: RefAr(c)),
-    "lm": (lambda c, s: LmStrategy(c, seed=s), RefLm),
-    "cond_lm": (lambda c, s: CondLmStrategy(c, seed=s), RefCondLm),
+REFERENCES = {  # preset row name -> its reference, built from (corpus, seed)
+    "mse": lambda c, s: RefPointwise(c, "mse"),
+    "mae": lambda c, s: RefPointwise(c, "mae"),
+    "conditioned": lambda c, s: RefConditioned(c),
+    "ar": lambda c, s: RefAr(c),
+    "lm": RefLm,
+    "cond_lm": RefCondLm,
 }
 
 
@@ -691,7 +709,7 @@ class TestAgainstReferenceStrategies:
                                       three_mode_10x8_spec(11)],
                              ids=["canonical", "three_modes_10x8"])
     def test_generate_and_heldout_nll_are_bit_identical(self, spec, name):
-        build, reference = REFERENCES[name]
+        build, reference = toylab._BUILDERS[name], REFERENCES[name]
         corpus = make_corpus(spec)
         heldout = make_corpus(ToyCorpusSpec(spec.conditions, spec.noise, 60,
                                             spec.seed + 1))
@@ -712,7 +730,7 @@ class RefFlow(RefStrategy):
         self.frames = corpus.spec.grid_shape[1]
         n_modes = max(len(c.prototypes) for c in corpus.spec.conditions)
         self.cond_dim = self.n_conditions + (n_modes if condition_on_mode else 0)
-        self.weights = {ci: toylab._mode_split(corpus, ci)[1] if condition_on_mode
+        self.weights = {ci: ref_mode_split(corpus, ci)[1] if condition_on_mode
                         else np.ones(1) for ci in range(self.n_conditions)}
 
     def _conds(self, condition, modes):
