@@ -1,8 +1,10 @@
 """Quantify and reproduce over-smoothing in spectrogram prediction.
 
+A spectrogram is a plain (T, F) float64 numpy array, time-major.
+
 Submodules:
 
-* :mod:`oversmooth.core` - value types, seeded RNG streams, MEL1/TSV I/O
+* :mod:`oversmooth.core` - errors, alignments, seeded RNG streams, MEL1/TSV I/O
 * :mod:`oversmooth.dsp` - WAV -> STFT -> log-mel front end
 * :mod:`oversmooth.metrics` - Laplacian-response variance and SSIM
 * :mod:`oversmooth.density` - per-phoneme KDE marginals/joints, dip statistic
@@ -19,7 +21,6 @@ from .core import (
     AlignmentEntry,
     ContractError,
     SeededRng,
-    Spectrogram,
     read_alignment,
     read_mel,
     write_mel,
@@ -31,7 +32,6 @@ __all__ = [
     "AlignmentEntry",
     "ContractError",
     "SeededRng",
-    "Spectrogram",
     "read_alignment",
     "read_mel",
     "write_mel",

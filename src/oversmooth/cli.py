@@ -34,7 +34,6 @@ from ._version import __version__
 from .core import (
     ContractError,
     SeededRng,
-    Spectrogram,
     read_alignment,
     read_mel,
     write_mel,
@@ -71,7 +70,7 @@ def _seed_of(args) -> int:
 def _read_json(path):
     try:
         return json.loads(Path(path).read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise ContractError(f"{path}: invalid JSON: {exc}") from None
 
 
@@ -161,14 +160,14 @@ def cmd_mel(args):
         raise ContractError(f"--frame must be a positive power of two, got {args.frame}")
     clip = dsp.read_wav(args.wav)
     fb = dsp.mel_filterbank(dsp.DEFAULT_SAMPLE_RATE, args.frame, args.bins)
-    spec = Spectrogram(dsp.mel_spectrogram(clip, fb, args.frame, args.hop, args.floor))
-    write_mel(spec, args.out_mel)
+    grid = dsp.mel_spectrogram(clip, fb, args.hop, args.floor)
+    write_mel(grid, args.out_mel)
     return _report(
         "mel",
         {"wav": args.wav},
         {"frame": args.frame, "hop": args.hop, "bins": args.bins,
          "floor": args.floor},
-        {"frames": spec.frames, "bins": spec.bins, "mel": str(args.out_mel)},
+        {"frames": grid.shape[0], "bins": grid.shape[1], "mel": str(args.out_mel)},
     ), {}
 
 
@@ -302,7 +301,7 @@ def _load_flow_corpus(manifest_path, n_cond=None):
             raise ContractError(f"manifest sample {i}: condition "
                                 f"{entry['condition']} is out of the model's "
                                 f"range [0, {n_cond})")
-        grids.append(read_mel(base / entry["mel"]).values)
+        grids.append(read_mel(base / entry["mel"]))
         cond_ids.append(entry["condition"])
     shapes = {g.shape for g in grids}
     if len(shapes) != 1:
@@ -391,7 +390,7 @@ def cmd_flow(args):
         cond[:, args.condition] = 1.0
         rng = SeededRng(seed, stream=0x53414D50)
         grid = flow.sample(model, cond, rng, args.temperature)
-        write_mel(Spectrogram(grid), args.out_mel)
+        write_mel(grid, args.out_mel)
         return _report(
             "flow-sample",
             {"ckpt": args.ckpt},

@@ -1,7 +1,9 @@
-"""Shared value types, deterministic randomness, and spectrogram/alignment I/O.
+"""The error type, the alignment table, deterministic randomness, Adam, and
+spectrogram/alignment I/O.
 
-The two on-disk formats defined here are the interchange contract for the
-whole package:
+A spectrogram is a plain (T, F) float64 array, time-major; :func:`read_mel`
+returns it read-only. The two on-disk formats defined here are the
+interchange contract for the whole package:
 
 * ``MEL1`` binary spectrograms: magic ``b"MEL1"``, u32-LE frame count T,
   u32-LE bin count F, then T*F little-endian IEEE-754 32-bit floats in
@@ -33,41 +35,8 @@ class ContractError(ValueError):
     """
 
 
-@dataclass(frozen=True)
-class Spectrogram:
-    """A T x F grid of log-mel values, time-major.
-
-    Values must be finite. Instances are immutable after construction; the
-    backing array is marked read-only so they can be shared across threads.
-    """
-
-    values: np.ndarray
-
-    def __post_init__(self):
-        arr = np.asarray(self.values, dtype=np.float64)
-        if arr.ndim != 2:
-            raise ContractError(f"spectrogram must be 2-D, got shape {arr.shape}")
-        if arr.shape[0] < 1 or arr.shape[1] < 1:
-            raise ContractError(f"spectrogram needs T >= 1 and F >= 1, got {arr.shape}")
-        if not np.all(np.isfinite(arr)):
-            raise ContractError("spectrogram values must be finite")
-        arr = arr.copy()
-        arr.flags.writeable = False
-        object.__setattr__(self, "values", arr)
-
-    @property
-    def frames(self) -> int:
-        return self.values.shape[0]
-
-    @property
-    def bins(self) -> int:
-        return self.values.shape[1]
-
-
 def as_grid(x) -> np.ndarray:
-    """The values of a Spectrogram, or any 2-D array-like as float64."""
-    if isinstance(x, Spectrogram):
-        return x.values
+    """Any 2-D array-like as a float64 array."""
     arr = np.asarray(x, dtype=np.float64)
     if arr.ndim != 2:
         raise ContractError("expected a 2-D grid")
@@ -225,13 +194,17 @@ def read_binary(path, magic: bytes, words: int, floats):
     return header, payload
 
 
-def write_mel(spec: Spectrogram, path) -> None:
-    """Write a spectrogram in the MEL1 binary format.
+def write_mel(values, path) -> None:
+    """Write a T x F grid (any 2-D array-like, T and F >= 1) in the MEL1
+    binary format.
 
     Values are stored as 32-bit floats; inputs already representable in
     float32 round-trip bit-exactly.
     """
-    write_binary(path, MEL_MAGIC, (spec.frames, spec.bins), spec.values)
+    grid = as_grid(values)
+    if grid.size == 0:
+        raise ContractError("%s: invalid dimensions %dx%d" % (path, *grid.shape))
+    write_binary(path, MEL_MAGIC, grid.shape, grid)
 
 
 def _mel_floats(header) -> int:
@@ -241,16 +214,22 @@ def _mel_floats(header) -> int:
     return t * f
 
 
-def read_mel(path) -> Spectrogram:
-    """Read a MEL1 file written by :func:`write_mel`."""
+def read_mel(path) -> np.ndarray:
+    """Read a MEL1 file written by :func:`write_mel` as a read-only (T, F)
+    float64 array."""
     (t, f), payload = read_binary(path, MEL_MAGIC, 2, _mel_floats)
-    return Spectrogram(payload.reshape(t, f).astype(np.float64))
+    grid = payload.reshape(t, f).astype(np.float64)
+    grid.flags.writeable = False
+    return grid
 
 
 def read_alignment(path) -> Alignment:
     """Parse an alignment TSV file (``label<TAB>start<TAB>end`` per line)."""
     entries = []
-    text = Path(path).read_text(encoding="utf-8")
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ContractError(f"{path}: {exc}") from None
     for lineno, line in enumerate(text.splitlines(), start=1):
         if not line.strip():
             continue

@@ -62,7 +62,10 @@ def _bandwidth(values: np.ndarray, given) -> float:
 
 
 def _auto_grid(samples: np.ndarray, h: float, points: int) -> np.ndarray:
-    grid = np.linspace(samples.min() - 4.0 * h, samples.max() + 4.0 * h, points)
+    lo, hi = float(samples.min()) - 4.0 * h, float(samples.max()) + 4.0 * h
+    if not np.isfinite(hi - lo):  # Python floats: no overflow warning
+        raise ContractError(f"bandwidth {h} is too large: the grid overflows")
+    grid = np.linspace(lo, hi, points)
     if grid[1] - grid[0] > 2.0 * h:  # the trapezoid sum could then be off by over 1.4%
         raise ContractError(f"bandwidth {h} is too small: below half the grid "
                             f"step {grid[1] - grid[0]}")
@@ -154,21 +157,22 @@ def kde2d(pairs, bandwidths: tuple[float, float] | None = None) -> Density2D:
 def _phoneme_blocks(corpus, phoneme: str, bins) -> list[np.ndarray]:
     """The (frames, F) block of every span of ``phoneme``, in corpus order.
 
-    ``corpus`` is an iterable of (Spectrogram, Alignment) pairs. Before any
-    block is returned, every index in ``bins`` is checked against [0, F) and
-    every span end against T on every utterance.
+    ``corpus`` is an iterable of (grid, Alignment) pairs, each grid a (T, F)
+    array. Before any block is returned, every index in ``bins`` is checked
+    against [0, F) and every span end against T on every utterance.
     """
     blocks = []
-    for spec, align in corpus:
+    for grid, align in corpus:
+        t, f = grid.shape
         for b in bins:
-            if not 0 <= b < spec.bins:
-                raise ContractError(f"bin {b} out of range [0, {spec.bins})")
+            if not 0 <= b < f:
+                raise ContractError(f"bin {b} out of range [0, {f})")
         for start, end in align.spans(phoneme):
-            if end > spec.frames:
+            if end > t:
                 raise ContractError(
-                    f"span [{start}, {end}) for {phoneme!r} exceeds T={spec.frames}"
+                    f"span [{start}, {end}) for {phoneme!r} exceeds T={t}"
                 )
-            blocks.append(spec.values[start:end])
+            blocks.append(grid[start:end])
     if not blocks:
         raise ContractError(f"phoneme {phoneme!r} absent from corpus")
     return blocks

@@ -159,14 +159,14 @@ def mel_filterbank(
 def mel_spectrogram(
     clip: AudioClip,
     filterbank: MelFilterbank,
-    frame_size: int = DEFAULT_FRAME,
     hop: int = DEFAULT_HOP,
     floor: float = DEFAULT_FLOOR,
 ):
-    """Log-mel spectrogram: log(max(filterbank @ magnitude, floor)).
+    """Log-mel spectrogram: log(max(filterbank @ magnitude, floor)), on STFT
+    frames of the filterbank's n_fft, 2 * (matrix.shape[1] - 1) samples.
 
     The clip's sample rate must match the filterbank design rate (no resampling).
-    Returns a (T, F) float array; wrap in :class:`core.Spectrogram` as needed.
+    Returns a (T, F) float64 array.
     """
     if clip.sample_rate != filterbank.sample_rate:
         raise ContractError(
@@ -175,6 +175,6 @@ def mel_spectrogram(
         )
     if not (np.isfinite(floor) and floor > 0.0):
         raise ContractError(f"floor must be finite and above 0, got {floor}")
-    mag = stft_magnitude(clip, frame_size, hop)
+    mag = stft_magnitude(clip, 2 * (filterbank.matrix.shape[1] - 1), hop)
     mel = mag @ filterbank.matrix.T
     return np.log(np.maximum(mel, floor))

@@ -39,7 +39,7 @@ import numpy as np
 from . import flow as flowmod
 from . import gan as ganmod
 from . import probloss
-from .core import Adam, ContractError, SeededRng, Spectrogram, write_mel
+from .core import Adam, ContractError, SeededRng, write_mel
 from .density import dip_statistic
 from .metrics import var_laplacian
 
@@ -606,7 +606,7 @@ def corpus_to_files(corpus: ToyCorpus, out_dir) -> Path:
     for ci, (stack, modes) in enumerate(zip(corpus.stacks, corpus.mode_ids)):
         for grid, mode in zip(stack, modes.tolist()):
             name = f"sample_{len(entries):05d}.mel"
-            write_mel(Spectrogram(grid), out / name)
+            write_mel(grid, out / name)
             entries.append({"mel": name, "condition": ci, "mode": mode})
     manifest = {
         "noise": corpus.spec.noise,

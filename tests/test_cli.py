@@ -17,7 +17,6 @@ from oversmooth.core import (
     Alignment,
     AlignmentEntry,
     SeededRng,
-    Spectrogram,
     read_mel,
     write_mel,
 )
@@ -40,8 +39,7 @@ class TestCmdMel:
         mel = tmp_path / "a.mel"
         out = tmp_path / "report.json"
         assert run(["mel", str(wav), str(mel), "--out", str(out)]) == 0
-        spec = read_mel(mel)
-        assert spec.bins == 80
+        assert read_mel(mel).shape[1] == 80
         report = json.loads(out.read_text())
         assert report["results"]["bins"] == 80
         assert report["version"] == cli.__version__
@@ -52,7 +50,7 @@ class TestCmdMel:
         mel = tmp_path / "a.mel"
         assert run(["mel", str(wav), str(mel), "--bins", "40",
                     "--out", str(tmp_path / "r.json")]) == 0
-        assert read_mel(mel).bins == 40
+        assert read_mel(mel).shape[1] == 40
 
     def test_wrong_rate_exits_2(self, tmp_path, capsys):
         wav = tmp_path / "b.wav"
@@ -112,7 +110,7 @@ class TestCmdMetrics:
     def test_single_input_var_l_only(self, tmp_path, capsys):
         mel = tmp_path / "a.mel"
         rng = np.random.default_rng(0)
-        write_mel(Spectrogram(rng.normal(size=(20, 10))), mel)
+        write_mel(rng.normal(size=(20, 10)), mel)
         assert run(["metrics", str(mel)]) == 0
         report = json.loads(capsys.readouterr().out)
         assert "var_l" in report["results"]
@@ -121,15 +119,15 @@ class TestCmdMetrics:
     def test_identical_pair_ssim_one(self, tmp_path, capsys):
         mel = tmp_path / "a.mel"
         rng = np.random.default_rng(1)
-        write_mel(Spectrogram(rng.normal(size=(16, 12)).astype(np.float32)), mel)
+        write_mel(rng.normal(size=(16, 12)).astype(np.float32), mel)
         assert run(["metrics", str(mel), str(mel)]) == 0
         report = json.loads(capsys.readouterr().out)
         assert report["results"]["ssim"] == 1.0
 
     def test_shape_mismatch_exits_2(self, tmp_path, capsys):
         a, b = tmp_path / "a.mel", tmp_path / "b.mel"
-        write_mel(Spectrogram(np.zeros((8, 8))), a)
-        write_mel(Spectrogram(np.zeros((8, 9))), b)
+        write_mel(np.zeros((8, 8)), a)
+        write_mel(np.zeros((8, 9)), b)
         assert run(["metrics", str(a), str(b)]) == 2
         captured = capsys.readouterr()
         lines = captured.err.splitlines()
@@ -140,7 +138,7 @@ class TestCmdMetrics:
         a, b = tmp_path / "a.mel", tmp_path / "b.mel"
         rng = np.random.default_rng(4)
         for path in a, b:
-            write_mel(Spectrogram(rng.normal(size=(16, 80))), path)
+            write_mel(rng.normal(size=(16, 80)), path)
         assert run(["metrics", str(a), str(b), "--window", "1001"]) == 2
         captured = capsys.readouterr()
         lines = captured.err.splitlines()
@@ -151,7 +149,7 @@ class TestCmdMetrics:
     def test_bad_window_exits_2_without_a_second_file(self, tmp_path, capsys,
                                                       window):
         a = tmp_path / "a.mel"
-        write_mel(Spectrogram(np.random.default_rng(5).normal(size=(16, 80))), a)
+        write_mel(np.random.default_rng(5).normal(size=(16, 80)), a)
         report = tmp_path / "r.json"
         assert run(["metrics", str(a), "--window", window,
                     "--out", str(report)]) == 2
@@ -162,7 +160,7 @@ class TestCmdMetrics:
     def test_svg_outputs_valid_xml(self, tmp_path, capsys):
         a = tmp_path / "a.mel"
         rng = np.random.default_rng(2)
-        write_mel(Spectrogram(rng.normal(size=(15, 12))), a)
+        write_mel(rng.normal(size=(15, 12)), a)
         prefix = str(tmp_path / "fig")
         assert run(["metrics", str(a), str(a), "--svg", prefix]) == 0
         capsys.readouterr()
@@ -187,7 +185,7 @@ def build_dist_fixture(tmp_path):
         values[:20, 3] += -2.0
         values[20:, 3] += 2.0
         mel = tmp_path / f"utt{i}.mel"
-        write_mel(Spectrogram(values), mel)
+        write_mel(values, mel)
         align = tmp_path / f"utt{i}.tsv"
         write_alignment(
             Alignment((AlignmentEntry("AE2", 0, 20), AlignmentEntry("R", 20, 40))),
@@ -297,6 +295,16 @@ class TestCmdDist:
             assert (d2.values == 0.0).any()
             assert any(line.endswith(",0.0") for line in lines)
 
+    def test_bandwidth_just_below_the_grid_overflow_is_a_density(self, tmp_path,
+                                                                  capsys):
+        manifest = build_dist_fixture(tmp_path)
+        assert run(["dist", "--manifest", str(manifest), "--ph", "R", "--bins", "1",
+                    "--bandwidth", "1e305", "--out-prefix", str(tmp_path / "d")]) == 0
+        assert capsys.readouterr().err == ""
+        rows = [line.split(",") for line in read_lines(tmp_path / "d_marginal_R_1.csv")]
+        grid, values = np.array(rows[1:-1], dtype=float).T
+        assert np.trapezoid(values, grid) == pytest.approx(1.0, abs=0.02)
+
     def test_bandwidth_sets_both_joint_bandwidths(self, tmp_path, capsys):
         manifest = build_dist_fixture(tmp_path)
         joints = []
@@ -336,6 +344,11 @@ class TestCmdDist:
          "bandwidth (1e-310, 1e-310) is too small"),
         (["--joint", "freq:3,4", "--bandwidth", "1e-160"],
          "bandwidth (1e-160, 1e-160) is too small"),
+        # so large that the grid's ends, min - 4h and max + 4h, overflow
+        (["--bins", "1", "--bandwidth", "1e308"],
+         "bandwidth 1e+308 is too large: the grid overflows"),
+        (["--joint", "freq:1,2", "--bandwidth", "1e308"],
+         "bandwidth 1e+308 is too large: the grid overflows"),
         # a later bin or the joint fails after bin 3 is computed
         (["--bins", "3,123"], "bin 123"),
         (["--bins", "3", "--joint", "freq:3,x"], "--joint"),
@@ -683,7 +696,7 @@ class TestCmdFlow:
         assert run(["flow", "sample", "--ckpt", str(ckpt), "--seed", "6",
                     "--out-mel", str(tmp_path / "s.mel"),
                     "--out", str(tmp_path / "s.json")]) == 0
-        assert read_mel(tmp_path / "s.mel").values.shape == (8, 8)
+        assert read_mel(tmp_path / "s.mel").shape == (8, 8)
         assert run(["flow", "nll", "--manifest", str(manifest),
                     "--ckpt", str(ckpt), "--out", str(tmp_path / "n.json")]) == 0
 
@@ -715,7 +728,7 @@ class TestCmdFlow:
         entries = []
         for i in range(2):
             mel = other_dir / f"m{i}.mel"
-            write_mel(Spectrogram(rng.normal(size=(8, 6))), mel)
+            write_mel(rng.normal(size=(8, 6)), mel)
             entries.append({"mel": mel.name, "condition": 0, "mode": 0})
         bad_manifest = other_dir / "manifest.json"
         bad_manifest.write_text(json.dumps({"samples": entries}))
@@ -742,8 +755,7 @@ class TestCmdFlow:
         assert run(["flow", "nll", "--manifest", str(subset),
                     "--ckpt", str(ckpt), "--out", str(tmp_path / "n.json")]) == 0
         scored = json.loads((tmp_path / "n.json").read_text())["results"]["nll"]
-        targets = np.stack([read_mel(manifest.parent / e["mel"]).values
-                            for e in entries])
+        targets = np.stack([read_mel(manifest.parent / e["mel"]) for e in entries])
         conds = np.zeros(targets.shape[:2] + (4,))
         conds[np.arange(len(entries)), :, [e["condition"] for e in entries]] = 1.0
         assert scored == flow.nll(model, flow.ConditionedBatch(targets, conds))
@@ -993,7 +1005,7 @@ class TestDeterminismAcrossCommands:
 
     def test_reports_have_sorted_keys(self, tmp_path, capsys):
         mel = tmp_path / "a.mel"
-        write_mel(Spectrogram(np.random.default_rng(5).normal(size=(10, 10))),
+        write_mel(np.random.default_rng(5).normal(size=(10, 10)),
                   mel)
         assert run(["metrics", str(mel)]) == 0
         text = capsys.readouterr().out
@@ -1032,7 +1044,7 @@ def cli_inputs(tmp_path, capsys):
     base = tmp_path / "in"
     base.mkdir()
     make_wav(base / "a.wav")
-    write_mel(Spectrogram(np.random.default_rng(0).normal(size=(12, 10))),
+    write_mel(np.random.default_rng(0).normal(size=(12, 10)),
               base / "a.mel")
     assert run(["make-corpus", str(base / "corpus"), "--samples", "2"]) == 0
     ckpt = base / "m.flw"
@@ -1136,6 +1148,37 @@ def test_unreadable_input_exits_2(capsys, cli_inputs, argv, named):
     lines = captured.err.splitlines()
     assert captured.out == "" and len(lines) == 1, lines
     assert lines[0].startswith("error: ") and named.format(**cli_inputs) in lines[0]
+
+
+@pytest.mark.parametrize("argv,name,data", [
+    pytest.param(argv, name, data, id=what) for what, argv, name, data in [
+        ("dist alignment", ["dist", "--manifest", "{dist}", "--ph", "R", "--bins",
+                            "3", "--out-prefix", "{new}"],
+         "in/utt0.tsv", b"\xff\xfe\t5\t10\n"),
+        ("dist manifest", ["dist", "--manifest", "{dist}", "--ph", "R", "--bins",
+                           "3", "--out-prefix", "{new}"],
+         "in/manifest.json", b'"\xff"'),
+        ("flow train manifest", ["flow", "train", "--manifest", "{corpus}",
+                                 "--ckpt", "{new}.flw"],
+         "in/corpus/manifest.json", b'"\xff"'),
+        ("flow nll manifest", ["flow", "nll", "--manifest", "{corpus}",
+                               "--ckpt", "{ckpt}"],
+         "in/corpus/manifest.json", b'"\xff"'),
+        ("toylab spec", ["toylab", "--spec", "{F}", "--strategies", "mse",
+                         "--out-prefix", "{new}"], "F", b'"\xc3"'),
+    ]])
+def test_input_that_is_not_utf8_exits_2_naming_it(tmp_path, capsys, cli_inputs,
+                                                  argv, name, data):
+    (tmp_path / name).write_bytes(data)
+    before = tree(tmp_path)
+    argv = [a.format(new=tmp_path / "new", **cli_inputs) for a in argv]
+    assert run(argv + ["--out", str(tmp_path / "r.json")]) == 2
+    captured = capsys.readouterr()
+    lines = captured.err.splitlines()
+    assert captured.out == "" and len(lines) == 1, lines
+    assert lines[0].startswith(f"error: {tmp_path / name}: ")
+    assert "can't decode byte" in lines[0]
+    assert tree(tmp_path) == before
 
 
 @pytest.mark.parametrize("argv,foreign", [

@@ -13,49 +13,28 @@ from oversmooth.core import (
     AlignmentEntry,
     ContractError,
     SeededRng,
-    Spectrogram,
     read_alignment,
     read_mel,
     write_mel,
 )
 
 
-class TestSpectrogram:
-    def test_shape_properties(self):
-        spec = Spectrogram(np.zeros((4, 3)))
-        assert spec.frames == 4
-        assert spec.bins == 3
-
-    def test_rejects_nan(self):
-        with pytest.raises(ContractError):
-            Spectrogram(np.array([[0.0, np.nan]]))
-
-    def test_rejects_empty(self):
-        with pytest.raises(ContractError):
-            Spectrogram(np.zeros((0, 3)))
-
-    def test_values_read_only(self):
-        spec = Spectrogram(np.zeros((2, 2)))
-        with pytest.raises(ValueError):
-            spec.values[0, 0] = 1.0
-
-
 class TestMelFile:
     def test_single_cell_roundtrip(self, tmp_path):
         path = tmp_path / "one.mel"
-        write_mel(Spectrogram(np.array([[0.0]])), path)
+        write_mel(np.array([[0.0]]), path)
         data = path.read_bytes()
         assert data[:4] == b"MEL1"
         assert len(data) == 16  # 12-byte header + one float32
         back = read_mel(path)
-        assert back.values.shape == (1, 1)
-        assert back.values[0, 0] == 0.0
+        assert back.shape == (1, 1)
+        assert back[0, 0] == 0.0
 
     def test_2x3_roundtrip(self, tmp_path):
         values = np.arange(6, dtype=np.float32).reshape(2, 3)
         path = tmp_path / "grid.mel"
-        write_mel(Spectrogram(values), path)
-        assert np.array_equal(read_mel(path).values, values)
+        write_mel(values, path)
+        assert np.array_equal(read_mel(path), values)
 
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "bad.mel"
@@ -65,7 +44,7 @@ class TestMelFile:
 
     def test_payload_size_mismatch(self, tmp_path):
         path = tmp_path / "short.mel"
-        write_mel(Spectrogram(np.zeros((2, 2))), path)
+        write_mel(np.zeros((2, 2)), path)
         path.write_bytes(path.read_bytes()[:-4])
         with pytest.raises(ContractError,
                            match="payload is 12 bytes, header implies 16"):
@@ -76,11 +55,43 @@ class TestMelFile:
         values = np.zeros((2, 3))
         values[1, 2] = -1e39  # finite in float64, -inf in float32
         with pytest.raises(ContractError, match="finite in float32"):
-            write_mel(Spectrogram(values), path)
+            write_mel(values, path)
         assert not path.exists()
         values[1, 2] = -float(np.finfo(np.float32).max)  # the bound itself
-        write_mel(Spectrogram(values), path)
-        assert read_mel(path).values[1, 2] == values[1, 2]
+        write_mel(values, path)
+        assert read_mel(path)[1, 2] == values[1, 2]
+
+    def test_read_mel_is_a_read_only_float64_grid(self, tmp_path):
+        path = tmp_path / "grid.mel"
+        write_mel(np.ones((4, 3)), path)
+        grid = read_mel(path)
+        assert grid.dtype == np.float64 and grid.shape == (4, 3)
+        assert not grid.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            grid[0, 0] = 2.0
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+    def test_write_mel_refuses_non_finite_values_and_creates_no_file(self, bad,
+                                                                     tmp_path):
+        path = tmp_path / "bad.mel"
+        values = np.zeros((2, 3))
+        values[0, 1] = bad
+        with pytest.raises(ContractError, match="must be finite in float32"):
+            write_mel(values, path)
+        assert not path.exists()
+
+    @pytest.mark.parametrize("values, match", [
+        (np.zeros((0, 3)), "invalid dimensions 0x3"),
+        (np.zeros((3, 0)), "invalid dimensions 3x0"),
+        (np.zeros(3), "expected a 2-D grid"),
+        ([[[0.0]]], "expected a 2-D grid"),
+    ], ids=["no_frames", "no_bins", "1-D", "3-D"])
+    def test_write_mel_refuses_a_grid_that_is_not_t_by_f(self, values, match,
+                                                         tmp_path):
+        path = tmp_path / "bad.mel"
+        with pytest.raises(ContractError, match=match):
+            write_mel(values, path)
+        assert not path.exists()
 
     def test_nan_payload(self, tmp_path):
         path = tmp_path / "nan.mel"
@@ -101,8 +112,8 @@ class TestMelFile:
         rng = np.random.default_rng(seed)
         values = rng.normal(size=(t, f)).astype(np.float32)
         path = tmp_path_factory.mktemp("mel") / "p.mel"
-        write_mel(Spectrogram(values), path)
-        assert np.array_equal(read_mel(path).values, values.astype(np.float64))
+        write_mel(values, path)
+        assert np.array_equal(read_mel(path), values.astype(np.float64))
 
     @settings(max_examples=40, deadline=None)
     @given(cut=st.integers(0, 10**4), extra=st.binary(min_size=1, max_size=9),
@@ -110,7 +121,7 @@ class TestMelFile:
     def test_malformed_files_are_contract_errors(self, cut, extra, magic,
                                                  tmp_path_factory):
         path = tmp_path_factory.mktemp("mel") / "m.mel"
-        write_mel(Spectrogram(np.ones((3, 5))), path)
+        write_mel(np.ones((3, 5)), path)
         data = path.read_bytes()
         variants = [data[: cut % len(data)], data + extra]
         if magic != b"MEL1":

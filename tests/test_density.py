@@ -11,7 +11,6 @@ from oversmooth.core import (
     AlignmentEntry,
     ContractError,
     SeededRng,
-    Spectrogram,
 )
 from oversmooth.density import (
     _dip_sorted,
@@ -202,22 +201,21 @@ def corpus_from_columns(column_values, label="R", bins=4, bin_index=2):
     column_values = np.asarray(column_values, dtype=float)
     values = np.zeros((len(column_values), bins))
     values[:, bin_index] = column_values
-    spec = Spectrogram(values)
     align = Alignment((AlignmentEntry(label, 0, len(column_values)),))
-    return [(spec, align)]
+    return [(values, align)]
 
 
 class TestPooledPhonemeValues:
     def test_single_span(self):
         values = np.arange(20 * 4, dtype=float).reshape(20, 4)
         align = Alignment((AlignmentEntry("A", 0, 12), AlignmentEntry("R", 12, 20)))
-        pooled = pooled_phoneme_values([(Spectrogram(values), align)], "R", 1)
+        pooled = pooled_phoneme_values([(values, align)], "R", 1)
         assert np.array_equal(pooled, values[12:20, 1])
 
     def test_utterance_without_phoneme_adds_nothing(self):
         values = np.arange(5 * 2, dtype=float).reshape(5, 2)
-        with_a = (Spectrogram(values), Alignment((AlignmentEntry("A", 1, 3),)))
-        without = (Spectrogram(np.zeros((5, 2))),
+        with_a = (values, Alignment((AlignmentEntry("A", 1, 3),)))
+        without = (np.zeros((5, 2)),
                    Alignment((AlignmentEntry("B", 0, 5),)))
         pooled = pooled_phoneme_values([without, with_a, without], "A", 0)
         assert np.array_equal(pooled, values[1:3, 0])
@@ -228,20 +226,20 @@ class TestPooledPhonemeValues:
             (AlignmentEntry("A", 0, 2), AlignmentEntry("B", 2, 6),
              AlignmentEntry("A", 6, 8))
         )
-        corpus = [(Spectrogram(values), align), (Spectrogram(-values), align)]
+        corpus = [(values, align), (-values, align)]
         pooled = pooled_phoneme_values(corpus, "A", 1)
         assert np.array_equal(pooled, np.concatenate(
             [values[0:2, 1], values[6:8, 1], -values[0:2, 1], -values[6:8, 1]]))
 
     def test_span_exceeds_frames(self):
-        spec = Spectrogram(np.zeros((5, 2)))
+        spec = np.zeros((5, 2))
         align = Alignment((AlignmentEntry("A", 0, 9),))
         with pytest.raises(ContractError, match=r"\[0, 9\) for 'A' exceeds T=5"):
             pooled_phoneme_values([(spec, align)], "A", 0)
 
     def test_frame_count_matches_span_lengths(self):
         rng = np.random.default_rng(0)
-        spec = Spectrogram(rng.normal(size=(30, 3)))
+        spec = rng.normal(size=(30, 3))
         align = Alignment(
             (AlignmentEntry("A", 0, 7), AlignmentEntry("B", 7, 11),
              AlignmentEntry("A", 15, 30))
@@ -298,16 +296,15 @@ class TestPhonemeJoint:
         rng = np.random.default_rng(6)
         base = rng.normal(size=(80, 4))
         base[:, 3] = base[:, 2]
-        spec = Spectrogram(base)
         align = Alignment((AlignmentEntry("R", 0, 80),))
-        density = phoneme_joint([(spec, align)], "R", "freq", 2, 3,
+        density = phoneme_joint([(base, align)], "R", "freq", 2, 3,
                                 bandwidths=(0.1, 0.1))
         gx, gy = np.meshgrid(density.grid_x, density.grid_y, indexing="ij")
         assert np.all(density.values[np.abs(gx - gy) > 0.9] < 1e-6)
 
     def test_iid_noise_uncorrelated(self):
         rng = np.random.default_rng(7)
-        spec = Spectrogram(rng.normal(size=(10_500, 4)))
+        spec = rng.normal(size=(10_500, 4))
         align = Alignment((AlignmentEntry("R", 0, 10_500),))
         density = phoneme_joint([(spec, align)], "R", "time", 2, 1)
         dx = density.grid_x[1] - density.grid_x[0]
@@ -324,9 +321,8 @@ class TestPhonemeJoint:
     def test_time_pairs_respect_span_boundaries(self):
         values = np.zeros((4, 2))
         values[:, 0] = [0.0, 1.0, 10.0, 11.0]
-        spec = Spectrogram(values)
         align = Alignment((AlignmentEntry("R", 0, 2), AlignmentEntry("R", 2, 4)))
-        density = phoneme_joint([(spec, align)], "R", "time", 0, 1,
+        density = phoneme_joint([(values, align)], "R", "time", 0, 1,
                                 bandwidths=(0.5, 0.5))
         # pairs are (0,1) and (10,11); never (1,10)
         ix = np.argmin(np.abs(density.grid_x - 1.0))
@@ -336,32 +332,32 @@ class TestPhonemeJoint:
     @pytest.mark.parametrize("pair", [("freq", -1, 2), ("freq", 2, 4),
                                       ("time", -2, 1), ("time", 4, 1)])
     def test_bins_outside_width_rejected(self, pair):
-        spec = Spectrogram(np.zeros((6, 4)))
+        spec = np.zeros((6, 4))
         align = Alignment((AlignmentEntry("R", 0, 6),))
         with pytest.raises(ContractError, match=r"out of range \[0, 4\)"):
             phoneme_joint([(spec, align)], "R", *pair)
 
     def test_span_exceeds_frames(self):
-        spec = Spectrogram(np.zeros((5, 2)))
+        spec = np.zeros((5, 2))
         align = Alignment((AlignmentEntry("R", 0, 9),))
         with pytest.raises(ContractError, match="exceeds T=5"):
             phoneme_joint([(spec, align)], "R", "freq", 0, 1)
 
     def test_bins_checked_on_utterances_without_the_phoneme(self):
-        narrow = (Spectrogram(np.zeros((5, 2))),
+        narrow = (np.zeros((5, 2)),
                   Alignment((AlignmentEntry("B", 0, 5),)))
         corpus = corpus_from_columns(np.ones(10)) + [narrow]
         with pytest.raises(ContractError, match=r"bin 3 out of range \[0, 2\)"):
             phoneme_joint(corpus, "R", "freq", 0, 3)
 
     def test_lag_below_one_rejected(self):
-        spec = Spectrogram(np.zeros((5, 2)))
+        spec = np.zeros((5, 2))
         align = Alignment((AlignmentEntry("R", 0, 5),))
         with pytest.raises(ContractError, match="lag must be >= 1"):
             phoneme_joint([(spec, align)], "R", "time", 0, 0)
 
     def test_single_short_span_no_pairs(self):
-        spec = Spectrogram(np.zeros((1, 2)))
+        spec = np.zeros((1, 2))
         align = Alignment((AlignmentEntry("R", 0, 1),))
         with pytest.raises(ContractError, match="with time:0,1"):
             phoneme_joint([(spec, align)], "R", "time", 0, 1)

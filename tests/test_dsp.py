@@ -189,6 +189,13 @@ class TestMelSpectrogram:
             dsp.mel_spectrogram(louder, fb) >= dsp.mel_spectrogram(clip, fb) - 1e-12
         )
 
+    def test_frame_size_comes_from_the_filterbank(self):
+        clip, fb = sine(440.0, n=3000), dsp.mel_filterbank(22050, 512, 40)
+        floor, hop = 1e-5, 128
+        expected = np.log(np.maximum(
+            dsp.stft_magnitude(clip, 512, hop) @ fb.matrix.T, floor))
+        assert np.array_equal(dsp.mel_spectrogram(clip, fb, hop, floor), expected)
+
     def test_rate_mismatch(self):
         fb = dsp.mel_filterbank(22050, 1024, 80)
         clip = dsp.AudioClip(np.zeros(1000), 44100)

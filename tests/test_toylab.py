@@ -553,7 +553,7 @@ class TestCorpusFiles:
                 entry = next(entries)
                 assert entry["condition"] == ci and entry["mode"] == int(mode)
                 mel = read_mel(manifest_path.parent / entry["mel"])
-                assert np.array_equal(mel.values, grid.astype(np.float32))
+                assert np.array_equal(mel, grid.astype(np.float32))
         assert next(entries, None) is None
         assert doc["samples"][-1]["mel"] == "sample_00073.mel"
 
