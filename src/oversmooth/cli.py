@@ -230,9 +230,8 @@ def cmd_dist(args):
             raise ContractError(
                 f"--joint expects freq:f1,f2 or time:f,lag, got {args.joint!r}"
             ) from None
-        d2 = density.phoneme_joint(
-            corpus, args.ph, kind, first, second,
-            None if args.bandwidth is None else (args.bandwidth,) * 2)
+        d2 = density.phoneme_joint(corpus, args.ph, kind, first, second,
+                                   args.bandwidth)
         xs, ys = _reprs(d2.grid_x), _reprs(d2.grid_y)
         csv = f"{prefix}_joint_{args.ph}.csv"  # long form, x outer
         files[csv] = _csv("x,y,density", [x for x in xs for _ in ys],
@@ -305,7 +304,7 @@ def _load_flow_corpus(manifest_path, n_cond=None):
         cond_ids.append(entry["condition"])
     shapes = {g.shape for g in grids}
     if len(shapes) != 1:
-        raise ContractError(f"corpus grids must share one shape, got {shapes}")
+        raise ContractError(f"manifest {manifest_path}: grid shapes differ, {shapes}")
     n_cond = max(cond_ids) + 1 if n_cond is None else n_cond
     targets = np.stack(grids)
     t = targets.shape[1]

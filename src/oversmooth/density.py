@@ -80,37 +80,33 @@ def _finite(values, bandwidth):
 
 
 def _gauss_sum(grid: np.ndarray, samples: np.ndarray, h: float) -> np.ndarray:
-    """Sum of Gaussian kernels on ``grid``, bit for bit the sum over
-    4,096-sample chunks of ``norm * exp(-0.5 * z * z).sum(axis=0)`` with
-    ``z = (grid - chunk[:, None]) / h``.
+    """Sum of Gaussian kernels on ``grid``, bit for bit the literal
+    ``norm * exp(-0.5 * z * z).sum(axis=0)`` with ``norm = 1 / (sqrt(2 pi) h)``
+    and ``z = (grid - samples[:, None]) / h``.
 
-    Each chunk is evaluated in blocks of rows in two (rows, G) buffers of
+    The samples are evaluated in blocks of rows in two (rows, G) buffers of
     about 512 KB each for a G-point grid (128 rows at G = 512; at least 2
     rows, so 32 * G bytes past G = 32,768): working memory depends on the
     grid length, not on the sample count. numpy reduces a C-ordered axis 0
     row by row, so carrying the running column sum as row 0 of the next
     block adds the rows in the one-shot order.
     """
-    out = np.zeros(len(grid))
     norm = _finite(1.0 / (np.sqrt(2.0 * np.pi) * h), h)
-    rows = min(len(samples), 4096, max(2, 65536 // max(len(grid), 1)))
+    rows = min(len(samples), max(2, 65536 // max(len(grid), 1)))
     z, k = np.empty((2, rows, len(grid)))
-    total = np.empty(len(grid))
-    for start in range(0, len(samples), 4096):
-        chunk = samples[start : start + 4096]
-        lo = carry = 0  # after a chunk's first block, row 0 holds the sum
-        while lo < len(chunk):
-            block = chunk[lo : lo + rows - carry]
-            stop = carry + len(block)
-            zb, kb = z[carry:stop], k[carry:stop]
-            np.divide(np.subtract(grid, block[:, None], out=zb), h, out=zb)
-            np.exp(np.multiply(np.multiply(-0.5, zb, out=kb), zb, out=kb), out=kb)
-            if carry:
-                k[0] = total
-            np.add.reduce(k[:stop], axis=0, out=total)
-            lo, carry = lo + len(block), 1
-        out += norm * total
-    return out
+    total = np.zeros(len(grid))
+    lo = carry = 0  # after the first block, row 0 holds the running sum
+    while lo < len(samples):
+        block = samples[lo : lo + rows - carry]
+        stop = carry + len(block)
+        zb, kb = z[carry:stop], k[carry:stop]
+        np.divide(np.subtract(grid, block[:, None], out=zb), h, out=zb)
+        np.exp(np.multiply(np.multiply(-0.5, zb, out=kb), zb, out=kb), out=kb)
+        if carry:
+            k[0] = total
+        np.add.reduce(k[:stop], axis=0, out=total)
+        lo, carry = lo + len(block), 1
+    return norm * total
 
 
 def kde1d(samples, bandwidth: float | None = None) -> Density1D:
@@ -130,28 +126,31 @@ def kde1d(samples, bandwidth: float | None = None) -> Density1D:
         return Density1D(g, _finite(_gauss_sum(g, x, h) / len(x), h))
 
 
-def kde2d(pairs, bandwidths: tuple[float, float] | None = None) -> Density2D:
-    """Product-Gaussian KDE of an (n, 2) sample on a 128 x 128 grid."""
+def kde2d(pairs, bandwidth: float | None = None) -> Density2D:
+    """Product-Gaussian KDE of an (n, 2) sample on a 128 x 128 grid with one
+    ``bandwidth`` for both axes, None for Silverman's rule on each. A bandwidth
+    kde1d refuses, or one whose 1 / (2 pi hx hy) is subnormal, is a ContractError."""
     p = np.asarray(pairs, dtype=np.float64)
     if p.ndim != 2 or p.shape[1] != 2 or p.shape[0] < 1:
         raise ContractError("pairs must be a non-empty (n, 2) array")
     if not np.all(np.isfinite(p)):
         raise ContractError("pairs must be finite")
     xs, ys = p[:, 0], p[:, 1]
-    given_x, given_y = (None, None) if bandwidths is None else bandwidths
-    hx, hy = _bandwidth(xs, given_x), _bandwidth(ys, given_y)
+    hx, hy = _bandwidth(xs, bandwidth), _bandwidth(ys, bandwidth)
+    h = hx if hx == hy else (hx, hy)  # the name in error messages
     with np.errstate(divide="ignore", over="ignore"):  # as in kde1d
-        norm = _finite(np.float64(1.0) / (2.0 * np.pi * hx * hy), (hx, hy))
+        norm = _finite(np.float64(1.0) / (2.0 * np.pi * hx * hy), h)
         gx = _auto_grid(xs, hx, 128)
         gy = _auto_grid(ys, hy, 128)
+        if norm < np.finfo(np.float64).tiny:
+            raise ContractError(f"bandwidth {h} is too large: the density underflows")
         values = np.zeros((len(gx), len(gy)))
         for start in range(0, len(p), 1024):
-            cx = xs[start : start + 1024]
-            cy = ys[start : start + 1024]
-            kx = np.exp(-0.5 * ((gx[None, :] - cx[:, None]) / hx) ** 2)
-            ky = np.exp(-0.5 * ((gy[None, :] - cy[:, None]) / hy) ** 2)
+            c = p[start : start + 1024]
+            kx = np.exp(-0.5 * ((gx[None, :] - c[:, :1]) / hx) ** 2)
+            ky = np.exp(-0.5 * ((gy[None, :] - c[:, 1:]) / hy) ** 2)
             values += kx.T @ ky
-        return Density2D(gx, gy, _finite(values * norm / len(p), (hx, hy)))
+        return Density2D(gx, gy, _finite(values * norm / len(p), h))
 
 
 def _phoneme_blocks(corpus, phoneme: str, bins) -> list[np.ndarray]:
@@ -185,13 +184,13 @@ def pooled_phoneme_values(corpus, phoneme: str, bin_index: int) -> np.ndarray:
 
 
 def phoneme_joint(corpus, phoneme: str, kind: str, first: int, second: int,
-                  bandwidths: tuple[float, float] | None = None) -> Density2D:
-    """Joint KDE of two grid positions conditioned on a phoneme.
+                  bandwidth: float | None = None) -> Density2D:
+    """Joint KDE, by kde2d with one ``bandwidth`` for both axes, of two grid
+    positions conditioned on a phoneme.
 
-    ``kind`` selects the pairing: "freq" pairs bins ``first`` and ``second``
-    of the same frame, "time" pairs bin ``first`` at frames t and
-    t + ``second`` (the lag). Time pairs never cross span boundaries, so
-    both frames are guaranteed to carry the same phoneme.
+    ``kind`` selects the pairing: "freq" pairs bins ``first`` and ``second`` of
+    the same frame, "time" pairs bin ``first`` at frames t and t + ``second``
+    (the lag). Time pairs never cross a span boundary, so both carry the phoneme.
     """
     if kind == "freq":
         bins = [first, second]
@@ -207,7 +206,7 @@ def phoneme_joint(corpus, phoneme: str, kind: str, first: int, second: int,
     if len(pairs) == 0:
         raise ContractError(f"no within-span pairs for {phoneme!r} with "
                       f"{kind}:{first},{second}")
-    return kde2d(pairs, bandwidths)
+    return kde2d(pairs, bandwidth)
 
 
 def _minorant_links(x: list) -> list:

@@ -2,6 +2,7 @@ import argparse
 import json
 import os
 import re
+import struct
 import subprocess
 import sys
 import xml.etree.ElementTree as ET
@@ -24,6 +25,15 @@ from oversmooth.core import (
 
 def run(args):
     return cli.main(args)
+
+
+def refusal(capsys):
+    """The one ``error:`` line of a run that printed nothing else."""
+    captured = capsys.readouterr()
+    lines = captured.err.splitlines()
+    assert captured.out == "" and len(lines) == 1, lines
+    assert lines[0].startswith("error: ")
+    return lines[0]
 
 
 def make_wav(path, n=4096, rate=22050, freq=440.0):
@@ -104,6 +114,32 @@ class TestCmdMel:
         captured = capsys.readouterr()
         assert captured.out == "" and captured.err == f"error: {message}\n"
         assert not mel.exists()
+
+
+    @pytest.mark.parametrize("damage,named", [
+        ("not RIFF", "not a RIFF/WAVE file"),
+        ("no data chunk", "missing fmt or data chunk"),
+        ("8-bit", "only 16-bit PCM is supported (got 8)"),
+        ("odd payload", "odd payload size for 16-bit samples"),
+        ("rate 0", "sample rate must be positive"),
+    ])
+    def test_malformed_wav_exits_2_writing_nothing(self, tmp_path, capsys, damage,
+                                                   named):
+        samples = np.zeros(64, dtype=np.int16)
+        wav = tmp_path / "a.wav"
+        wav.write_bytes({
+            "not RIFF": b"RIFX" + wav_bytes(samples)[4:],
+            "no data chunk": wav_bytes(samples)[:36],  # the header and fmt only
+            "8-bit": wav_bytes(samples, bits=8),
+            # 7 bytes of data and the pad byte that keeps chunks word-aligned
+            "odd payload": wav_bytes(samples)[:40] + struct.pack("<I", 7) + bytes(8),
+            "rate 0": wav_bytes(samples, rate=0),
+        }[damage])
+        before = tree(tmp_path)
+        assert run(["mel", str(wav), str(tmp_path / "a.mel"),
+                    "--out", str(tmp_path / "r.json")]) == 2
+        assert named in refusal(capsys)
+        assert tree(tmp_path) == before
 
 
 class TestCmdMetrics:
@@ -287,8 +323,7 @@ class TestCmdDist:
                                bandwidth)
             assert read_lines(tmp_path / f"d_marginal_R_{f}.csv") == csv_by_rows(
                 "grid,density", zip(d1.grid.tolist(), d1.values.tolist()))
-        d2 = density.phoneme_joint(corpus, "R", "time", 3, 1,
-                                   None if bandwidth is None else (bandwidth,) * 2)
+        d2 = density.phoneme_joint(corpus, "R", "time", 3, 1, bandwidth)
         lines = read_lines(tmp_path / "d_joint_R.csv")
         assert lines == joint_csv_by_rows(d2)
         if bandwidth is not None:  # far cells underflow to exactly 0.0
@@ -305,7 +340,7 @@ class TestCmdDist:
         grid, values = np.array(rows[1:-1], dtype=float).T
         assert np.trapezoid(values, grid) == pytest.approx(1.0, abs=0.02)
 
-    def test_bandwidth_sets_both_joint_bandwidths(self, tmp_path, capsys):
+    def test_bandwidth_sets_both_joint_axes(self, tmp_path, capsys):
         manifest = build_dist_fixture(tmp_path)
         joints = []
         for name, flags in (("rule", []), ("narrow", ["--bandwidth", "0.023"])):
@@ -316,7 +351,7 @@ class TestCmdDist:
         capsys.readouterr()
         assert joints[0] != joints[1]
         d2 = density.phoneme_joint(cli._load_corpus(manifest), "R", "freq", 3, 4,
-                                   bandwidths=(0.023, 0.023))
+                                   bandwidth=0.023)
         assert joints[1] == joint_csv_by_rows(d2)
 
     def test_absent_phoneme_exits_2(self, tmp_path):
@@ -341,14 +376,17 @@ class TestCmdDist:
         # normalisation or the joint density overflows
         (["--bins", "3", "--bandwidth", "1e-310"], "bandwidth 1e-310 is too small"),
         (["--joint", "freq:3,4", "--bandwidth", "1e-310"],
-         "bandwidth (1e-310, 1e-310) is too small"),
+         "bandwidth 1e-310 is too small"),
         (["--joint", "freq:3,4", "--bandwidth", "1e-160"],
-         "bandwidth (1e-160, 1e-160) is too small"),
+         "bandwidth 1e-160 is too small"),
         # so large that the grid's ends, min - 4h and max + 4h, overflow
         (["--bins", "1", "--bandwidth", "1e308"],
          "bandwidth 1e+308 is too large: the grid overflows"),
         (["--joint", "freq:1,2", "--bandwidth", "1e308"],
          "bandwidth 1e+308 is too large: the grid overflows"),
+        # so large that the joint's normalisation 1 / (2 pi h h) underflows
+        (["--joint", "freq:1,2", "--bandwidth", "1e305"],
+         "bandwidth 1e+305 is too large: the density underflows"),
         # a later bin or the joint fails after bin 3 is computed
         (["--bins", "3,123"], "bin 123"),
         (["--bins", "3", "--joint", "freq:3,x"], "--joint"),
@@ -373,6 +411,35 @@ class TestCmdDist:
         assert len(lines) == 1, lines
         assert lines[0].startswith("error: ") and named in lines[0]
         assert not list(tmp_path.glob("d_*"))
+
+    @pytest.mark.parametrize("line,named", [
+        ("R\t20", "utt1.tsv:2: expected 3 tab-separated fields"),
+        ("R\t-1\t40", "negative start frame in 'R'"),
+    ])
+    def test_malformed_alignment_exits_2_writing_nothing(self, tmp_path, capsys,
+                                                         line, named):
+        manifest = build_dist_fixture(tmp_path)
+        (tmp_path / "utt1.tsv").write_text(f"AE2\t0\t20\n{line}\n")
+        before = tree(tmp_path)
+        assert run(["dist", "--manifest", str(manifest), "--ph", "R", "--bins", "3",
+                    "--joint", "freq:3,4", "--out-prefix", str(tmp_path / "d"),
+                    "--out", str(tmp_path / "r.json")]) == 2
+        assert named in refusal(capsys)
+        assert tree(tmp_path) == before
+
+    def test_blank_alignment_lines_are_skipped(self, tmp_path, capsys):
+        manifest = build_dist_fixture(tmp_path)
+        argv = ["dist", "--manifest", str(manifest), "--ph", "R", "--bins", "3",
+                "--joint", "freq:3,4", "--out-prefix"]
+        assert run(argv + [str(tmp_path / "plain")]) == 0
+        for i in range(2):
+            (tmp_path / f"utt{i}.tsv").write_text("\nAE2\t0\t20\n  \n\nR\t20\t40\n\n")
+        assert run(argv + [str(tmp_path / "blank")]) == 0
+        assert capsys.readouterr().err == ""
+        for name in ("marginal_R_3.csv", "marginal_R_3.svg", "joint_R.csv",
+                     "joint_R.svg"):
+            assert ((tmp_path / f"blank_{name}").read_bytes()
+                    == (tmp_path / f"plain_{name}").read_bytes()), name
 
     def test_manifest_of_strings_exits_2(self, tmp_path, capsys):
         manifest = tmp_path / "manifest.json"
@@ -653,6 +720,45 @@ class TestCmdToylab:
         assert "internal error" not in err
 
 
+    @pytest.mark.parametrize("change,named", [
+        ({"conditions": [{"prototypes": [], "weights": []}]},
+         "each condition needs at least one prototype"),
+        ({"conditions": [{"prototypes": [[[1.0] * 4] * 4, [[1.0] * 3] * 4],
+                          "weights": [0.5, 0.5]}]},
+         "prototypes of one condition must share a shape"),
+        ({"conditions": [{"prototypes": [[[-1.0] * 4] * 4, [[1.0] * 4] * 4],
+                          "weights": [1.0]}]},
+         "one weight per prototype required"),
+        ({"conditions": [{"prototypes": [[[-1.0] * 4] * 4, [[1.0] * 4] * 4],
+                          "weights": [0.5, 0.6]}]},
+         "weights must be a probability vector"),
+        ({"samples_per_condition": 0}, "need at least one sample per condition"),
+        ({"conditions": []}, "need at least one condition"),
+        ({"conditions": [{"prototypes": [[[-1.0] * 4] * 4, [[1.0] * 4] * 4],
+                          "weights": [0.5, 0.5]},
+                         {"prototypes": [[[-1.0] * 5] * 4, [[1.0] * 5] * 4],
+                          "weights": [0.5, 0.5]}]},
+         "all conditions must share the grid shape"),
+    ], ids=["no prototypes", "prototype shapes", "weight count", "weight sum",
+            "no samples", "no conditions", "condition shapes"])
+    def test_spec_refused_by_the_corpus_exits_2_writing_nothing(
+            self, tmp_path, capsys, change, named):
+        doc = {
+            "conditions": [{"prototypes": [[[-1.0] * 4] * 4, [[1.0] * 4] * 4],
+                            "weights": [0.5, 0.5]}],
+            "noise": 0.05,
+            "samples_per_condition": 20,
+        }
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps({**doc, **change}))
+        before = tree(tmp_path)
+        assert run(["toylab", "--spec", str(spec_path), "--strategies", "mse",
+                    "--seed", "2", "--out-prefix", str(tmp_path / "rep"),
+                    "--out", str(tmp_path / "r.json")]) == 2
+        assert refusal(capsys) == f"error: {named}"
+        assert tree(tmp_path) == before
+
+
 class TestCmdFlow:
     def build_corpus(self, tmp_path, samples=30):
         assert run(["make-corpus", str(tmp_path / "corpus"),
@@ -806,6 +912,23 @@ class TestCmdFlow:
             assert "'samples' must be a non-empty list, got []" in lines[0]
             assert not (tmp_path / f"{action}.json").exists()
         assert not list(tmp_path.glob("new.flw*"))
+
+    def test_manifest_of_two_grid_shapes_exits_2_naming_it(self, tmp_path,
+                                                            capsys):
+        rng = np.random.default_rng(0)
+        for i, shape in enumerate([(8, 8), (9, 8)]):
+            write_mel(rng.normal(size=shape), tmp_path / f"m{i}.mel")
+        manifest = tmp_path / "manifest.json"
+        manifest.write_text(json.dumps({"samples": [
+            {"mel": f"m{i}.mel", "condition": 0} for i in range(2)]}))
+        before = tree(tmp_path)
+        assert run(["flow", "train", "--manifest", str(manifest),
+                    "--ckpt", str(tmp_path / "m.flw"), "--steps", "2",
+                    "--out", str(tmp_path / "t.json")]) == 2
+        line = refusal(capsys)
+        assert line.startswith(f"error: manifest {manifest}: grid shapes differ, ")
+        assert "(8, 8)" in line and "(9, 8)" in line
+        assert tree(tmp_path) == before
 
     def test_sample_requires_out_mel(self, tmp_path):
         assert run(["flow", "sample", "--ckpt", str(tmp_path / "x.flw")]) == 2
@@ -1024,6 +1147,19 @@ def test_unwritable_report_exits_2_before_any_work(tmp_path, capsys, out,
     assert captured.out == "" and len(lines) == 1, lines
     assert lines[0].startswith("error: --out ") and named in lines[0]
     assert not (tmp_path / "corpus").exists()
+
+
+def test_internal_error_exits_1_writing_nothing(tmp_path, capsys, monkeypatch):
+    def boom(args):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(cli, "cmd_metrics", boom)
+    out = tmp_path / "r.json"
+    assert run(["metrics", str(tmp_path / "a.mel"), "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "internal error: RuntimeError: boom\n"
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("samples", ["0", "-2"])
@@ -1341,3 +1477,14 @@ def test_import_loads_no_network_stack():
     assert "oversmooth.cli" in added
     assert not added & {"http.client", "ssl", "email.parser", "urllib.request",
                         "socket"}
+
+
+def test_package_version_is_read_from_the_module():
+    # One source: the package metadata reads the string that every report
+    # and SVG footer prints.
+    tomllib = pytest.importorskip("tomllib")
+    root = Path(cli.__file__).resolve().parents[2]
+    doc = tomllib.loads((root / "pyproject.toml").read_text(encoding="utf-8"))
+    assert "version" not in doc["project"] and doc["project"]["dynamic"] == ["version"]
+    assert doc["tool"]["setuptools"]["dynamic"]["version"] == {
+        "attr": "oversmooth._version.__version__"}

@@ -103,14 +103,10 @@ class TestKde1d:
 
 
 def one_shot_gauss_sum(grid, samples, h):
-    """The kernel sum with each 4,096-sample chunk as one (chunk, G) array."""
-    out = np.zeros(len(grid))
+    """The kernel sum as the literal formula over every sample at once."""
     norm = 1.0 / (np.sqrt(2.0 * np.pi) * h)
-    for start in range(0, len(samples), 4096):
-        chunk = samples[start : start + 4096]
-        z = (grid[None, :] - chunk[:, None]) / h
-        out += norm * np.exp(-0.5 * z * z).sum(axis=0)
-    return out
+    z = (grid - samples[:, None]) / h
+    return norm * np.exp(-0.5 * z * z).sum(axis=0)
 
 
 class TestGaussSum:
@@ -124,15 +120,15 @@ class TestGaussSum:
         for n in (1, rows - 1, rows, rows + 1, 4095, 4096, 4097, 9000):
             x, h = rng.normal(size=n) * 2.0, 0.2 + rng.random()
             # Columns are separate sums, so the reference takes the grid
-            # 512 points at a time (5,000 leaves 392, never a single column,
+            # 256 points at a time (5,000 leaves 136, never a single column,
             # which numpy would sum pairwise) to keep its arrays small.
-            want = np.concatenate([one_shot_gauss_sum(grid[lo : lo + 512], x, h)
-                                   for lo in range(0, points, 512)])
+            want = np.concatenate([one_shot_gauss_sum(grid[lo : lo + 256], x, h)
+                                   for lo in range(0, points, 256)])
             assert _gauss_sum(grid, x, h).tobytes() == want.tobytes(), n
 
-    def test_memory_does_not_grow_with_the_chunk(self):
-        # One 4,096 x 2,048 chunk as a whole array would take 67 MB per
-        # temporary.
+    def test_memory_does_not_grow_with_the_sample(self):
+        # The 4,096 x 2,048 kernel matrix as a whole array would take 67 MB
+        # per temporary.
         x = np.random.default_rng(3).normal(size=4096)
         grid = np.linspace(-4.0, 4.0, 2048)
         tracemalloc.start()
@@ -146,7 +142,7 @@ class TestGaussSum:
 
 class TestKde2d:
     def test_single_pair_peak(self):
-        density = kde2d([(0.0, 0.0)], bandwidths=(1.0, 1.0))
+        density = kde2d([(0.0, 0.0)], bandwidth=1.0)
         peak = density.values.max()
         # the auto grid has no point exactly at the origin; the nearest one
         # sits within half a grid step, so the peak is just below 1/(2*pi)
@@ -159,9 +155,9 @@ class TestKde2d:
     def test_diagonal_concentration(self):
         rng = np.random.default_rng(3)
         x = rng.normal(size=300)
-        density = kde2d(np.column_stack([x, x]), bandwidths=(0.1, 0.1))
+        density = kde2d(np.column_stack([x, x]), bandwidth=0.1)
         gx, gy = np.meshgrid(density.grid_x, density.grid_y, indexing="ij")
-        # both kernel factors sit >= 4.5 bandwidths out once |x - y| > 9h
+        # both kernel factors sit >= 4.5 h out once |x - y| > 9h
         far = np.abs(gx - gy) > 0.9
         assert np.all(density.values[far] < 1e-6)
 
@@ -178,22 +174,36 @@ class TestKde2d:
         with pytest.raises(ContractError):
             kde2d(np.empty((0, 2)))
 
-    @pytest.mark.parametrize("pairs,bandwidths", [
-        ([[0.0, 1.0], [1.0, 0.0], [2.0, 2.0]], (1e-310, 1e-310)),  # hx hy is 0
-        ([[0.0, 1.0], [1.0, 0.0], [2.0, 2.0]], (1e-160, 1e-160)),
-        (np.zeros((20, 2)), (1e-154, 1e-154)),  # the norm holds, the sum does not
+    @pytest.mark.parametrize("pairs,bandwidth", [
+        ([[0.0, 1.0], [1.0, 0.0], [2.0, 2.0]], 1e-310),  # h * h is 0
+        ([[0.0, 1.0], [1.0, 0.0], [2.0, 2.0]], 1e-160),
+        (np.zeros((20, 2)), 1e-154),  # the norm holds, the sum does not
     ])
-    def test_too_small_bandwidths_are_refused(self, pairs, bandwidths):
+    def test_too_small_bandwidth_is_refused(self, pairs, bandwidth):
         with pytest.raises(ContractError,
-                           match=re.escape(f"bandwidth {bandwidths} is too small")):
-            kde2d(pairs, bandwidths)
+                           match=re.escape(f"bandwidth {bandwidth} is too small")):
+            kde2d(pairs, bandwidth)
 
-    @pytest.mark.parametrize("bandwidths", [(0.5, float("nan")),
-                                            (float("inf"), 0.5), (0.5, -1.0)])
-    def test_bandwidths_must_be_finite_and_positive(self, bandwidths):
+    @pytest.mark.parametrize("bandwidth", [1e154, 1e160, 1e305])
+    def test_bandwidth_whose_norm_underflows_is_refused(self, bandwidth):
+        pairs = np.random.default_rng(3).normal(size=(40, 2))
+        with pytest.raises(ContractError, match=re.escape(
+                f"bandwidth {bandwidth} is too large: the density underflows")):
+            kde2d(pairs, bandwidth)
+
+    def test_huge_bandwidth_with_a_normal_norm_is_a_density(self):
+        # 1 / (2 pi h h) is about 1.6e-301 here, above the smallest normal
+        density = kde2d(np.random.default_rng(3).normal(size=(40, 2)), 1e150)
+        assert density.values.max() > 1e-302
+        dx = density.grid_x[1] - density.grid_x[0]
+        dy = density.grid_y[1] - density.grid_y[0]
+        assert density.values.sum() * dx * dy == pytest.approx(1.0, abs=0.05)
+
+    @pytest.mark.parametrize("bandwidth", [float("nan"), float("inf"), -1.0])
+    def test_bandwidth_must_be_finite_and_positive(self, bandwidth):
         pairs = np.array([[0.0, 1.0], [1.0, 0.0], [2.0, 2.0]])
         with pytest.raises(ContractError, match="bandwidth must be finite"):
-            kde2d(pairs, bandwidths)
+            kde2d(pairs, bandwidth)
 
 
 def corpus_from_columns(column_values, label="R", bins=4, bin_index=2):
@@ -298,7 +308,7 @@ class TestPhonemeJoint:
         base[:, 3] = base[:, 2]
         align = Alignment((AlignmentEntry("R", 0, 80),))
         density = phoneme_joint([(base, align)], "R", "freq", 2, 3,
-                                bandwidths=(0.1, 0.1))
+                                bandwidth=0.1)
         gx, gy = np.meshgrid(density.grid_x, density.grid_y, indexing="ij")
         assert np.all(density.values[np.abs(gx - gy) > 0.9] < 1e-6)
 
@@ -323,7 +333,7 @@ class TestPhonemeJoint:
         values[:, 0] = [0.0, 1.0, 10.0, 11.0]
         align = Alignment((AlignmentEntry("R", 0, 2), AlignmentEntry("R", 2, 4)))
         density = phoneme_joint([(values, align)], "R", "time", 0, 1,
-                                bandwidths=(0.5, 0.5))
+                                bandwidth=0.5)
         # pairs are (0,1) and (10,11); never (1,10)
         ix = np.argmin(np.abs(density.grid_x - 1.0))
         iy = np.argmin(np.abs(density.grid_y - 10.0))
